@@ -1,8 +1,14 @@
 """Strang-splitting time integration of the fractional NLS.
 
-Both substeps are exact flows: the linear propagator is a unimodular
+Both substeps are exact flows: the linear propagator L(t) is a unimodular
 multiplier and the zero-dispersion nonlinearity is a pointwise phase
-rotation, so each step conserves mass to roundoff.
+rotation, so each step conserves mass to roundoff. Because L(a) L(b) =
+L(a + b) exactly, `evolve` merges the closing half-step of one step with
+the opening half-step of the next. It holds the spectrum of the solution
+and runs one in-place FFT pair per step: the pending linear half-steps in
+spectrum, the rotation in space, and back. A snapshot applies the closing
+half-step to a copy, takes the kinetic energy from that spectrum by
+Plancherel and inverts it once; the held spectrum is left unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -12,9 +18,9 @@ import numpy as np
 from .errors import MassDriftError, NonFiniteFieldError
 from .grid import ComplexField
 from .model import ModelParams
-from .observables import energy, mass
+from .observables import mass
 from .spectral import field_from_spectrum, fft, rescale
-from .symbols import LinearPropagator, evaluate_symbol
+from .symbols import FractionalLaplacian, LinearPropagator, evaluate_symbol
 
 
 def default_dt(grid, params, t_end):
@@ -26,33 +32,66 @@ def default_dt(grid, params, t_end):
     return dt
 
 
+def _propagator(grid, params, t):
+    return evaluate_symbol(LinearPropagator(t, params.sigma, params.nu), grid)
+
+
 def linear_propagate(u, t, sigma, nu=1.0):
     """Exact linear flow: spectrum times exp(i t nu^(2 sigma) |xi|^(2 sigma))."""
     m = evaluate_symbol(LinearPropagator(t, sigma, nu), u.grid)
     return field_from_spectrum(u.grid, m * fft(u))
 
 
-def amplitude_power(a, p_minus_1):
-    """|u|^(p-1) with the 0 -> 0 convention for non-integer powers."""
-    with np.errstate(divide="ignore"):
-        return np.where(a > 0, np.exp(p_minus_1 * np.log(np.maximum(a, 1e-300))), 0.0)
+def _rotate(w, t, mu, p):
+    """In place: w <- w exp(i t mu |w|^(p-1)), with 0 -> 0 for any p > 1.
+
+    Returns max |w|^(p-1) before the rotation, which is not finite exactly
+    when w or the rotation is not.
+    """
+    a = np.square(w.real)
+    a += np.square(w.imag)
+    e = (p - 1) / 2
+    if e != 1:
+        np.power(a, e, out=a)
+    peak = a.max()
+    a *= t * mu
+    phase = np.empty_like(w)
+    np.cos(a, out=phase.real)
+    np.sin(a, out=phase.imag)
+    w *= phase
+    return peak
+
+
+def _split_step(w, opening, dt, params):
+    """In place on a spectrum w: opening multiplier, nonlinear flow over dt.
+
+    The rotation runs in space between one inverse and one forward FFT.
+    Returns `_rotate`'s peak.
+    """
+    w *= opening
+    np.fft.ifftn(w, out=w)
+    peak = _rotate(w, dt, params.mu, params.p)
+    np.fft.fftn(w, out=w)
+    return peak
 
 
 def nonlinear_phase(u, t, mu, p):
     """Exact zero-dispersion flow: u * exp(i t mu |u|^(p-1))."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    a = amplitude_power(np.abs(u.values), p - 1)
-    return ComplexField(u.grid, u.values * np.exp(1j * t * mu * a))
+    w = u.values.copy()
+    _rotate(w, t, mu, p)
+    return ComplexField(u.grid, w)
 
 
 def strang_step(u, dt, params):
     """linear(dt/2) o nonlinear(dt) o linear(dt/2)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u = linear_propagate(u, dt / 2, params.sigma, params.nu)
-    u = nonlinear_phase(u, dt, params.mu, params.p)
-    return linear_propagate(u, dt / 2, params.sigma, params.nu)
+    half = _propagator(u.grid, params, dt / 2)
+    w = fft(u)
+    _split_step(w, half, dt, params)
+    return field_from_spectrum(u.grid, half * w)
 
 
 @dataclass
@@ -82,14 +121,15 @@ class Trajectory:
     fields: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
-    def append(self, t, u, params):
+    def append(self, t, u, energy):
+        """Record snapshot u at time t; its energy comes from the caller."""
         self.times.append(float(t))
         self.fields.append(u)
         self.diagnostics.append(
             {
                 "time": float(t),
                 "mass": mass(u),
-                "energy": energy(u, params.sigma, params.mu, params.p),
+                "energy": energy,
                 "linf": float(np.max(np.abs(u.values))),
                 "boundary_amplitude": u.boundary_amplitude(),
             }
@@ -100,46 +140,64 @@ class Trajectory:
         return self.fields[-1]
 
 
+def _kinetic_energy(spectrum, laplacian, grid):
+    """1/2 integral of ||grad|^sigma u|^2 from u's unnormalized spectrum (Plancherel)."""
+    k = np.sum(laplacian * (np.square(spectrum.real) + np.square(spectrum.imag)))
+    return float(0.5 * k / grid.total_points * grid.cell_volume)
+
+
+def _potential_energy(u, params):
+    """Integral of mu/(p+1) |u|^(p+1), as in observables.energy."""
+    dens = np.sum(np.abs(u.values) ** (params.p + 1))
+    return float((params.mu / (params.p + 1)) * dens * u.grid.cell_volume)
+
+
 def evolve(u0, cfg):
     """Integrate to cfg.t_end with Strang steps, snapshotting every stride."""
     params = cfg.params
-    dt = cfg.dt if cfg.dt is not None else default_dt(u0.grid, params, cfg.t_end)
+    grid = u0.grid
+    dt = cfg.dt if cfg.dt is not None else default_dt(grid, params, cfg.t_end)
+    laplacian = evaluate_symbol(FractionalLaplacian(params.sigma), grid)
+    # The held state. After a step it is the spectrum still owing that step's
+    # closing half-step, which the next step's opening or a snapshot applies.
+    w = fft(u0)
     traj = Trajectory()
-    traj.append(0.0, u0, params)
+    traj.append(0.0, u0, _kinetic_energy(w, laplacian, grid) + _potential_energy(u0, params))
     if cfg.t_end == 0:
         return traj
 
     mass0 = traj.diagnostics[0]["mass"]
     n_full = int(np.floor(cfg.t_end / dt + 1e-12))
     remainder = cfg.t_end - n_full * dt
-    # Precompute the half-step multiplier; the remainder step gets its own.
-    half = evaluate_symbol(LinearPropagator(dt / 2, params.sigma, params.nu), u0.grid)
+    half = _propagator(grid, params, dt / 2)
 
-    u = u0
     t = 0.0
-    steps_done = 0
     total_steps = n_full + (1 if remainder > 1e-12 * dt else 0)
     for step in range(total_steps):
         if step < n_full:
-            h, step_dt = half, dt
+            step_dt, opening = dt, half
+            if step > 0:
+                w *= half  # the previous step's closing half-step
         else:
             step_dt = remainder
-            h = evaluate_symbol(
-                LinearPropagator(step_dt / 2, params.sigma, params.nu), u0.grid
-            )
-        w = np.fft.ifftn(h * np.fft.fftn(u.values))
-        a = amplitude_power(np.abs(w), params.p - 1)
-        w = w * np.exp(1j * step_dt * params.mu * a)
-        w = np.fft.ifftn(h * np.fft.fftn(w))
-        u = ComplexField(u.grid, w)
+            owed = dt / 2 if step > 0 else 0.0
+            opening = _propagator(grid, params, owed + remainder / 2)
+        peak = _split_step(w, opening, step_dt, params)
         t += step_dt
-        steps_done += 1
+        if not np.isfinite(peak):
+            raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}")
 
         last = step == total_steps - 1
-        if steps_done % cfg.snapshot_stride == 0 or last:
-            if not np.all(np.isfinite(w.view(np.float64))):
-                raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}")
-            traj.append(t, u, params)
+        if (step + 1) % cfg.snapshot_stride == 0 or last:
+            close = half if step < n_full else _propagator(grid, params, remainder / 2)
+            v = close * w
+            kinetic = _kinetic_energy(v, laplacian, grid)
+            np.fft.ifftn(v, out=v)
+            try:
+                u = ComplexField(grid, v)
+            except NonFiniteFieldError:
+                raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}") from None
+            traj.append(t, u, kinetic + _potential_energy(u, params))
             drift = abs(traj.diagnostics[-1]["mass"] - mass0) / max(mass0, 1e-300)
             if drift > cfg.mass_drift_guard:
                 raise MassDriftError(

@@ -54,16 +54,24 @@ def soliton_symbol_on_grid(cfg, grid):
     return evaluate_symbol(SolitonSymbol(tuple(v), cfg.params.sigma), grid), v
 
 
-def soliton_residual(Q, cfg):
-    """Relative L^2 residual of the profile equation."""
-    grid = Q.grid
-    symbol, _ = soliton_symbol_on_grid(cfg, grid)
-    denom = np.linalg.norm(Q.values)
+def _profile_terms(vals, shifted, p):
+    """(p_v + omega^(2 sigma)) Q and |Q|^(p-1) Q, given the shifted symbol."""
+    lin = np.fft.ifftn(shifted * np.fft.fftn(vals))
+    return lin, np.abs(vals) ** (p - 1) * vals
+
+
+def _relative_residual(vals, lin, nl):
+    denom = np.linalg.norm(vals)
     if denom == 0:
         return 0.0
-    lin = np.fft.ifftn((symbol + cfg.omega ** (2 * cfg.params.sigma)) * np.fft.fftn(Q.values))
-    nl = np.abs(Q.values) ** (cfg.params.p - 1) * Q.values
     return float(np.linalg.norm(lin - nl) / denom)
+
+
+def soliton_residual(Q, cfg):
+    """Relative L^2 residual of the profile equation."""
+    symbol, _ = soliton_symbol_on_grid(cfg, Q.grid)
+    shifted = symbol + cfg.omega ** (2 * cfg.params.sigma)
+    return _relative_residual(Q.values, *_profile_terms(Q.values, shifted, cfg.params.p))
 
 
 def petviashvili_solve(cfg, seed):
@@ -71,6 +79,9 @@ def petviashvili_solve(cfg, seed):
 
     Q_{n+1} = M_n^gamma (p_v + omega^(2 sigma))^(-1) [|Q_n|^(p-1) Q_n],
     M_n = <(p_v + omega^(2 sigma)) Q_n, Q_n> / <|Q_n|^(p-1) Q_n, Q_n>.
+
+    The symbol is evaluated once per solve, and both terms of the profile
+    equation at Q_n serve the residual of step n - 1 and the update of step n.
     """
     params = cfg.params
     grid = seed.grid
@@ -84,19 +95,20 @@ def petviashvili_solve(cfg, seed):
 
     Q = seed.copy()
     result = SolitonResult(Q, symbol_min=sym_min)
+    lin, nl = _profile_terms(Q.values, shifted, params.p)
     prev_res = np.inf
     stall = 0
     for _ in range(cfg.max_iter):
         vals = Q.values
-        nl = np.abs(vals) ** (params.p - 1) * vals
-        num = _inner(grid, np.fft.ifftn(shifted * np.fft.fftn(vals)), vals)
+        num = _inner(grid, lin, vals)
         den = _inner(grid, nl, vals)
         if den == 0 or not np.isfinite(num / den):
             raise StagnationError("stagnation: degenerate seed (zero nonlinear pairing)")
         M = num / den
         new_vals = (M**cfg.gamma) * np.fft.ifftn(np.fft.fftn(nl) / shifted)
         Q = ComplexField(grid, new_vals)
-        res = soliton_residual(Q, cfg)
+        lin, nl = _profile_terms(Q.values, shifted, params.p)
+        res = _relative_residual(Q.values, lin, nl)
         result.residual_history.append(res)
         result.stabilization_history.append(M)
         if res < cfg.tol:

@@ -1,0 +1,172 @@
+"""The fused `evolve` kernel pinned to the unfused Strang loop it replaced.
+
+`_unfused_evolve` is the straightforward loop kept as the reference: two
+FFT pairs per step (linear(dt/2), nonlinear(dt), linear(dt/2)), |u|^(p-1)
+through log/exp, and diagnostics from `observables`. The fused kernel
+merges adjacent half-steps and reorders the arithmetic, so results agree
+to roundoff, not bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from fnls.errors import NonFiniteFieldError
+from fnls.evolution import (
+    EvolveConfig,
+    default_dt,
+    evolve,
+    linear_propagate,
+    nonlinear_phase,
+    strang_step,
+)
+from fnls.grid import ComplexField, Grid
+from fnls.model import ModelParams
+from fnls.observables import energy, mass
+from fnls.profiles import gaussian
+from fnls.symbols import LinearPropagator, evaluate_symbol
+
+FIELD_TOL = 1e-12
+DIAGNOSTIC_TOL = 1e-11
+ENERGY_TOL = 1e-12
+
+
+def _amplitude_power(a, p_minus_1):
+    with np.errstate(divide="ignore"):
+        return np.where(a > 0, np.exp(p_minus_1 * np.log(np.maximum(a, 1e-300))), 0.0)
+
+
+def _diagnostics(t, u, params):
+    return {
+        "time": float(t),
+        "mass": mass(u),
+        "energy": energy(u, params.sigma, params.mu, params.p),
+        "linf": float(np.max(np.abs(u.values))),
+        "boundary_amplitude": u.boundary_amplitude(),
+    }
+
+
+def _unfused_evolve(u0, cfg):
+    """(times, fields, diagnostics) of the unfused Strang loop."""
+    params = cfg.params
+    dt = cfg.dt if cfg.dt is not None else default_dt(u0.grid, params, cfg.t_end)
+    times, fields, diags = [0.0], [u0], [_diagnostics(0.0, u0, params)]
+    n_full = int(np.floor(cfg.t_end / dt + 1e-12))
+    remainder = cfg.t_end - n_full * dt
+    half = evaluate_symbol(LinearPropagator(dt / 2, params.sigma, params.nu), u0.grid)
+    u, t = u0, 0.0
+    total_steps = n_full + (1 if remainder > 1e-12 * dt else 0)
+    for step in range(total_steps):
+        if step < n_full:
+            h, step_dt = half, dt
+        else:
+            step_dt = remainder
+            h = evaluate_symbol(
+                LinearPropagator(step_dt / 2, params.sigma, params.nu), u0.grid
+            )
+        w = np.fft.ifftn(h * np.fft.fftn(u.values))
+        a = _amplitude_power(np.abs(w), params.p - 1)
+        w = w * np.exp(1j * step_dt * params.mu * a)
+        w = np.fft.ifftn(h * np.fft.fftn(w))
+        u = ComplexField(u.grid, w)
+        t += step_dt
+        if (step + 1) % cfg.snapshot_stride == 0 or step == total_steps - 1:
+            times.append(t)
+            fields.append(u)
+            diags.append(_diagnostics(t, u, params))
+    return times, fields, diags
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))
+
+
+# (grid, params, dt, t_end, stride); every t_end below leaves a remainder step
+# except the 3D case, and every stride is exercised with at least one grid.
+CASES = {
+    "1d-p3-stride1-remainder": (
+        Grid(1, 256, 16 * np.pi), ModelParams(1, 0.75, 3, 1, 1.0), 1e-2, 0.405, 1
+    ),
+    "1d-p7-stride7-remainder": (
+        Grid(1, 256, 16 * np.pi), ModelParams(1, 0.75, 7, 1, 1.0), 2e-3, 0.201, 7
+    ),
+    "1d-p2.5-defocusing-stride1e9": (
+        Grid(1, 512, 32 * np.pi), ModelParams(1, 0.6, 2.5, -1, 1.0), 5e-3, 1.0, 10**9
+    ),
+    "1d-nu0-stride7-remainder": (
+        Grid(1, 256, 16 * np.pi), ModelParams(1, 0.75, 3, 1, 0.0), 1e-2, 0.333, 7
+    ),
+    "2d-p2.5-stride7-remainder": (
+        Grid(2, (32, 64), (8 * np.pi, 12 * np.pi)), ModelParams(2, 0.8, 2.5, 1, 1.0), 1e-2, 0.205, 7
+    ),
+    "3d-p3-stride1e9": (
+        Grid(3, 16, 8 * np.pi), ModelParams(3, 0.75, 3, 1, 1.0), 1e-2, 0.2, 10**9
+    ),
+    "3d-p3-stride1-remainder": (
+        Grid(3, 16, 8 * np.pi), ModelParams(3, 1.0, 3, -1, 0.5), 1e-2, 0.055, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=list(CASES))
+def test_fused_evolve_matches_unfused_loop(case):
+    grid, params, dt, t_end, stride = CASES[case]
+    u0 = gaussian(grid, width=1.5, amplitude=1.0, center=(0.3,) * grid.d)
+    cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=stride)
+    traj = evolve(u0, cfg)
+    times, fields, diags = _unfused_evolve(u0, cfg)
+
+    assert traj.times == pytest.approx(times, rel=0, abs=1e-12)
+    assert len(traj.fields) == len(fields) == len(traj.diagnostics)
+    for got, want in zip(traj.fields, fields):
+        assert got.grid == want.grid
+        assert _rel(got.values, want.values) <= FIELD_TOL
+    for got, want, u in zip(traj.diagnostics, diags, traj.fields):
+        assert got.keys() == want.keys()
+        for key in ("time", "mass", "energy", "linf"):
+            assert abs(got[key] - want[key]) <= DIAGNOSTIC_TOL * abs(want[key]), key
+        # The boundary amplitude is a sample of the field, so its roundoff
+        # is relative to the field's size, not to its own.
+        assert abs(got["boundary_amplitude"] - want["boundary_amplitude"]) <= (
+            DIAGNOSTIC_TOL * want["linf"]
+        )
+        # The snapshot energy comes from the held spectrum; it must be the
+        # energy of the stored field.
+        e = energy(u, params.sigma, params.mu, params.p)
+        assert abs(got["energy"] - e) <= ENERGY_TOL * abs(e)
+
+
+def test_strang_step_is_one_evolve_step():
+    grid = Grid(2, 32, 8 * np.pi)
+    params = ModelParams(2, 0.75, 2.5, -1, 1.0)
+    u0 = gaussian(grid, width=1.5)
+    stepped = strang_step(u0, 0.01, params)
+    evolved = evolve(u0, EvolveConfig(params, t_end=0.01, dt=0.01)).final
+    composed = linear_propagate(
+        nonlinear_phase(linear_propagate(u0, 0.005, 0.75), 0.01, -1, 2.5), 0.005, 0.75
+    )
+    assert _rel(stepped.values, evolved.values) <= FIELD_TOL
+    assert _rel(stepped.values, composed.values) <= FIELD_TOL
+
+
+def test_nonlinear_phase_keeps_zeros_at_noninteger_power():
+    grid = Grid(1, 64, 8 * np.pi)
+    vals = gaussian(grid, width=1.0).values
+    vals[::4] = 0.0
+    u = ComplexField(grid, vals * np.exp(0.3j))
+    with np.errstate(all="raise"):
+        out = nonlinear_phase(u, 0.7, 1, 2.5)
+    assert np.all(out.values[::4] == 0)
+    exact = u.values * np.exp(0.7j * np.abs(u.values) ** 1.5)
+    assert _rel(out.values, exact) <= 1e-14
+
+
+def test_nonfinite_guard_trips_within_a_step_under_large_stride():
+    # The data refocuses under the linear flow at t = 4.5, the midpoint of
+    # step 5. Before that, max |u| <= 0.85 and |u|^1000 is negligible, so the
+    # rotation is the identity; at the focus |u| = 2.4 and |u|^1000 overflows.
+    grid = Grid(1, 1024, 64.0)
+    params = ModelParams(d=1, sigma=1.0, p=1001, mu=1, nu=1.0)
+    u0 = linear_propagate(gaussian(grid, width=0.5, amplitude=2.4), -4.5, params.sigma)
+    cfg = EvolveConfig(params, t_end=10.0, dt=1.0, snapshot_stride=10**9)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteFieldError, match=r"at t = 5$"):
+        evolve(u0, cfg)

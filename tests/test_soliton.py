@@ -88,3 +88,19 @@ def test_zero_velocity_profile_is_even_and_positive():
     left = q[peak - w : peak]
     right = q[peak + 1 : peak + w + 1][::-1]
     assert np.allclose(left, right, atol=1e-8)
+
+
+def test_solve_evaluates_the_symbol_once_and_reports_the_public_residual(monkeypatch):
+    import fnls.soliton
+
+    calls = []
+    evaluate = fnls.soliton.evaluate_symbol
+    monkeypatch.setattr(
+        fnls.soliton, "evaluate_symbol", lambda *args: calls.append(args) or evaluate(*args)
+    )
+    cfg = _config()
+    res = petviashvili_solve(cfg, SEED)
+    assert len(res.residual_history) > 10
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert res.residual_history[-1] == soliton_residual(res.Q, cfg)
