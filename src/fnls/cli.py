@@ -100,7 +100,7 @@ def cmd_norms(args):
         q=args.q, r=args.r, s=args.s, sigma=args.sigma, variant=args.variant
     )
     value = spacetime_norm(traj, spec)
-    stride = len(traj.times)
+    snapshots = len(traj.times)
     print(f"spacetime norm (q={args.q:g}, r={args.r:g}, s={args.s:g}, "
           f"variant={args.variant}, d={d}): {value:.12g}")
     path = os.path.join(args.traj, "norms.csv")
@@ -108,8 +108,8 @@ def cmd_norms(args):
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new:
-            writer.writerow(["q", "r", "s", "variant", "stride", "value"])
-        writer.writerow([args.q, args.r, args.s, args.variant, stride, value])
+            writer.writerow(["q", "r", "s", "variant", "snapshots", "value"])
+        writer.writerow([args.q, args.r, args.s, args.variant, snapshots, value])
 
 
 def cmd_soliton(args):

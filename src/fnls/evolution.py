@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassDriftError, NonFiniteFieldError
-from .grid import ComplexField
+from .grid import ComplexField, abs_power
 from .model import ModelParams
 from .observables import mass
-from .spectral import field_from_spectrum, fft, rescale
+from .spectral import field_from_spectrum, fft, plancherel, rescale
 from .symbols import FractionalLaplacian, LinearPropagator, evaluate_symbol
 
 
@@ -30,6 +30,17 @@ def default_dt(grid, params, t_end):
     if t_end > 0:
         dt = min(dt, t_end / 100)
     return dt
+
+
+def step_plan(t_end, dt):
+    """(full steps, remainder, total steps) of a run to t_end in steps of dt.
+
+    A shorter remainder step closes the run when t_end is not a whole
+    number of steps.
+    """
+    n_full = int(np.floor(t_end / dt + 1e-12))
+    remainder = t_end - n_full * dt
+    return n_full, remainder, n_full + (1 if remainder > 1e-12 * dt else 0)
 
 
 def _propagator(grid, params, t):
@@ -48,11 +59,7 @@ def _rotate(w, t, mu, p):
     Returns max |w|^(p-1) before the rotation, which is not finite exactly
     when w or the rotation is not.
     """
-    a = np.square(w.real)
-    a += np.square(w.imag)
-    e = (p - 1) / 2
-    if e != 1:
-        np.power(a, e, out=a)
+    a = abs_power(w, p - 1)
     peak = a.max()
     a *= t * mu
     phase = np.empty_like(w)
@@ -140,15 +147,9 @@ class Trajectory:
         return self.fields[-1]
 
 
-def _kinetic_energy(spectrum, laplacian, grid):
-    """1/2 integral of ||grad|^sigma u|^2 from u's unnormalized spectrum (Plancherel)."""
-    k = np.sum(laplacian * (np.square(spectrum.real) + np.square(spectrum.imag)))
-    return float(0.5 * k / grid.total_points * grid.cell_volume)
-
-
 def _potential_energy(u, params):
     """Integral of mu/(p+1) |u|^(p+1), as in observables.energy."""
-    dens = np.sum(np.abs(u.values) ** (params.p + 1))
+    dens = np.sum(abs_power(u.values, params.p + 1))
     return float((params.mu / (params.p + 1)) * dens * u.grid.cell_volume)
 
 
@@ -162,17 +163,16 @@ def evolve(u0, cfg):
     # closing half-step, which the next step's opening or a snapshot applies.
     w = fft(u0)
     traj = Trajectory()
-    traj.append(0.0, u0, _kinetic_energy(w, laplacian, grid) + _potential_energy(u0, params))
+    kinetic = 0.5 * plancherel(w, laplacian, grid)
+    traj.append(0.0, u0, kinetic + _potential_energy(u0, params))
     if cfg.t_end == 0:
         return traj
 
     mass0 = traj.diagnostics[0]["mass"]
-    n_full = int(np.floor(cfg.t_end / dt + 1e-12))
-    remainder = cfg.t_end - n_full * dt
+    n_full, remainder, total_steps = step_plan(cfg.t_end, dt)
     half = _propagator(grid, params, dt / 2)
 
     t = 0.0
-    total_steps = n_full + (1 if remainder > 1e-12 * dt else 0)
     for step in range(total_steps):
         if step < n_full:
             step_dt, opening = dt, half
@@ -191,7 +191,7 @@ def evolve(u0, cfg):
         if (step + 1) % cfg.snapshot_stride == 0 or last:
             close = half if step < n_full else _propagator(grid, params, remainder / 2)
             v = close * w
-            kinetic = _kinetic_energy(v, laplacian, grid)
+            kinetic = 0.5 * plancherel(v, laplacian, grid)
             np.fft.ifftn(v, out=v)
             try:
                 u = ComplexField(grid, v)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..errors import RegimeError
-from ..evolution import EvolveConfig, evolve
+from ..evolution import EvolveConfig, default_dt, evolve, step_plan
 from ..exponents import critical_exponents
 from ..grid import Grid
 from ..observables import duhamel_defect_increments, scattering_defect
@@ -38,6 +38,7 @@ def run_scattering_probe(
     s_c, _ = critical_exponents(d, p, sigma)
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
+    resolved_dt = dt if dt is not None else default_dt(grid, params, t_end)
 
     report = ExperimentReport(
         "scattering_probe",
@@ -51,7 +52,8 @@ def run_scattering_probe(
             "t_end": t_end,
             "n": grid.n,
             "L": grid.L,
-            "dt": dt,
+            "dt": resolved_dt,
+            "steps": step_plan(t_end, resolved_dt)[2],
             "windows": list(windows),
         },
     )
@@ -68,6 +70,7 @@ def run_scattering_probe(
             if run_dt:
                 cfg.snapshot_stride = max(1, int(round(t_end / run_dt / 40)))
         traj = evolve(u0, cfg)
+        report.inputs["snapshots"] = len(traj.times)
 
         if save_dir is not None:
             write_field(f"{save_dir}/scatter_final_amp{amp:g}.fnls", traj.final)

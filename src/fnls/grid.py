@@ -169,5 +169,14 @@ class ComplexField:
     __rmul__ = __mul__
 
 
+def abs_power(values, q):
+    """|values|^q as (re^2 + im^2)^(q/2): no sqrt, and no pow at q = 2."""
+    a = np.square(values.real)
+    a += np.square(values.imag)
+    if q != 2:
+        np.power(a, q / 2, out=a)
+    return a
+
+
 def zeros(grid):
     return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))

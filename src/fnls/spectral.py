@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import DyadicScaleError, OffLatticeError, RescaleAliasingError
-from .grid import ComplexField, Grid
+from .grid import ComplexField, Grid, abs_power
 from .symbols import Bessel, LpCutoff, Riesz, evaluate_symbol
 
 HOMOGENEOUS = "HOMOGENEOUS"
@@ -49,18 +49,21 @@ def lebesgue_norm(u, r):
     """L^r norm by rectangle-rule quadrature; r = inf returns max |u|."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    a = np.abs(u.values)
     if np.isinf(r):
-        return float(np.max(a))
-    return float((np.sum(a**r) * u.grid.cell_volume) ** (1.0 / r))
+        return float(np.max(np.abs(u.values)))
+    return float((np.sum(abs_power(u.values, r)) * u.grid.cell_volume) ** (1.0 / r))
+
+
+def plancherel(spectrum, weight2, grid):
+    """Integral of |v|^2 where v has unnormalized spectrum sqrt(weight2) * spectrum."""
+    total = np.sum(weight2 * abs_power(spectrum, 2))
+    return float(total / grid.total_points * grid.cell_volume)
 
 
 def spectral_l2_norm(u, weights=None):
     """L^2 norm computed on the spectral side (Plancherel)."""
-    uh = fft(u)
     w = 1.0 if weights is None else weights**2
-    total = np.sum(w * np.abs(uh) ** 2) / u.grid.total_points
-    return float(np.sqrt(total * u.grid.cell_volume))
+    return float(np.sqrt(plancherel(fft(u), w, u.grid)))
 
 
 def sobolev_norm(u, s, r=2.0, homogeneity=INHOMOGENEOUS):

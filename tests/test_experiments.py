@@ -1,11 +1,14 @@
 """Experiment runners, report plumbing, config parsing, and the CLI."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from fnls.cli import main
 from fnls.config import load_config, parse_value
 from fnls.errors import RegimeError, WrapAroundError
+from fnls.evolution import default_dt
 from fnls.experiments import (
     run_decoherence,
     run_dispersive_decay,
@@ -156,6 +159,22 @@ def test_scattering_probe_requires_supercritical_power():
         )
 
 
+def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 7, 1, 1.0)
+    t_end = 0.5
+    rep = run_scattering_probe(
+        ProfileSpec(width=1.0), params, amplitude_list=[1e-3], t_end=t_end,
+        grid=grid, windows=((0.1, 0.2), (0.2, 0.4)),
+    )
+    dt = rep.inputs["dt"]
+    assert dt == default_dt(grid, params, t_end)
+    steps = rep.inputs["steps"]
+    assert (steps - 1) * dt < t_end <= steps * dt + 1e-12
+    # One report row per pair of consecutive snapshots.
+    assert rep.inputs["snapshots"] == len(rep.series) + 1
+
+
 def test_cli_exponents_runs(capsys):
     assert main(["exponents", "--d", "1", "--sigma", "0.75", "--p", "3", "--s", "-0.1"]) == 0
     out = capsys.readouterr().out
@@ -181,7 +200,10 @@ def test_cli_evolve_norms_round_trip(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "spacetime norm" in out
-    assert (run_dir / "norms.csv").exists()
+    with open(run_dir / "norms.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert rows[0]["snapshots"] == str(len(snaps))
 
 
 def test_cli_soliton(tmp_path):
