@@ -13,7 +13,6 @@ from .exponents import (
     classify_regime,
     critical_exponents,
     is_admissible,
-    strichartz_weight_exponent,
     verify_error_symbol_bound,
 )
 from .grid import ComplexField, Grid
@@ -74,7 +73,6 @@ __all__ = [
     "spacetime_norm",
     "spatial_shift",
     "strang_step",
-    "strichartz_weight_exponent",
     "traveling_wave_check",
     "verify_error_symbol_bound",
     "write_field",

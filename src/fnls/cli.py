@@ -68,6 +68,7 @@ def cmd_evolve(args):
         t_end=float(cfg["t_end"]),
         dt=float(cfg["dt"]) if "dt" in cfg else None,
         snapshot_stride=int(cfg.get("snapshot_stride", 1)),
+        mass_drift_guard=float(cfg.get("mass_drift_guard", EvolveConfig.mass_drift_guard)),
     )
     traj = evolve(u0, run)
     with open(os.path.join(args.out, "diagnostics.csv"), "w", newline="") as fh:
@@ -224,6 +225,7 @@ def _run_decohere(cfg, save_dir):
         n_y=int(cfg.get("n_y", 512)),
         L_y=float(cfg.get("L_y", 16 * np.pi)),
         dt_y=float(cfg["dt_y"]) if "dt_y" in cfg else None,
+        max_n_x=int(cfg.get("max_n_x", exp.DecoherenceConfig.max_n_x)),
         true_evolution=bool(cfg.get("true_evolution", False)),
     )
     return exp.run_decoherence(

@@ -19,7 +19,14 @@ from .errors import MassDriftError, NonFiniteFieldError
 from .grid import ComplexField, abs_power
 from .model import ModelParams
 from .observables import mass
-from .spectral import field_from_spectrum, fft, plancherel, rescale
+from .spectral import (
+    apply_multiplier,
+    field_from_spectrum,
+    fft,
+    lebesgue_norm,
+    plancherel,
+    rescale,
+)
 from .symbols import FractionalLaplacian, LinearPropagator, evaluate_symbol
 
 
@@ -49,8 +56,7 @@ def _propagator(grid, params, t):
 
 def linear_propagate(u, t, sigma, nu=1.0):
     """Exact linear flow: spectrum times exp(i t nu^(2 sigma) |xi|^(2 sigma))."""
-    m = evaluate_symbol(LinearPropagator(t, sigma, nu), u.grid)
-    return field_from_spectrum(u.grid, m * fft(u))
+    return apply_multiplier(u, LinearPropagator(t, sigma, nu))
 
 
 def _rotate(w, t, mu, p):
@@ -137,7 +143,7 @@ class Trajectory:
                 "time": float(t),
                 "mass": mass(u),
                 "energy": energy,
-                "linf": float(np.max(np.abs(u.values))),
+                "linf": lebesgue_norm(u, np.inf),
                 "boundary_amplitude": u.boundary_amplitude(),
             }
         )

@@ -12,18 +12,11 @@ import numpy as np
 from ..errors import RegimeError
 from ..evolution import EvolveConfig, evolve, nonlinear_phase
 from ..exponents import ILLPOSED_RANGE, classify_regime, smallest_integer_above
-from ..grid import ComplexField, Grid
+from ..grid import Grid
 from ..model import ModelParams
 from ..io import write_field
 from ..observables import lp_band_energy_fraction
-from ..spectral import (
-    INHOMOGENEOUS,
-    modulate,
-    rescale,
-    round_velocity,
-    sobolev_norm,
-    spatial_shift,
-)
+from ..spectral import INHOMOGENEOUS, galilean_boost, rescale, round_velocity, sobolev_norm
 from .report import ExperimentReport
 
 
@@ -80,17 +73,9 @@ def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
 
 def _build_tilde(phi_at_scaled_time, t, nu, lam, v, sigma, p, n_x):
     """G_v(lambda^(-2 sigma/(p-1)) phi(lambda^(-2 sigma) ., lambda^(-1) nu .))(t)."""
-    beta = nu / lam
-    flat = rescale(phi_at_scaled_time, beta, n_x)
+    flat = rescale(phi_at_scaled_time, nu / lam, n_x)
     amp = lam ** (-2 * sigma / (p - 1))
-    flat = ComplexField(flat.grid, amp * flat.values)
-    vmag = float(np.linalg.norm(v))
-    if t != 0:
-        drift = 2 * t * sigma * vmag ** (2 * (sigma - 1)) * np.asarray(v)
-        flat = spatial_shift(flat, drift)
-    out = modulate(flat, v)
-    phase = t * vmag ** (2 * sigma)
-    return ComplexField(out.grid, np.exp(1j * phase) * out.values)
+    return galilean_boost(amp * flat, v, t, sigma)
 
 
 def run_decoherence(cfg, profile, params, nu_list, save_dir=None):

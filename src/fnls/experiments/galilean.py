@@ -4,29 +4,20 @@ import numpy as np
 
 from ..errors import RegimeError
 from ..evolution import EvolveConfig, evolve
-from ..grid import ComplexField, Grid
+from ..grid import Grid
 from ..model import ModelParams
-from ..spectral import INHOMOGENEOUS, modulate, rescale, round_velocity, sobolev_norm, spatial_shift
+from ..observables import mass
+from ..spectral import (
+    INHOMOGENEOUS,
+    galilean_boost,
+    modulate,
+    rescale,
+    round_velocity,
+    sobolev_norm,
+)
 from ..io import write_field
 from .report import ExperimentReport, loglog_fit
 from .smalldisp import solve_small_dispersion
-
-
-def flatten_profile(field, nu, n_target):
-    """Reinterpret a field f on its box as f(nu x) on the nu-times-wider box."""
-    return rescale(field, nu, n_target)
-
-
-def boosted_comparison(phi_t, nu, v, t, sigma, n_target):
-    """Build G_v(phi^(nu)(., nu .))(t, x) on the wide grid."""
-    flat = flatten_profile(phi_t, nu, n_target)
-    vmag = float(np.linalg.norm(v))
-    if vmag > 0:
-        drift = 2 * t * sigma * vmag ** (2 * (sigma - 1)) * np.asarray(v)
-        flat = spatial_shift(flat, drift)
-    out = modulate(flat, v)
-    phase = t * vmag ** (2 * sigma)
-    return ComplexField(out.grid, np.exp(1j * phase) * out.values)
 
 
 def run_galilean_error(
@@ -48,7 +39,7 @@ def run_galilean_error(
     if sigma <= d / 4:
         raise RegimeError(f"sigma below d/4: sigma = {sigma}, d = {d}")
     grid_x = Grid(d, n_x, L_x)
-    v = round_velocity(grid_x, np.atleast_1d(np.asarray(v, dtype=float)))
+    v = round_velocity(grid_x, v)
     vmag = float(np.linalg.norm(v))
 
     report = ExperimentReport(
@@ -76,10 +67,10 @@ def run_galilean_error(
         phi0 = profile.realize(grid_y)
         phi_t = solve_small_dispersion(phi0, params, nu, t_eval, dt_y)
 
-        u_tilde = boosted_comparison(phi_t, nu, v, t_eval, sigma, grid_x.n)
+        # G_v of the profile flattened onto the nu-times-wider box.
+        u_tilde = galilean_boost(rescale(phi_t, nu, grid_x.n), v, t_eval, sigma)
 
-        flat0 = flatten_profile(phi0, nu, grid_x.n)
-        u0 = modulate(flat0, v)
+        u0 = modulate(rescale(phi0, nu, grid_x.n), v)
         full = ModelParams(d, sigma, params.p, params.mu, 1.0)
         traj = evolve(u0, EvolveConfig(full, t_end=t_eval, dt=dt_x, snapshot_stride=10**9))
         u_t = traj.final
@@ -94,7 +85,7 @@ def run_galilean_error(
             nu=nu,
             error_hk=err,
             boundary_amplitude=phi0.boundary_amplitude(),
-            u_tilde_mass=float(np.sum(np.abs(u_tilde.values) ** 2) * grid_x.cell_volume),
+            u_tilde_mass=mass(u_tilde),
         )
 
     report.checks["error_decreasing_in_nu"] = all(

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import axis_vector
 from .symbols import ErrorSymbol, evaluate_symbol
 
 SUBCRITICAL_LWP = "SUBCRITICAL_LWP"
@@ -108,19 +109,13 @@ def is_admissible(q, r, d):
     return True
 
 
-def strichartz_weight_exponent(r, d, sigma):
-    """Power of |grad| in the derivative-loss weight: -d(1-sigma)(1/2 - 1/r)."""
-    inv_r = 0.0 if np.isinf(r) else 1.0 / r
-    return -d * (1 - sigma) * (0.5 - inv_r)
-
-
 def verify_error_symbol_bound(v, sigma, grid):
     """Measure sup over nonzero lattice modes of |E(xi)| / |xi|^(2 sigma).
 
     Returns (sup_ratio, argmax_mode). Finiteness and refinement stability
     are the caller's assertions.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = axis_vector(v, grid.d)
     if not np.any(v):
         raise ValueError("v must be nonzero")
     E = evaluate_symbol(ErrorSymbol(tuple(v), sigma), grid)

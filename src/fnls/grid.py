@@ -11,6 +11,29 @@ from .errors import NonFiniteFieldError
 DEFAULT_MAX_POINTS = 2**24
 
 
+def mode_indices(n):
+    """Integer mode numbers of an n-point axis in FFT order, Nyquist positive."""
+    m = np.arange(n)
+    m[n // 2 + 1 :] -= n
+    return m
+
+
+def axis_vector(v, d, name="velocity"):
+    """v as a float array of d per-axis components; ValueError otherwise."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (d,):
+        raise ValueError(f"{name} must have {d} components")
+    return v
+
+
+def axis_dot(grid, axes, v):
+    """sum_j v_j axes[j] on the grid: v.x for grid.x, v.xi for grid.k."""
+    s = np.zeros(grid.shape)
+    for aj, vj in zip(axes, v):
+        s = s + vj * aj
+    return s
+
+
 def _as_tuple(value, d, cast):
     if np.isscalar(value):
         return tuple(cast(value) for _ in range(d))
@@ -89,10 +112,7 @@ class Grid:
 
     def wavenumber_axis(self, j):
         """FFT-ordered wavenumbers along axis j, Nyquist taken positive."""
-        nj, Lj = self.n[j], self.L[j]
-        m = np.fft.fftfreq(nj) * nj
-        m[nj // 2] = nj / 2
-        return 2 * np.pi * m / Lj
+        return 2 * np.pi * mode_indices(self.n[j]) / self.L[j]
 
     @cached_property
     def k(self):
@@ -153,7 +173,7 @@ class ComplexField:
         """Max |u| over the faces of the box (first sample along each axis)."""
         amp = 0.0
         for j in range(self.grid.d):
-            face = np.take(np.abs(self.values), 0, axis=j)
+            face = np.abs(np.take(self.values, 0, axis=j))
             amp = max(amp, float(np.max(face)))
         return amp
 

@@ -157,7 +157,7 @@ def duhamel_defect_increments(traj, sigma, s_c, mu, p):
 def lp_band_energy_fraction(u, k_threshold):
     """Fraction of spectral energy at |xi| >= k_threshold (aliasing monitor)."""
     uh = np.fft.fftn(u.values)
-    e = np.abs(uh) ** 2
+    e = abs_power(uh, 2)
     total = float(np.sum(e))
     if total == 0:
         return 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import DyadicScaleError, OffLatticeError, RescaleAliasingError
-from .grid import ComplexField, Grid, abs_power
+from .grid import ComplexField, Grid, abs_power, axis_dot, axis_vector, mode_indices
 from .symbols import Bessel, LpCutoff, Riesz, evaluate_symbol
 
 HOMOGENEOUS = "HOMOGENEOUS"
@@ -90,37 +90,36 @@ def round_velocity(grid, v):
 def modulate(u, v):
     """Multiply by exp(-i v.x); v must be lattice-commensurate."""
     grid = u.grid
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (grid.d,):
-        raise ValueError(f"velocity must have {grid.d} components")
+    v = axis_vector(v, grid.d)
     rounded = round_velocity(grid, v)
     if np.max(np.abs(v - rounded)) > 1e-9 * max(2 * np.pi / Lj for Lj in grid.L):
         raise OffLatticeError(
             f"modulation off-lattice: v = {v.tolist()}, nearest lattice vector {rounded.tolist()}"
         )
-    phase = np.zeros(grid.shape)
-    for xj, vj in zip(grid.x, rounded):
-        phase = phase + vj * xj
-    return ComplexField(grid, u.values * np.exp(-1j * phase))
+    return ComplexField(grid, u.values * np.exp(-1j * axis_dot(grid, grid.x, rounded)))
 
 
 def spatial_shift(u, a):
     """Translate u by a (result(x) = u(x - a)) via a spectral phase shift."""
     grid = u.grid
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (grid.d,):
-        raise ValueError(f"shift must have {grid.d} components")
-    phase = np.zeros(grid.shape)
-    for kj, aj in zip(grid.k, a):
-        phase = phase + kj * aj
-    return field_from_spectrum(grid, np.exp(-1j * phase) * fft(u))
+    a = axis_vector(a, grid.d, "shift")
+    return field_from_spectrum(grid, np.exp(-1j * axis_dot(grid, grid.k, a)) * fft(u))
 
 
-def _half(n):
-    """Mode indices of an n-point axis in FFT order, Nyquist positive."""
-    m = np.fft.fftfreq(n) * n
-    m[n // 2] = n // 2
-    return m.astype(int)
+def galilean_boost(u, v, t, sigma):
+    """Pseudo-Galilean transform G_v of u at time t.
+
+    Returns exp(i t |v|^(2 sigma)) exp(-i v.x) u(x - 2 t sigma |v|^(2 sigma - 2) v),
+    an exact symmetry of the flow only at sigma = 1. The shift is skipped at
+    t = 0 or v = 0, where |v|^(2 sigma - 2) may be infinite.
+    """
+    v = axis_vector(v, u.grid.d)
+    vmag = float(np.linalg.norm(v))
+    if t != 0 and vmag > 0:
+        u = spatial_shift(u, 2 * t * sigma * vmag ** (2 * (sigma - 1)) * v)
+    out = modulate(u, v)
+    phase = t * vmag ** (2 * sigma)
+    return ComplexField(out.grid, np.exp(1j * phase) * out.values)
 
 
 def rescale(u, beta, n_target=None, alias_tol=1e-12):
@@ -137,46 +136,19 @@ def rescale(u, beta, n_target=None, alias_tol=1e-12):
         raise ValueError("beta must be positive")
     if n_target is None:
         n_target = grid.n
-    elif np.isscalar(n_target):
-        n_target = tuple(int(n_target) for _ in range(grid.d))
-    else:
-        n_target = tuple(int(v) for v in n_target)
     target = Grid(grid.d, n_target, tuple(Lj / beta for Lj in grid.L))
 
+    # The modes both axes resolve, m in (-min(ns, nt)/2, min(ns, nt)/2].
+    common = [mode_indices(min(ns, nt)) for ns, nt in zip(grid.n, target.n)]
     src = fft(u) / grid.total_points
-    dst = np.zeros(target.shape, dtype=np.complex128)
-
-    src_idx = np.ix_(*[np.argsort(_half(nj)) for nj in grid.n])
-    # Modes of the source in ascending order m = -n/2+1 .. n/2.
-    sorted_src = src[src_idx]
-    total = np.sum(np.abs(src) ** 2)
-
-    slices_src, slices_dst = [], []
-    for ns, nt in zip(grid.n, target.n):
-        ms = _half(ns)
-        order = np.argsort(ms)
-        ms_sorted = ms[order]
-        keep = (ms_sorted > -nt // 2) & (ms_sorted <= nt // 2)
-        slices_src.append(keep)
-        slices_dst.append(ms_sorted[keep])
-    kept = sorted_src[np.ix_(*slices_src)]
+    kept = src[np.ix_(*[m % ns for m, ns in zip(common, grid.n)])]
+    total = np.sum(abs_power(src, 2))
     if total > 0:
-        discarded = 1.0 - np.sum(np.abs(kept) ** 2) / total
+        discarded = 1.0 - np.sum(abs_power(kept, 2)) / total
         if discarded > alias_tol:
             raise RescaleAliasingError(
                 f"rescale aliasing: {discarded:.3e} of spectral energy beyond target Nyquist"
             )
-    dst[np.ix_(*[np.mod(m, nt) for m, nt in zip(slices_dst, target.n)])] = kept
+    dst = np.zeros(target.shape, dtype=np.complex128)
+    dst[np.ix_(*[m % nt for m, nt in zip(common, target.n)])] = kept
     return field_from_spectrum(target, dst * target.total_points)
-
-
-def reconstruct_from_bands(u):
-    """Sum of all resolvable LP projections plus the mean of u."""
-    grid = u.grid
-    uh = fft(u)
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for N in resolvable_scales(grid):
-        acc = acc + evaluate_symbol(LpCutoff(N), grid) * uh
-    mean = np.zeros(grid.shape, dtype=np.complex128)
-    mean.flat[0] = uh.flat[0]
-    return field_from_spectrum(grid, acc + mean)

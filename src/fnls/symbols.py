@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularSymbolError
-
-
-def _velocity(v, d):
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (d,):
-        raise ValueError(f"velocity must have {d} components")
-    return v
+from .grid import axis_dot, axis_vector
 
 
 def _shifted_abs(grid, v):
@@ -25,14 +19,6 @@ def _shifted_abs(grid, v):
     for kj, vj in zip(grid.k, v):
         s = s + (kj - vj) ** 2
     return np.sqrt(s)
-
-
-def _dot(grid, v):
-    """v . xi on the lattice."""
-    s = np.zeros(grid.shape)
-    for kj, vj in zip(grid.k, v):
-        s = s + vj * kj
-    return s
 
 
 @dataclass(frozen=True)
@@ -132,7 +118,8 @@ class LinearPropagator:
 class ErrorSymbol:
     """Pseudo-Galilean error symbol; identically zero at sigma = 1.
 
-    E(xi) = |xi - v|^(2 sigma) - |xi|^(2 sigma) - |v|^(2 sigma)
+    E(xi) = p_v(xi) - |xi|^(2 sigma)
+          = |xi - v|^(2 sigma) - |xi|^(2 sigma) - |v|^(2 sigma)
             + 2 sigma |v|^(2 sigma - 2) v . xi
     """
 
@@ -140,17 +127,10 @@ class ErrorSymbol:
     sigma: float
 
     def evaluate(self, grid):
-        v = _velocity(self.v, grid.d)
-        vmag = float(np.linalg.norm(v))
-        if vmag == 0 or self.sigma == 1.0:
+        v = axis_vector(self.v, grid.d)
+        if np.linalg.norm(v) == 0 or self.sigma == 1.0:
             return np.zeros(grid.shape)
-        ts = 2 * self.sigma
-        return (
-            _shifted_abs(grid, v) ** ts
-            - grid.k_abs**ts
-            - vmag**ts
-            + ts * vmag ** (ts - 2) * _dot(grid, v)
-        )
+        return SolitonSymbol(self.v, self.sigma).evaluate(grid) - grid.k_abs ** (2 * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -165,7 +145,7 @@ class SolitonSymbol:
     sigma: float
 
     def evaluate(self, grid):
-        v = _velocity(self.v, grid.d)
+        v = axis_vector(self.v, grid.d)
         vmag = float(np.linalg.norm(v))
         ts = 2 * self.sigma
         if vmag == 0:
@@ -173,7 +153,7 @@ class SolitonSymbol:
         return (
             _shifted_abs(grid, v) ** ts
             - vmag**ts
-            + ts * vmag ** (ts - 2) * _dot(grid, v)
+            + ts * vmag ** (ts - 2) * axis_dot(grid, grid.k, v)
         )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fnls.cli import main
 from fnls.config import load_config, parse_value
-from fnls.errors import RegimeError, WrapAroundError
+from fnls.errors import MassDriftError, RegimeError, WrapAroundError
 from fnls.evolution import default_dt
 from fnls.experiments import (
     run_decoherence,
@@ -226,3 +226,27 @@ def test_cli_experiment_subcommand(tmp_path):
     assert main(["dispersive", "--config", str(cfg), "--out", str(out_dir)]) == 0
     assert (out_dir / "report.csv").exists()
     assert "overall: PASS" in (out_dir / "summary.txt").read_text()
+
+
+def test_cli_evolve_honours_mass_drift_guard(tmp_path):
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text(
+        "d = 1\nsigma = 0.75\np = 3\nn = 256\nL = 50.26548245743669\n"
+        "t_end = 0.2\ndt = 0.002\nsnapshot_stride = 20\nmass_drift_guard = 1e-30\n"
+    )
+    with pytest.raises(MassDriftError):
+        main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
+def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run_decoherence(cfg, profile, params, nu_list, save_dir=None):
+        seen["max_n_x"] = cfg.max_n_x
+        return ExperimentReport("decoherence")
+
+    monkeypatch.setattr("fnls.experiments.run_decoherence", fake_run_decoherence)
+    cfg = tmp_path / "dc.cfg"
+    cfg.write_text("d = 1\nsigma = 0.75\np = 3\nmax_n_x = 1024\n")
+    assert main(["decohere", "--config", str(cfg), "--out", str(tmp_path / "dc")]) == 0
+    assert seen == {"max_n_x": 1024}

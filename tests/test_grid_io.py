@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from fnls.grid import ComplexField, Grid, zeros
+from fnls.grid import ComplexField, Grid, mode_indices, zeros
 from fnls.io import read_field, write_field
 
 
@@ -36,6 +36,24 @@ def test_wavenumber_layout_matches_fft_convention():
     assert k[n // 2] == pytest.approx(2 * np.pi * (n // 2) / L)
     assert g.k_min == pytest.approx(2 * np.pi / L)
     assert g.k_nyquist == pytest.approx(np.pi * n / L)
+
+
+@pytest.mark.parametrize("n", [8, 16, 1024])
+def test_mode_indices_are_fftfreq_with_nyquist_positive(n):
+    expected = np.fft.fftfreq(n) * n
+    expected[n // 2] = n // 2
+    m = mode_indices(n)
+    assert m.dtype.kind == "i"
+    assert np.array_equal(m, expected)
+
+
+def test_boundary_amplitude_is_max_over_first_faces():
+    rng = np.random.default_rng(2)
+    for shape in [(16,), (16, 8), (8, 16, 8)]:
+        g = Grid(len(shape), shape, 3.0)
+        u = ComplexField(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        faces = [np.take(np.abs(u.values), 0, axis=j) for j in range(g.d)]
+        assert u.boundary_amplitude() == max(float(np.max(f)) for f in faces)
 
 
 def test_grid_coordinates_center_the_box():
