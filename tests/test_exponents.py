@@ -15,6 +15,7 @@ from fnls.exponents import (
     verify_error_symbol_bound,
 )
 from fnls.grid import Grid
+from fnls.symbols import StrichartzWeight
 
 
 def test_exponent_formulas():
@@ -75,6 +76,12 @@ def test_admissible_pairs():
     assert is_admissible(4.0, 4.0, 2)
     assert not is_admissible(2.0, np.inf, 2)  # excluded endpoint
     assert not is_admissible(1.5, 6.0, 1)
+
+
+def test_strichartz_weight_exponent_formula():
+    got = StrichartzWeight(r=6.0, d=1, sigma=0.75).exponent
+    assert got == pytest.approx(-1 * (1 - 0.75) * (0.5 - 1 / 6))
+    assert StrichartzWeight(r=6.0, d=1, sigma=1.0).exponent == 0.0
 
 
 def test_error_symbol_bound_finite_and_grid_stable():

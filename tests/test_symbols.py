@@ -83,7 +83,6 @@ def test_strichartz_weight_exponent():
     nz = GRID.k_abs > 0
     assert np.allclose(m[nz], GRID.k_abs[nz] ** w.exponent)
     assert m.flat[0] == 0.0
-    assert StrichartzWeight(r=6.0, d=1, sigma=1.0).exponent == 0.0
 
 
 def test_strichartz_weight_trivial_at_sigma_one():
