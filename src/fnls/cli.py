@@ -7,6 +7,7 @@ plain text `key = value` files; see README for the documented keys.
 
 import argparse
 import csv
+import difflib
 import os
 
 import numpy as np
@@ -21,6 +22,38 @@ from .observables import PLAIN, SpacetimeNormSpec, spacetime_norm
 from .profiles import ProfileSpec
 from .soliton import SolitonConfig, petviashvili_solve, traveling_wave_check
 from . import experiments as exp
+
+
+# The config keys README documents: common to all, and each subcommand's own.
+COMMON_KEYS = (
+    "d", "sigma", "p", "mu", "nu", "n", "L", "dt", "profile_width", "profile_amplitude",
+)
+CONFIG_KEYS = {
+    "evolve": ("t_end", "snapshot_stride", "mass_drift_guard"),
+    "soliton": ("omega", "v", "gamma", "max_iter", "tol", "t_end", "seed_width"),
+    "dispersive": ("N_list", "t_grid"),
+    "small-dispersion": ("nu_list", "t_eval", "k", "hs_track"),
+    "galilean": ("nu_list", "v", "k", "t_eval", "n_x", "L_x", "n_y", "dt_x", "dt_y"),
+    "decohere": (
+        "nu_list", "a", "a_prime", "alpha", "s", "epsilon", "k", "t_scan_max",
+        "n_y", "L_y", "dt_y", "max_n_x", "true_evolution",
+    ),
+    "scatter": ("amplitude_list", "t_end", "windows"),
+}
+
+
+def _load_config(args):
+    """Load args.config; a key neither common nor the subcommand's own is an error."""
+    cfg = load_config(args.config)
+    known = COMMON_KEYS + CONFIG_KEYS[args.command]
+    for key in cfg:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ValueError(
+                f"{args.config}: unknown config key {key!r} for {args.command}{hint}"
+            )
+    return cfg
 
 
 def _aslist(v):
@@ -58,7 +91,7 @@ def cmd_exponents(args):
 
 
 def cmd_evolve(args):
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     grid = _grid_from(cfg)
     params = _params_from(cfg)
@@ -114,7 +147,7 @@ def cmd_norms(args):
 
 
 def cmd_soliton(args):
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     grid = _grid_from(cfg)
     params = _params_from(cfg)
@@ -155,7 +188,7 @@ def cmd_soliton(args):
 
 def _experiment_command(runner):
     def cmd(args):
-        cfg = load_config(args.config)
+        cfg = _load_config(args)
         os.makedirs(args.out, exist_ok=True)
         save_dir = args.out if args.save_fields else None
         report = runner(cfg, save_dir)
@@ -243,9 +276,7 @@ def _run_scatter(cfg, save_dir):
     return exp.run_scattering_probe(
         _profile_from(cfg),
         params,
-        amplitude_list=[
-            float(v) for v in _aslist(cfg.get("amplitude_list", cfg.get("amplitudes", [1e-3])))
-        ],
+        amplitude_list=[float(v) for v in _aslist(cfg.get("amplitude_list", [1e-3]))],
         t_end=float(cfg.get("t_end", 20.0)),
         grid=grid,
         dt=float(cfg["dt"]) if "dt" in cfg else None,

@@ -30,7 +30,8 @@ def run_scattering_probe(
     the double-precision noise floor for tiny amplitudes) and as the same
     increments evaluated through the Duhamel integrand, which resolves the
     nonlinear signal at any amplitude. Window comparisons use the Duhamel
-    form.
+    form. Without a snapshot_stride the run takes ~40 snapshots; the report
+    inputs record the resolved dt, steps, snapshot_stride and snapshots.
     """
     d, sigma, p = params.d, params.sigma, params.p
     if not ((d == 1 and p > 5) or (d >= 2 and p > 3)):
@@ -38,7 +39,11 @@ def run_scattering_probe(
     s_c, _ = critical_exponents(d, p, sigma)
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
-    resolved_dt = dt if dt is not None else default_dt(grid, params, t_end)
+    if dt is None:
+        dt = default_dt(grid, params, t_end)
+    if snapshot_stride is None:
+        # ~40 snapshots across the run.
+        snapshot_stride = max(1, round(t_end / dt / 40))
 
     report = ExperimentReport(
         "scattering_probe",
@@ -52,8 +57,9 @@ def run_scattering_probe(
             "t_end": t_end,
             "n": grid.n,
             "L": grid.L,
-            "dt": resolved_dt,
-            "steps": step_plan(t_end, resolved_dt)[2],
+            "dt": dt,
+            "steps": step_plan(t_end, dt)[2],
+            "snapshot_stride": snapshot_stride,
             "windows": list(windows),
         },
     )
@@ -61,14 +67,7 @@ def run_scattering_probe(
     for amp in amplitude_list:
         u0 = amp * profile.realize(grid)
         hc0 = sobolev_norm(u0, s_c, 2.0, INHOMOGENEOUS)
-        cfg = EvolveConfig(params, t_end=t_end, dt=dt)
-        if snapshot_stride is not None:
-            cfg.snapshot_stride = snapshot_stride
-        else:
-            # ~40 snapshots across the run.
-            run_dt = cfg.dt if cfg.dt else None
-            if run_dt:
-                cfg.snapshot_stride = max(1, int(round(t_end / run_dt / 40)))
+        cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=snapshot_stride)
         traj = evolve(u0, cfg)
         report.inputs["snapshots"] = len(traj.times)
 

@@ -150,11 +150,15 @@ class SolitonSymbol:
         ts = 2 * self.sigma
         if vmag == 0:
             return grid.k_squared**self.sigma
-        return (
+        m = (
             _shifted_abs(grid, v) ** ts
             - vmag**ts
             + ts * vmag ** (ts - 2) * axis_dot(grid, grid.k, v)
         )
+        # p_v(0) = 0 exactly: the array and scalar |v|^(2 sigma) above can
+        # round apart by an ulp.
+        m[(0,) * grid.d] = 0.0
+        return m
 
 
 @dataclass(frozen=True)

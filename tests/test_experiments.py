@@ -1,11 +1,13 @@
 """Experiment runners, report plumbing, config parsing, and the CLI."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fnls.cli import main
+from fnls.cli import COMMON_KEYS, CONFIG_KEYS, main
 from fnls.config import load_config, parse_value
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
 from fnls.evolution import default_dt
@@ -175,6 +177,57 @@ def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
     assert rep.inputs["snapshots"] == len(rep.series) + 1
 
 
+# 512 points on 16 pi have criterion 11's spacing, so its default dt.
+SCATTER_GRID = Grid(1, 512, 16 * np.pi)
+SCATTER_PARAMS = ModelParams(1, 0.75, 7, 1, 1.0)
+
+
+# A uniform stride cannot give 40 +- 2 snapshots at every step count: at
+# 100 steps, stride 2 gives 51 and stride 3 gives 35. From about 800 steps
+# on, round(steps / 40) does.
+@pytest.mark.parametrize(
+    "grid, t_end, snapshots",
+    [
+        (Grid(1, 512, 128 * np.pi), 2.0, 51),
+        (SCATTER_GRID, 2.5, 42),
+        (SCATTER_GRID, 4.0, 41),
+        (SCATTER_GRID, 10.0, 42),
+    ],
+)
+def test_scattering_probe_default_stride_takes_about_40_snapshots(grid, t_end, snapshots):
+    rep = run_scattering_probe(
+        ProfileSpec(width=1.0), SCATTER_PARAMS, amplitude_list=[1e-3], t_end=t_end,
+        grid=grid, windows=((t_end / 4, t_end / 2), (t_end / 2, t_end)),
+    )
+    dt, steps = rep.inputs["dt"], rep.inputs["steps"]
+    stride = rep.inputs["snapshot_stride"]
+    assert dt == default_dt(grid, SCATTER_PARAMS, t_end)
+    assert stride == max(1, round(t_end / dt / 40))
+    # The initial snapshot, one per whole stride and the final step's.
+    assert rep.inputs["snapshots"] == 1 + steps // stride + (steps % stride > 0)
+    assert rep.inputs["snapshots"] == snapshots
+
+
+@pytest.mark.parametrize("width, center", [(1.0, 0.0), (1.2, -4.0)])
+def test_scattering_probe_default_stride_matches_every_step(width, center):
+    # The benchmark's scatter-1d run (t_end 10, its windows) on a smaller box.
+    reps = [
+        run_scattering_probe(
+            ProfileSpec(width=width, center=(center,)), SCATTER_PARAMS,
+            amplitude_list=[1e-3], t_end=10.0, grid=SCATTER_GRID,
+            windows=((2.5, 5.0), (5.0, 10.0)), snapshot_stride=stride,
+        )
+        for stride in (None, 1)
+    ]
+    fast, slow = reps
+    assert slow.inputs["snapshot_stride"] == 1
+    assert slow.inputs["snapshots"] == slow.inputs["steps"] + 1
+    assert fast.inputs["snapshots"] <= 42
+    for key in ("defect[2.5,5]_amp0.001", "defect[5,10]_amp0.001"):
+        assert fast.fits[key] == pytest.approx(slow.fits[key], rel=0.02)
+    assert fast.checks == slow.checks == {"defect_decays_amp0.001": True}
+
+
 def test_cli_exponents_runs(capsys):
     assert main(["exponents", "--d", "1", "--sigma", "0.75", "--p", "3", "--s", "-0.1"]) == 0
     out = capsys.readouterr().out
@@ -250,3 +303,46 @@ def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):
     cfg.write_text("d = 1\nsigma = 0.75\np = 3\nmax_n_x = 1024\n")
     assert main(["decohere", "--config", str(cfg), "--out", str(tmp_path / "dc")]) == 0
     assert seen == {"max_n_x": 1024}
+
+
+@pytest.mark.parametrize(
+    "command, line, match",
+    [
+        ("evolve", "t_ned = 0.2", "'t_ned' for evolve; did you mean 't_end'"),
+        ("soliton", "seed_widht = 1.0", "'seed_widht' for soliton; did you mean 'seed_width'"),
+        ("dispersive", "N_lsit = 1, 4", "'N_lsit' for dispersive; did you mean 'N_list'"),
+        ("small-dispersion", "hs_trak = 0.5", "did you mean 'hs_track'"),
+        ("galilean", "t_evl = 0.5", "'t_evl' for galilean; did you mean 't_eval'"),
+        ("decohere", "dt_yy = 0.01", "'dt_yy' for decohere; did you mean 'dt_y'"),
+        # The undocumented alias, now rejected with the documented key.
+        ("scatter", "amplitudes = 1e-3", "'amplitudes' for scatter; did you mean 'amplitude_list'"),
+        # The probe resolves its own stride; the CLI never passed this on.
+        ("scatter", "snapshot_stride = 1", "unknown config key 'snapshot_stride' for scatter"),
+    ],
+)
+def test_cli_rejects_unknown_config_keys(tmp_path, command, line, match):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d = 1\nsigma = 0.75\np = 7\n{line}\n")
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        main([command, "--config", str(cfg), "--out", str(out_dir)])
+    assert not out_dir.exists()
+
+
+def _backticked(text):
+    return [word for word in re.findall(r"`([^`]*)`", text) if word.isidentifier()]
+
+
+def test_cli_config_keys_match_readme():
+    with open(Path(__file__).parents[1] / "README.md") as fh:
+        section = fh.read().split("### Config keys", 1)[1].split("Example", 1)[0]
+    common, *entries = re.split(r"\n- ", section)
+    assert set(_backticked(common)) == set(COMMON_KEYS)
+    documented = {}
+    for entry in entries:
+        name, keys = entry.split(":", 1)
+        documented[name.strip("`")] = set(_backticked(keys))
+    assert {name: keys - set(COMMON_KEYS) for name, keys in documented.items()} == {
+        name: set(keys) for name, keys in CONFIG_KEYS.items()
+    }
+

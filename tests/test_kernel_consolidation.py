@@ -202,7 +202,7 @@ def test_error_symbol_matches_closed_form(d, v, sigma):
     E = evaluate_symbol(ErrorSymbol(v, sigma), grid)
     old = _closed_form_error_symbol(v, sigma, grid)
     assert np.max(np.abs(E - old)) <= 1e-14 * np.max(np.abs(old))
-    # E(0) = |v|^(2s) (numpy pow) - |v|^(2s) (float pow): 0 unless they round apart.
-    assert E.flat[0] == old.flat[0]
+    # E(0) is exactly 0, where the closed form's two |v|^(2s) can round apart.
+    assert E.flat[0] == 0.0
     assert np.all(evaluate_symbol(ErrorSymbol(v, 1.0), grid) == 0.0)
     assert np.all(evaluate_symbol(ErrorSymbol((0.0,) * d, sigma), grid) == 0.0)

@@ -131,6 +131,15 @@ def test_soliton_symbol_values():
     assert np.allclose(P, direct)
 
 
+@pytest.mark.parametrize("d, v", [(1, (-1.25,)), (2, (-1.25, 0.3))])
+def test_soliton_and_error_symbols_vanish_exactly_at_zero(d, v):
+    # At these values numpy's array pow and Python's float pow of
+    # |v|^(2 sigma) differ in the last bit.
+    grid = Grid(d, 64, 16 * np.pi)
+    assert evaluate_symbol(SolitonSymbol(v, 0.95), grid).flat[0] == 0.0
+    assert evaluate_symbol(ErrorSymbol(v, 0.95), grid).flat[0] == 0.0
+
+
 def test_product_symbol_composes():
     a = FractionalLaplacian(0.5)
     b = Bessel(-1.0)
