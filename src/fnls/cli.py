@@ -10,8 +10,6 @@ import csv
 import difflib
 import os
 
-import numpy as np
-
 from .config import load_config
 from .evolution import EvolveConfig, Trajectory, evolve
 from .exponents import classify_regime
@@ -24,61 +22,117 @@ from .soliton import SolitonConfig, petviashvili_solve, traveling_wave_check
 from . import experiments as exp
 
 
-# The config keys README documents: common to all, and each subcommand's own.
-COMMON_KEYS = (
-    "d", "sigma", "p", "mu", "nu", "n", "L", "dt", "profile_width", "profile_amplitude",
-)
-CONFIG_KEYS = {
-    "evolve": ("t_end", "snapshot_stride", "mass_drift_guard"),
-    "soliton": ("omega", "v", "gamma", "max_iter", "tol", "t_end", "seed_width"),
-    "dispersive": ("N_list", "t_grid"),
-    "small-dispersion": ("nu_list", "t_eval", "k", "hs_track"),
-    "galilean": ("nu_list", "v", "k", "t_eval", "n_x", "L_x", "n_y", "dt_x", "dt_y"),
-    "decohere": (
-        "nu_list", "a", "a_prime", "alpha", "s", "epsilon", "k", "t_scan_max",
-        "n_y", "L_y", "dt_y", "max_n_x", "true_evolution",
+# Strict parsers over fnls.config's values: each key has one type under
+# every subcommand, and a value of another type is an error, not a cast.
+def _int(v):
+    if type(v) is int or type(v) is float and v.is_integer():
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def _float(v):
+    if type(v) in (int, float):
+        return float(v)
+    raise ValueError(f"expected a number, got {v!r}")
+
+
+def _bool(v):
+    if type(v) is bool:
+        return v
+    raise ValueError(f"expected true or false, got {v!r}")
+
+
+def _window(v):
+    parts = v.split(":") if isinstance(v, str) else ()
+    if len(parts) != 2:
+        raise ValueError(f"expected a lo:hi window, got {v!r}")
+    return tuple(float(x) for x in parts)
+
+
+def _list_of(item):
+    return lambda v: tuple(item(x) for x in (v if isinstance(v, list) else [v]))
+
+
+def _per_axis(item):
+    return lambda v: tuple(item(x) for x in v) if isinstance(v, list) else item(v)
+
+
+KEY_TYPES = {
+    **dict.fromkeys("d mu snapshot_stride max_iter k n_x n_y max_n_x".split(), _int),
+    **dict.fromkeys(
+        "sigma p nu dt profile_width profile_amplitude t_end mass_drift_guard omega gamma "
+        "tol seed_width t_eval hs_track L_x dt_x dt_y a a_prime alpha s epsilon "
+        "t_scan_max L_y".split(),
+        _float,
     ),
-    "scatter": ("amplitude_list", "t_end", "windows"),
+    **dict.fromkeys("v N_list t_grid nu_list amplitude_list".split(), _list_of(_float)),
+    "n": _per_axis(_int),
+    "L": _per_axis(_float),
+    "true_evolution": _bool,
+    "windows": _list_of(_window),
+}
+
+# Per subcommand: (required keys, optional keys), the keys it passes on.
+CONFIG_KEYS = {
+    command: (tuple(required.split()), tuple(optional.split()))
+    for command, required, optional in [
+        ("evolve", "sigma p n L t_end",
+         "d mu nu dt profile_width profile_amplitude snapshot_stride mass_drift_guard"),
+        ("soliton", "sigma p n L", "d mu dt omega v gamma max_iter tol t_end seed_width"),
+        ("dispersive", "sigma", "d n L N_list t_grid"),
+        ("small-dispersion", "sigma p",
+         "d mu n L dt profile_width profile_amplitude nu_list t_eval k hs_track"),
+        ("galilean", "sigma p",
+         "d mu profile_width profile_amplitude nu_list v k t_eval n_x L_x n_y dt_x dt_y"),
+        ("decohere", "sigma p",
+         "d mu profile_width profile_amplitude nu_list a a_prime alpha s epsilon k "
+         "t_scan_max n_y L_y dt_y max_n_x true_evolution"),
+        ("scatter", "sigma p",
+         "d mu nu n L dt profile_width profile_amplitude amplitude_list t_end windows"),
+    ]
 }
 
 
-def _load_config(args):
-    """Load args.config; a key neither common nor the subcommand's own is an error."""
-    cfg = load_config(args.config)
-    known = COMMON_KEYS + CONFIG_KEYS[args.command]
-    for key in cfg:
+def _load_config(path, command):
+    """Typed config for command; unknown, mistyped and missing keys are errors."""
+    required, optional = CONFIG_KEYS[command]
+    known = required + optional
+    cfg = {"d": 1}  # ModelParams and the runners take d without a default
+    for key, value in load_config(path).items():
         if key not in known:
             close = difflib.get_close_matches(key, known, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ValueError(
-                f"{args.config}: unknown config key {key!r} for {args.command}{hint}"
-            )
+            raise ValueError(f"{path}: unknown config key {key!r} for {command}{hint}")
+        try:
+            cfg[key] = KEY_TYPES[key](value)
+        except (ValueError, OverflowError) as err:
+            raise ValueError(f"{path}: config key {key!r} for {command}: {err}") from None
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"{path}: missing config key {key!r} for {command}")
+    # A box takes n and L together; only dispersive sizes L itself from n.
+    for key, other in (("L", "n"), ("n", "L")):
+        if key in cfg and other not in cfg and (key, command) != ("n", "dispersive"):
+            raise ValueError(f"{path}: config key {key!r} for {command} needs {other!r}")
     return cfg
 
 
-def _aslist(v):
-    return v if isinstance(v, list) else [v]
+def _pick(cfg, keys):
+    """The named keys the config sets; the rest take the library's defaults."""
+    return {key: cfg[key] for key in keys.split() if key in cfg}
 
 
 def _params_from(cfg):
-    return ModelParams(
-        d=int(cfg.get("d", 1)),
-        sigma=float(cfg["sigma"]),
-        p=float(cfg["p"]),
-        mu=int(cfg.get("mu", 1)),
-        nu=float(cfg.get("nu", 1.0)),
-    )
+    return ModelParams(**_pick(cfg, "d sigma p mu nu"))
 
 
 def _grid_from(cfg):
-    return Grid(int(cfg.get("d", 1)), cfg["n"], cfg["L"])
+    return Grid(cfg["d"], cfg["n"], cfg["L"]) if "L" in cfg else None
 
 
 def _profile_from(cfg):
-    return ProfileSpec(
-        width=float(cfg.get("profile_width", 1.0)),
-        amplitude=float(cfg.get("profile_amplitude", 1.0)),
-    )
+    picked = _pick(cfg, "profile_width profile_amplitude")
+    return ProfileSpec(**{key.removeprefix("profile_"): v for key, v in picked.items()})
 
 
 def cmd_exponents(args):
@@ -91,17 +145,11 @@ def cmd_exponents(args):
 
 
 def cmd_evolve(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, args.command)
     os.makedirs(args.out, exist_ok=True)
-    grid = _grid_from(cfg)
-    params = _params_from(cfg)
-    u0 = _profile_from(cfg).realize(grid)
+    u0 = _profile_from(cfg).realize(_grid_from(cfg))
     run = EvolveConfig(
-        params,
-        t_end=float(cfg["t_end"]),
-        dt=float(cfg["dt"]) if "dt" in cfg else None,
-        snapshot_stride=int(cfg.get("snapshot_stride", 1)),
-        mass_drift_guard=float(cfg.get("mass_drift_guard", EvolveConfig.mass_drift_guard)),
+        _params_from(cfg), **_pick(cfg, "t_end dt snapshot_stride mass_drift_guard")
     )
     traj = evolve(u0, run)
     with open(os.path.join(args.out, "diagnostics.csv"), "w", newline="") as fh:
@@ -147,20 +195,10 @@ def cmd_norms(args):
 
 
 def cmd_soliton(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, args.command)
     os.makedirs(args.out, exist_ok=True)
-    grid = _grid_from(cfg)
-    params = _params_from(cfg)
-    scfg = SolitonConfig(
-        params,
-        omega=float(cfg.get("omega", 1.0)),
-        v=tuple(float(v) for v in _aslist(cfg.get("v", 0.0))),
-        gamma=float(cfg["gamma"]) if "gamma" in cfg else None,
-        max_iter=int(cfg.get("max_iter", 500)),
-        tol=float(cfg.get("tol", 1e-10)),
-    )
-    seed_width = float(cfg.get("seed_width", 1.0 / scfg.omega))
-    seed = ProfileSpec(width=seed_width).realize(grid)
+    scfg = SolitonConfig(_params_from(cfg), **_pick(cfg, "omega v gamma max_iter tol"))
+    seed = ProfileSpec(width=cfg.get("seed_width", 1.0 / scfg.omega)).realize(_grid_from(cfg))
     result = petviashvili_solve(scfg, seed)
     write_field(os.path.join(args.out, "Q.fnls"), result.Q)
     with open(os.path.join(args.out, "residuals.csv"), "w", newline="") as fh:
@@ -176,116 +214,48 @@ def cmd_soliton(args):
         f"final residual: {result.residual_history[-1]:.6e}",
         f"symbol min: {result.symbol_min:.6e}",
     ]
-    if result.converged and cfg.get("t_end", 0):
-        mismatch = traveling_wave_check(
-            result, scfg, float(cfg["t_end"]), float(cfg.get("dt", 1e-3))
-        )
+    if result.converged and cfg.get("t_end"):
+        mismatch = traveling_wave_check(result, scfg, cfg["t_end"], cfg.get("dt", 1e-3))
         lines.append(f"traveling-wave mismatch at t={cfg['t_end']}: {mismatch:.6e}")
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
 
 
-def _experiment_command(runner):
-    def cmd(args):
-        cfg = _load_config(args)
-        os.makedirs(args.out, exist_ok=True)
-        save_dir = args.out if args.save_fields else None
-        report = runner(cfg, save_dir)
-        report.write(args.out)
-        print("\n".join(report.summary_lines()))
-        return 0 if report.passed else 1
-
-    return cmd
-
-
-def _run_dispersive(cfg, save_dir):
-    return exp.run_dispersive_decay(
-        d=int(cfg.get("d", 1)),
-        sigma=float(cfg["sigma"]),
-        N_list=[float(N) for N in _aslist(cfg.get("N_list", [1.0, 4.0]))],
-        t_grid=[float(t) for t in _aslist(cfg.get("t_grid", list(np.linspace(5, 40, 15))))],
-        grid=_grid_from(cfg) if "n" in cfg and "L" in cfg else None,
-        n=int(cfg.get("n", 2**14)),
-        save_dir=save_dir,
-    )
-
-
-def _run_smalldisp(cfg, save_dir):
-    params = _params_from(cfg)
-    grid = _grid_from(cfg) if "n" in cfg else None
-    return exp.run_small_dispersion(
-        _profile_from(cfg),
-        params,
-        nu_list=[float(v) for v in _aslist(cfg.get("nu_list", [0.1, 0.05, 0.025]))],
-        t_eval=float(cfg.get("t_eval", 1.0)),
-        k=int(cfg.get("k", 1)),
-        grid=grid,
-        dt=float(cfg["dt"]) if "dt" in cfg else None,
-        hs_track=float(cfg.get("hs_track", 0.5)),
-        save_dir=save_dir,
-    )
+# Each experiment subcommand's runner, called with (cfg, save_dir).
+EXPERIMENTS = {
+    "dispersive": lambda cfg, save_dir: exp.run_dispersive_decay(
+        grid=_grid_from(cfg), save_dir=save_dir, **_pick(cfg, "d sigma n N_list t_grid")
+    ),
+    "small-dispersion": lambda cfg, save_dir: exp.run_small_dispersion(
+        _profile_from(cfg), _params_from(cfg), grid=_grid_from(cfg), save_dir=save_dir,
+        **_pick(cfg, "nu_list t_eval k dt hs_track"),
+    ),
+    "galilean": lambda cfg, save_dir: exp.run_galilean_error(
+        _profile_from(cfg), _params_from(cfg), save_dir=save_dir,
+        **_pick(cfg, "nu_list v k t_eval n_x L_x n_y dt_x dt_y"),
+    ),
+    "decohere": lambda cfg, save_dir: exp.run_decoherence(
+        exp.DecoherenceConfig(**_pick(
+            cfg, "a a_prime alpha s epsilon k t_scan_max n_y L_y dt_y max_n_x true_evolution"
+        )),
+        _profile_from(cfg), _params_from(cfg), save_dir=save_dir, **_pick(cfg, "nu_list"),
+    ),
+    "scatter": lambda cfg, save_dir: exp.run_scattering_probe(
+        _profile_from(cfg), _params_from(cfg), grid=_grid_from(cfg), save_dir=save_dir,
+        **_pick(cfg, "amplitude_list t_end dt windows"),
+    ),
+}
 
 
-def _run_galilean(cfg, save_dir):
-    params = _params_from(cfg)
-    return exp.run_galilean_error(
-        _profile_from(cfg),
-        params,
-        nu_list=[float(v) for v in _aslist(cfg.get("nu_list", [0.1, 0.05, 0.025]))],
-        v=[float(v) for v in _aslist(cfg.get("v", 8.0))],
-        k=int(cfg.get("k", 1)),
-        t_eval=float(cfg.get("t_eval", 0.5)),
-        n_x=int(cfg.get("n_x", 4096)),
-        L_x=float(cfg.get("L_x", 128 * np.pi)),
-        n_y=int(cfg.get("n_y", 512)),
-        dt_x=float(cfg["dt_x"]) if "dt_x" in cfg else None,
-        dt_y=float(cfg["dt_y"]) if "dt_y" in cfg else None,
-        save_dir=save_dir,
-    )
-
-
-def _run_decohere(cfg, save_dir):
-    params = _params_from(cfg)
-    dcfg = exp.DecoherenceConfig(
-        a=float(cfg.get("a", 1.0)),
-        a_prime=float(cfg.get("a_prime", 0.9)),
-        alpha=float(cfg.get("alpha", 1.2)),
-        s=float(cfg.get("s", -0.1)),
-        epsilon=float(cfg.get("epsilon", 5.0)),
-        k=int(cfg["k"]) if "k" in cfg else None,
-        t_scan_max=float(cfg.get("t_scan_max", 60.0)),
-        n_y=int(cfg.get("n_y", 512)),
-        L_y=float(cfg.get("L_y", 16 * np.pi)),
-        dt_y=float(cfg["dt_y"]) if "dt_y" in cfg else None,
-        max_n_x=int(cfg.get("max_n_x", exp.DecoherenceConfig.max_n_x)),
-        true_evolution=bool(cfg.get("true_evolution", False)),
-    )
-    return exp.run_decoherence(
-        dcfg,
-        _profile_from(cfg),
-        params,
-        nu_list=[float(v) for v in _aslist(cfg.get("nu_list", [0.1, 0.09, 0.08]))],
-        save_dir=save_dir,
-    )
-
-
-def _run_scatter(cfg, save_dir):
-    params = _params_from(cfg)
-    grid = _grid_from(cfg) if "n" in cfg else None
-    return exp.run_scattering_probe(
-        _profile_from(cfg),
-        params,
-        amplitude_list=[float(v) for v in _aslist(cfg.get("amplitude_list", [1e-3]))],
-        t_end=float(cfg.get("t_end", 20.0)),
-        grid=grid,
-        dt=float(cfg["dt"]) if "dt" in cfg else None,
-        windows=tuple(
-            tuple(float(x) for x in str(w).split(":"))
-            for w in _aslist(cfg.get("windows", ["5:10", "10:20"]))
-        ),
-        save_dir=save_dir,
-    )
+def cmd_experiment(args):
+    cfg = _load_config(args.config, args.command)
+    os.makedirs(args.out, exist_ok=True)
+    save_dir = args.out if args.save_fields else None
+    report = EXPERIMENTS[args.command](cfg, save_dir)
+    report.write(args.out)
+    print("\n".join(report.summary_lines()))
+    return 0 if report.passed else 1
 
 
 def build_parser():
@@ -318,18 +288,12 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_soliton)
 
-    for name, runner in [
-        ("dispersive", _run_dispersive),
-        ("small-dispersion", _run_smalldisp),
-        ("galilean", _run_galilean),
-        ("decohere", _run_decohere),
-        ("scatter", _run_scatter),
-    ]:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--save-fields", action="store_true")
-        p.set_defaults(func=_experiment_command(runner))
+        p.set_defaults(func=cmd_experiment)
 
     return parser
 

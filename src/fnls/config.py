@@ -22,7 +22,7 @@ def parse_value(text):
 
 def load_config(path):
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

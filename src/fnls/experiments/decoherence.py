@@ -78,7 +78,7 @@ def _build_tilde(phi_at_scaled_time, t, nu, lam, v, sigma, p, n_x):
     return galilean_boost(amp * flat, v, t, sigma)
 
 
-def run_decoherence(cfg, profile, params, nu_list, save_dir=None):
+def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=None):
     """Sweep nu; report sizes, distances and the inflation ratio per nu."""
     d, sigma, p, mu = params.d, params.sigma, params.p, params.mu
     regime = classify_regime(d, p, sigma, cfg.s)

@@ -59,7 +59,10 @@ def default_grid(d, sigma, N_list, t_max, n=2**14):
     return Grid(d, n, L)
 
 
-def run_dispersive_decay(d, sigma, N_list, t_grid, grid=None, n=2**14, save_dir=None):
+def run_dispersive_decay(
+    d, sigma, N_list=(1.0, 4.0), t_grid=tuple(np.linspace(5, 40, 15).tolist()),
+    grid=None, n=2**14, save_dir=None,
+):
     """Measure the time-decay slope and the across-N prefactor scaling."""
     t_grid = list(t_grid)
     if grid is None:

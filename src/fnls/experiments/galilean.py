@@ -23,10 +23,10 @@ from .smalldisp import solve_small_dispersion
 def run_galilean_error(
     profile,
     params,
-    nu_list,
-    v,
-    k,
-    t_eval,
+    nu_list=(0.1, 0.05, 0.025),
+    v=(8.0,),
+    k=1,
+    t_eval=0.5,
     n_x=4096,
     L_x=128 * np.pi,
     n_y=512,

@@ -15,8 +15,8 @@ from .report import ExperimentReport
 def run_scattering_probe(
     profile,
     params,
-    amplitude_list,
-    t_end,
+    amplitude_list=(1e-3,),
+    t_end=20.0,
     grid=None,
     dt=None,
     snapshot_stride=None,

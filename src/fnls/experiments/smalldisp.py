@@ -20,9 +20,9 @@ def solve_small_dispersion(phi0, params, nu, t_eval, dt=None):
 def run_small_dispersion(
     profile,
     params,
-    nu_list,
-    t_eval,
-    k,
+    nu_list=(0.1, 0.05, 0.025),
+    t_eval=1.0,
+    k=1,
     grid=None,
     dt=None,
     hs_track=0.5,

@@ -1,5 +1,6 @@
 """Periodic computational grids and complex-valued fields on them."""
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +35,12 @@ def axis_dot(grid, axes, v):
     return s
 
 
+def _whole(v):
+    if int(v) != v:
+        raise ValueError(f"grid sizes must be integers, got {v!r}")
+    return int(v)
+
+
 def _as_tuple(value, d, cast):
     if np.isscalar(value):
         return tuple(cast(value) for _ in range(d))
@@ -59,15 +66,15 @@ class Grid:
     def __init__(self, d, n, L, max_points=DEFAULT_MAX_POINTS):
         if d not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
-        n = _as_tuple(n, d, int)
+        n = _as_tuple(n, d, _whole)
         L = _as_tuple(L, d, float)
         for nj in n:
             if nj < 8 or nj & (nj - 1) != 0:
                 raise ValueError("each n_j must be a power of two >= 8")
         for Lj in L:
-            if Lj <= 0:
-                raise ValueError("extents must be positive")
-        if int(np.prod(n)) > max_points:
+            if not 0 < Lj < np.inf:
+                raise ValueError("extents must be positive and finite")
+        if math.prod(n) > max_points:
             raise ValueError("total point count exceeds configured maximum")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)

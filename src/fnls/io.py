@@ -10,6 +10,7 @@ import struct
 
 import numpy as np
 
+from .errors import NonFiniteFieldError
 from .grid import ComplexField, Grid
 
 MAGIC = b"FNLS"
@@ -27,21 +28,32 @@ def write_field(path, field):
         np.ascontiguousarray(field.values, dtype="<c16").tofile(fh)
 
 
+def _unpack(fh, fmt, path):
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise ValueError(f"{path}: truncated FNLS1 header")
+    return struct.unpack(fmt, raw)
+
+
 def read_field(path):
-    """Read an FNLS1 file back into a ComplexField."""
+    """Read an FNLS1 file back into a ComplexField; ValueError if it is not one."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not an FNLS1 file")
-        version, d = struct.unpack("<II", fh.read(8))
+        version, d = _unpack(fh, "<II", path)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported FNLS version {version}")
-        n, L = [], []
-        for _ in range(d):
-            nj, Lj = struct.unpack("<Qd", fh.read(16))
-            n.append(nj)
-            L.append(Lj)
-        grid = Grid(d, tuple(n), tuple(L))
+        if d not in (1, 2, 3):  # before sizing the axis records by d
+            raise ValueError(f"{path}: dimension {d} is not 1, 2 or 3")
+        axes = _unpack(fh, "<" + "Qd" * d, path)
+        grid = Grid(d, axes[0::2], axes[1::2])
         values = np.fromfile(fh, dtype="<c16", count=grid.total_points)
+        trailing = fh.read(1)
     if values.size != grid.total_points:
         raise ValueError(f"{path}: truncated sample data")
-    return ComplexField(grid, values.reshape(grid.shape))
+    if trailing:
+        raise ValueError(f"{path}: trailing bytes after the samples")
+    try:
+        return ComplexField(grid, values.reshape(grid.shape))
+    except NonFiniteFieldError as err:
+        raise ValueError(f"{path}: {err}") from None

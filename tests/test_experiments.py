@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fnls.cli import COMMON_KEYS, CONFIG_KEYS, main
+from fnls.cli import CONFIG_KEYS, main
 from fnls.config import load_config, parse_value
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
 from fnls.evolution import default_dt
@@ -294,7 +294,7 @@ def test_cli_evolve_honours_mass_drift_guard(tmp_path):
 def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):
     seen = {}
 
-    def fake_run_decoherence(cfg, profile, params, nu_list, save_dir=None):
+    def fake_run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=None):
         seen["max_n_x"] = cfg.max_n_x
         return ExperimentReport("decoherence")
 
@@ -321,8 +321,10 @@ def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):
     ],
 )
 def test_cli_rejects_unknown_config_keys(tmp_path, command, line, match):
+    # dispersive never reads p, so p is itself unknown there.
+    prelude = "d = 1\nsigma = 0.75\n" + ("" if command == "dispersive" else "p = 7\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"d = 1\nsigma = 0.75\np = 7\n{line}\n")
+    cfg.write_text(f"{prelude}{line}\n")
     out_dir = tmp_path / "out"
     with pytest.raises(ValueError, match=match):
         main([command, "--config", str(cfg), "--out", str(out_dir)])
@@ -330,19 +332,18 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, line, match):
 
 
 def _backticked(text):
-    return [word for word in re.findall(r"`([^`]*)`", text) if word.isidentifier()]
+    return {word for word in re.findall(r"`([^`]*)`", text) if word.isidentifier()}
 
 
 def test_cli_config_keys_match_readme():
+    """README lists each subcommand's required and optional keys, as CONFIG_KEYS does."""
     with open(Path(__file__).parents[1] / "README.md") as fh:
-        section = fh.read().split("### Config keys", 1)[1].split("Example", 1)[0]
-    common, *entries = re.split(r"\n- ", section)
-    assert set(_backticked(common)) == set(COMMON_KEYS)
+        section = fh.read().split("### Config keys", 1)[1]
     documented = {}
-    for entry in entries:
+    for entry in section.split("\n\n- ", 1)[1].split("\n\n", 1)[0].split("\n- "):
         name, keys = entry.split(":", 1)
-        documented[name.strip("`")] = set(_backticked(keys))
-    assert {name: keys - set(COMMON_KEYS) for name, keys in documented.items()} == {
-        name: set(keys) for name, keys in CONFIG_KEYS.items()
+        required, optional = keys.split("; optional", 1)
+        documented[name.strip("`")] = (_backticked(required), _backticked(optional))
+    assert documented == {
+        name: (set(required), set(optional)) for name, (required, optional) in CONFIG_KEYS.items()
     }
-

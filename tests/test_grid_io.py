@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fnls.grid import ComplexField, Grid, mode_indices, zeros
 from fnls.io import read_field, write_field
@@ -113,3 +114,66 @@ def test_fnls1_rejects_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError):
         read_field(path)
+
+
+@pytest.mark.parametrize(
+    "n, L", [(64.5, 10.0), ((64, 32.5), 10.0), (64, np.nan), (64, np.inf), (64, (10.0, np.nan))]
+)
+def test_grid_rejects_fractional_sizes_and_nonfinite_extents(n, L):
+    d = 1 if np.isscalar(n) and np.isscalar(L) else 2
+    with pytest.raises(ValueError):
+        Grid(d, n, L)
+
+
+def _header(d, axes):
+    return b"FNLS" + struct.pack("<II", 1, d) + b"".join(struct.pack("<Qd", *a) for a in axes)
+
+
+SAMPLES = bytes(8 * 16)
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (_header(1, [(8, 2.5)])[:20], "truncated FNLS1 header"),
+        (_header(5, [])[:12] + bytes(20), "dimension 5"),
+        (_header(1, [(8, 2.5)]) + SAMPLES + b"\x00", "trailing bytes"),
+        (_header(1, [(8, 2.5)]) + SAMPLES[:-1], "truncated sample data"),
+        (_header(1, [(8, float("nan"))]) + SAMPLES, "extents must be positive and finite"),
+        (_header(1, [(8, float("inf"))]) + SAMPLES, "extents must be positive and finite"),
+    ],
+    ids=["truncated-header", "short-d5", "trailing-bytes", "short-samples", "nan-L", "inf-L"],
+)
+def test_fnls1_rejects_malformed_files(tmp_path, data, match):
+    path = tmp_path / "bad.fnls"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=match):
+        read_field(path)
+
+
+VALID_FNLS1 = _header(2, [(8, 1.0), (8, 2.0)]) + bytes(64 * 16)
+
+
+@st.composite
+def fnls1_like(draw):
+    """A prefix of a valid 2D file with a few bytes overwritten, plus junk."""
+    data = bytearray(VALID_FNLS1[: draw(st.integers(0, len(VALID_FNLS1)))])
+    for _ in range(draw(st.integers(0, 3))):
+        if data:
+            data[draw(st.integers(0, min(len(data), 64) - 1))] = draw(st.integers(0, 255))
+    return bytes(data) + draw(st.binary(max_size=24))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "field.fnls"
+
+
+@given(st.one_of(st.binary(max_size=96), fnls1_like()))
+def test_read_field_returns_a_field_or_raises_value_error(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    try:
+        field = read_field(fuzz_path)
+    except ValueError:
+        return
+    assert fuzz_path.stat().st_size == 12 + 16 * field.grid.d + 16 * field.grid.total_points
