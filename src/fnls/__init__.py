@@ -4,9 +4,11 @@ from .evolution import (
     EvolveConfig,
     Trajectory,
     evolve,
+    final_state,
     linear_propagate,
     nonlinear_phase,
     scaling_transform,
+    snapshots,
     strang_step,
 )
 from .exponents import (
@@ -53,6 +55,7 @@ __all__ = [
     "critical_exponents",
     "energy",
     "evolve",
+    "final_state",
     "gaussian",
     "is_admissible",
     "lebesgue_norm",
@@ -68,6 +71,7 @@ __all__ = [
     "round_velocity",
     "scaling_transform",
     "scattering_defect",
+    "snapshots",
     "sobolev_norm",
     "soliton_residual",
     "spacetime_norm",

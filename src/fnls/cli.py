@@ -11,7 +11,7 @@ import difflib
 import os
 
 from .config import load_config
-from .evolution import EvolveConfig, Trajectory, evolve
+from .evolution import EvolveConfig, snapshots
 from .exponents import classify_regime
 from .grid import Grid
 from .io import read_field, write_field
@@ -151,38 +151,35 @@ def cmd_evolve(args):
     run = EvolveConfig(
         _params_from(cfg), **_pick(cfg, "t_end dt snapshot_stride mass_drift_guard")
     )
-    traj = evolve(u0, run)
     with open(os.path.join(args.out, "diagnostics.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["time", "mass", "energy", "linf", "boundary_amplitude"]
         )
         writer.writeheader()
-        writer.writerows(traj.diagnostics)
-    for i, field in enumerate(traj.fields):
-        write_field(os.path.join(args.out, f"snap_{i:05d}.fnls"), field)
-    print(f"wrote {len(traj.fields)} snapshots to {args.out}")
-
-
-def _load_trajectory(traj_dir):
-    traj = Trajectory()
-    with open(os.path.join(traj_dir, "diagnostics.csv")) as fh:
-        rows = list(csv.DictReader(fh))
-    for i, row in enumerate(rows):
-        field = read_field(os.path.join(traj_dir, f"snap_{i:05d}.fnls"))
-        traj.times.append(float(row["time"]))
-        traj.fields.append(field)
-        traj.diagnostics.append({k: float(v) for k, v in row.items()})
-    return traj
+        for i, (_, field, diagnostics) in enumerate(snapshots(u0, run)):
+            writer.writerow(diagnostics)
+            write_field(os.path.join(args.out, f"snap_{i:05d}.fnls"), field)
+    print(f"wrote {i + 1} snapshots to {args.out}")
 
 
 def cmd_norms(args):
-    traj = _load_trajectory(args.traj)
-    d = traj.fields[0].grid.d
+    with open(os.path.join(args.traj, "diagnostics.csv")) as fh:
+        times = [float(row["time"]) for row in csv.DictReader(fh)]
+    if not times:
+        raise ValueError(f"{args.traj}: diagnostics.csv lists no snapshots")
+    d = None
+
+    def stream():
+        nonlocal d
+        for i, t in enumerate(times):
+            u = read_field(os.path.join(args.traj, f"snap_{i:05d}.fnls"))
+            d = u.grid.d
+            yield t, u
+
     spec = SpacetimeNormSpec(
         q=args.q, r=args.r, s=args.s, sigma=args.sigma, variant=args.variant
     )
-    value = spacetime_norm(traj, spec)
-    snapshots = len(traj.times)
+    value = spacetime_norm(stream(), spec)
     print(f"spacetime norm (q={args.q:g}, r={args.r:g}, s={args.s:g}, "
           f"variant={args.variant}, d={d}): {value:.12g}")
     path = os.path.join(args.traj, "norms.csv")
@@ -191,7 +188,7 @@ def cmd_norms(args):
         writer = csv.writer(fh)
         if new:
             writer.writerow(["q", "r", "s", "variant", "snapshots", "value"])
-        writer.writerow([args.q, args.r, args.s, args.variant, snapshots, value])
+        writer.writerow([args.q, args.r, args.s, args.variant, len(times), value])
 
 
 def cmd_soliton(args):

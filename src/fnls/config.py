@@ -21,7 +21,7 @@ def parse_value(text):
 
 
 def load_config(path):
-    out = {}
+    out, line_of = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -30,5 +30,11 @@ def load_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
-            out[key.strip()] = parse_value(value)
+            key = key.strip()
+            if key in line_of:
+                raise ValueError(
+                    f"{path}:{lineno}: config key {key!r} is already set on line {line_of[key]}"
+                )
+            line_of[key] = lineno
+            out[key] = parse_value(value)
     return out

@@ -3,14 +3,15 @@
 Both substeps are exact flows: the linear propagator L(t) is a unimodular
 multiplier and the zero-dispersion nonlinearity is a pointwise phase
 rotation, so each step conserves mass to roundoff. Because L(a) L(b) =
-L(a + b) exactly, `evolve` merges the closing half-step of one step with
-the opening half-step of the next. It holds the spectrum of the solution
+L(a + b) exactly, `snapshots` merges the closing half-step of one step
+with the opening half-step of the next. It holds the spectrum of the solution
 and runs one in-place FFT pair per step: the pending linear half-steps in
 spectrum, the rotation in space, and back. A snapshot applies the closing
 half-step to a copy, takes the kinetic energy from that spectrum by
 Plancherel and inverts it once; the held spectrum is left unchanged.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ from .model import ModelParams
 from .observables import mass
 from .spectral import (
     apply_multiplier,
-    field_from_spectrum,
     fft,
     lebesgue_norm,
     plancherel,
@@ -75,19 +75,6 @@ def _rotate(w, t, mu, p):
     return peak
 
 
-def _split_step(w, opening, dt, params):
-    """In place on a spectrum w: opening multiplier, nonlinear flow over dt.
-
-    The rotation runs in space between one inverse and one forward FFT.
-    Returns `_rotate`'s peak.
-    """
-    w *= opening
-    np.fft.ifftn(w, out=w)
-    peak = _rotate(w, dt, params.mu, params.p)
-    np.fft.fftn(w, out=w)
-    return peak
-
-
 def nonlinear_phase(u, t, mu, p):
     """Exact zero-dispersion flow: u * exp(i t mu |u|^(p-1))."""
     if p <= 1:
@@ -95,16 +82,6 @@ def nonlinear_phase(u, t, mu, p):
     w = u.values.copy()
     _rotate(w, t, mu, p)
     return ComplexField(u.grid, w)
-
-
-def strang_step(u, dt, params):
-    """linear(dt/2) o nonlinear(dt) o linear(dt/2)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    half = _propagator(u.grid, params, dt / 2)
-    w = fft(u)
-    _split_step(w, half, dt, params)
-    return field_from_spectrum(u.grid, half * w)
 
 
 @dataclass
@@ -134,33 +111,33 @@ class Trajectory:
     fields: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
-    def append(self, t, u, energy):
-        """Record snapshot u at time t; its energy comes from the caller."""
-        self.times.append(float(t))
-        self.fields.append(u)
-        self.diagnostics.append(
-            {
-                "time": float(t),
-                "mass": mass(u),
-                "energy": energy,
-                "linf": lebesgue_norm(u, np.inf),
-                "boundary_amplitude": u.boundary_amplitude(),
-            }
-        )
+    def __iter__(self):
+        """(t, field) per snapshot, the pairs that spacetime_norm and the defects read."""
+        return zip(self.times, self.fields)
 
     @property
     def final(self):
         return self.fields[-1]
 
 
-def _potential_energy(u, params):
-    """Integral of mu/(p+1) |u|^(p+1), as in observables.energy."""
+def _diagnostics(t, u, params, kinetic):
+    """A snapshot's diagnostics; its kinetic energy comes from the caller."""
     dens = np.sum(abs_power(u.values, params.p + 1))
-    return float((params.mu / (params.p + 1)) * dens * u.grid.cell_volume)
+    potential = float((params.mu / (params.p + 1)) * dens * u.grid.cell_volume)
+    return {
+        "time": float(t),
+        "mass": mass(u),
+        "energy": kinetic + potential,
+        "linf": lebesgue_norm(u, np.inf),
+        "boundary_amplitude": u.boundary_amplitude(),
+    }
 
 
-def evolve(u0, cfg):
-    """Integrate to cfg.t_end with Strang steps, snapshotting every stride."""
+def snapshots(u0, cfg):
+    """Yield (t, u, diagnostics) at t = 0, every stride steps and cfg.t_end.
+
+    A snapshot that trips the mass-drift or non-finite guard raises instead.
+    """
     params = cfg.params
     grid = u0.grid
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, params, cfg.t_end)
@@ -168,13 +145,12 @@ def evolve(u0, cfg):
     # The held state. After a step it is the spectrum still owing that step's
     # closing half-step, which the next step's opening or a snapshot applies.
     w = fft(u0)
-    traj = Trajectory()
-    kinetic = 0.5 * plancherel(w, laplacian, grid)
-    traj.append(0.0, u0, kinetic + _potential_energy(u0, params))
+    first = _diagnostics(0.0, u0, params, 0.5 * plancherel(w, laplacian, grid))
+    yield 0.0, u0, first
     if cfg.t_end == 0:
-        return traj
+        return
 
-    mass0 = traj.diagnostics[0]["mass"]
+    mass0 = first["mass"]
     n_full, remainder, total_steps = step_plan(cfg.t_end, dt)
     half = _propagator(grid, params, dt / 2)
 
@@ -188,7 +164,10 @@ def evolve(u0, cfg):
             step_dt = remainder
             owed = dt / 2 if step > 0 else 0.0
             opening = _propagator(grid, params, owed + remainder / 2)
-        peak = _split_step(w, opening, step_dt, params)
+        w *= opening
+        np.fft.ifftn(w, out=w)
+        peak = _rotate(w, step_dt, params.mu, params.p)
+        np.fft.fftn(w, out=w)
         t += step_dt
         if not np.isfinite(peak):
             raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}")
@@ -203,13 +182,31 @@ def evolve(u0, cfg):
                 u = ComplexField(grid, v)
             except NonFiniteFieldError:
                 raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}") from None
-            traj.append(t, u, kinetic + _potential_energy(u, params))
-            drift = abs(traj.diagnostics[-1]["mass"] - mass0) / max(mass0, 1e-300)
+            diagnostics = _diagnostics(t, u, params, kinetic)
+            drift = abs(diagnostics["mass"] - mass0) / max(mass0, 1e-300)
             if drift > cfg.mass_drift_guard:
                 raise MassDriftError(
                     f"mass drift guard tripped: relative drift {drift:.3e} at t = {t:.6g}"
                 )
-    return traj
+            yield t, u, diagnostics
+
+
+def evolve(u0, cfg):
+    """Integrate to cfg.t_end with Strang steps, snapshotting every stride."""
+    times, fields, diagnostics = zip(*snapshots(u0, cfg))
+    return Trajectory(list(times), list(fields), list(diagnostics))
+
+
+def final_state(u0, params, t_end, dt=None):
+    """The field at t_end; an infinite stride takes no snapshot in between."""
+    for _, u, _ in snapshots(u0, EvolveConfig(params, t_end, dt, snapshot_stride=math.inf)):
+        pass
+    return u
+
+
+def strang_step(u, dt, params):
+    """linear(dt/2) o nonlinear(dt) o linear(dt/2)."""
+    return final_state(u, params, dt, dt)
 
 
 def scaling_transform(u, lam, params):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RegimeError
-from ..evolution import EvolveConfig, evolve, nonlinear_phase
+from ..evolution import final_state, nonlinear_phase
 from ..exponents import ILLPOSED_RANGE, classify_regime, smallest_integer_above
 from ..grid import Grid
 from ..model import ModelParams
@@ -140,11 +140,7 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         run = ModelParams(d, sigma, p, mu, nu)
         solved = {}
         for label, amp in (("a", cfg.a), ("a_prime", cfg.a_prime)):
-            traj = evolve(
-                amp * w,
-                EvolveConfig(run, t_end=T, dt=cfg.dt_y, snapshot_stride=10**9),
-            )
-            solved[label] = {"0": (amp * w), "T": traj.final}
+            solved[label] = {"0": (amp * w), "T": final_state(amp * w, run, T, cfg.dt_y)}
 
         t_dec = lam ** (2 * sigma) * T
         fields = {}
@@ -194,11 +190,7 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
             full = ModelParams(d, sigma, p, mu, 1.0)
             evolved = {}
             for label in ("a", "a_prime"):
-                traj = evolve(
-                    fields[(label, 0.0)],
-                    EvolveConfig(full, t_end=t_dec, snapshot_stride=10**9),
-                )
-                evolved[label] = traj.final
+                evolved[label] = final_state(fields[(label, 0.0)], full, t_dec)
             row["true_dist_tdec"] = sobolev_norm(
                 evolved["a"] - evolved["a_prime"], cfg.s, 2.0, INHOMOGENEOUS
             )

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..errors import RegimeError
-from ..evolution import EvolveConfig, evolve
+from ..evolution import final_state
 from ..grid import Grid
 from ..model import ModelParams
 from ..observables import mass
@@ -72,8 +72,7 @@ def run_galilean_error(
 
         u0 = modulate(rescale(phi0, nu, grid_x.n), v)
         full = ModelParams(d, sigma, params.p, params.mu, 1.0)
-        traj = evolve(u0, EvolveConfig(full, t_end=t_eval, dt=dt_x, snapshot_stride=10**9))
-        u_t = traj.final
+        u_t = final_state(u0, full, t_eval, dt_x)
 
         if save_dir is not None:
             write_field(f"{save_dir}/galilean_u_nu{nu:g}.fnls", u_t)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..evolution import EvolveConfig, evolve, nonlinear_phase
+from ..evolution import final_state, nonlinear_phase
 from ..grid import Grid
 from ..model import ModelParams
 from ..io import write_field
@@ -13,8 +13,7 @@ from .report import ExperimentReport, loglog_fit
 def solve_small_dispersion(phi0, params, nu, t_eval, dt=None):
     """Evolve the nu-dispersion equation from phi0 to t_eval."""
     p = ModelParams(params.d, params.sigma, params.p, params.mu, nu)
-    cfg = EvolveConfig(p, t_end=t_eval, dt=dt, snapshot_stride=10**9)
-    return evolve(phi0, cfg).final
+    return final_state(phi0, p, t_eval, dt)
 
 
 def run_small_dispersion(

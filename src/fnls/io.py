@@ -46,7 +46,10 @@ def read_field(path):
         if d not in (1, 2, 3):  # before sizing the axis records by d
             raise ValueError(f"{path}: dimension {d} is not 1, 2 or 3")
         axes = _unpack(fh, "<" + "Qd" * d, path)
-        grid = Grid(d, axes[0::2], axes[1::2])
+        try:
+            grid = Grid(d, axes[0::2], axes[1::2])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         values = np.fromfile(fh, dtype="<c16", count=grid.total_points)
         trailing = fh.read(1)
     if values.size != grid.total_points:

@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -30,10 +28,3 @@ class ModelParams:
             raise ValueError("mu must be +1 or -1")
         if not 0 <= self.nu <= 1:
             raise ValueError("nu must lie in [0, 1]")
-
-    @property
-    def dispersion_coefficient(self):
-        """nu^(2 sigma) multiplying the fractional Laplacian."""
-        if self.nu == 0:
-            return 0.0
-        return float(np.power(self.nu, 2 * self.sigma))

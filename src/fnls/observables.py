@@ -56,41 +56,49 @@ def _time_lq(times, values, q):
     return float(np.trapezoid(values**q, times) ** (1.0 / q))
 
 
-def spacetime_norm(traj, spec):
-    """Strichartz-type norm of a trajectory by composite trapezoid in time.
+def spacetime_norm(snapshots, spec):
+    """Strichartz-type norm of (t, field) snapshots by composite trapezoid in time.
 
     PLAIN: L^q in time of the W^(s,r) norm of the derivative-loss-weighted
     field. TILDE: l^2 over resolvable dyadic bands of the per-band PLAIN
     norm. Each band is one multiplier (weight x Bessel(s) x LP cutoff),
     evaluated once per call; a snapshot costs one forward FFT plus one
-    inverse FFT per band.
+    inverse FFT per band, and none is kept.
     """
-    grid = traj.fields[0].grid
-    spec.validate(grid.d)
-    weight = evaluate_symbol(StrichartzWeight(spec.r, grid.d, spec.sigma), grid)
-    if spec.s != 0:
-        weight = weight * evaluate_symbol(Bessel(spec.s), grid)
-    if spec.variant == PLAIN:
-        bands = [weight]
-    else:
-        bands = [weight * evaluate_symbol(LpCutoff(N), grid) for N in resolvable_scales(grid)]
-
-    vals = np.empty((len(bands), len(traj.fields)))
-    work = np.empty(grid.shape, dtype=np.complex128)
-    for i, u in enumerate(traj.fields):
+    times = []
+    for t, u in snapshots:
+        if not times:  # the first snapshot's grid sets the bands
+            grid = u.grid
+            spec.validate(grid.d)
+            bands = _spacetime_bands(grid, spec)
+            vals = [[] for _ in bands]
+            work = np.empty(grid.shape, dtype=np.complex128)
         uh = np.fft.fftn(u.values)
         for b, m in enumerate(bands):
             np.multiply(m, uh, out=work)
             np.fft.ifftn(work, out=work)
-            vals[b, i] = lebesgue_norm(ComplexField(grid, work), spec.r)
-    norms = [_time_lq(traj.times, v, spec.q) for v in vals]
+            vals[b].append(lebesgue_norm(ComplexField(grid, work), spec.r))
+        times.append(t)
+    if not times:
+        raise ValueError("spacetime_norm needs at least one snapshot")
+    norms = [_time_lq(times, v, spec.q) for v in vals]
     if spec.variant == PLAIN:
         return norms[0]
     return float(np.sqrt(sum(n**2 for n in norms)))
 
 
-def _interaction_pairs(traj, sigma, source):
-    """Yield (dt, a, b) for each pair of consecutive snapshots u_i, u_{i+1}.
+def _spacetime_bands(grid, spec):
+    """The multiplier of each band spacetime_norm sums over."""
+    weight = evaluate_symbol(StrichartzWeight(spec.r, grid.d, spec.sigma), grid)
+    if spec.s != 0:
+        weight = weight * evaluate_symbol(Bessel(spec.s), grid)
+    if spec.variant == PLAIN:
+        return [weight]
+    return [weight * evaluate_symbol(LpCutoff(N), grid) for N in resolvable_scales(grid)]
+
+
+def _interaction_pairs(snapshots, sigma, source):
+    """Yield (dt, a, b) for each pair of consecutive (t, field) snapshots.
 
     dt = t_{i+1} - t_i, a = fft(source(u_i)) and
     b = exp(-i dt (-Lap)^sigma) fft(source(u_{i+1})). The interaction-picture
@@ -100,17 +108,17 @@ def _interaction_pairs(traj, sigma, source):
     |xi|^(2 sigma) is evaluated once and the phase once per distinct dt, so
     a snapshot costs one forward FFT.
     """
-    grid = traj.fields[0].grid
-    laplacian = evaluate_symbol(FractionalLaplacian(sigma), grid)
-    a = np.fft.fftn(source(traj.fields[0].values))
-    phase_dt = phase = None
-    for t0, t1, u in zip(traj.times, traj.times[1:], traj.fields[1:]):
-        dt = t1 - t0
-        if dt != phase_dt:
-            phase_dt, phase = dt, np.exp((-1j * dt) * laplacian)
+    a = phase_dt = None
+    for t1, u in snapshots:
         b = np.fft.fftn(source(u.values))
-        yield dt, a, phase * b
-        a = b
+        if a is None:
+            laplacian = evaluate_symbol(FractionalLaplacian(sigma), u.grid)
+        else:
+            dt = t1 - t0
+            if dt != phase_dt:
+                phase_dt, phase = dt, np.exp((-1j * dt) * laplacian)
+            yield dt, a, phase * b
+        t0, a = t1, b
 
 
 def _hs_norm(spectrum, bessel2, grid):

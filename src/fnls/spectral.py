@@ -60,12 +60,6 @@ def plancherel(spectrum, weight2, grid):
     return float(total / grid.total_points * grid.cell_volume)
 
 
-def spectral_l2_norm(u, weights=None):
-    """L^2 norm computed on the spectral side (Plancherel)."""
-    w = 1.0 if weights is None else weights**2
-    return float(np.sqrt(plancherel(fft(u), w, u.grid)))
-
-
 def sobolev_norm(u, s, r=2.0, homogeneity=INHOMOGENEOUS):
     """W^(s,r) norm: spectral weight (Bessel or Riesz) then L^r quadrature."""
     if homogeneity == INHOMOGENEOUS:

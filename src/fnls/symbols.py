@@ -5,7 +5,7 @@ the mean out (multiplier 0 at xi = 0); everything else is evaluated
 directly. The Nyquist mode is treated as a positive frequency.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,19 +158,6 @@ class SolitonSymbol:
         # p_v(0) = 0 exactly: the array and scalar |v|^(2 sigma) above can
         # round apart by an ulp.
         m[(0,) * grid.d] = 0.0
-        return m
-
-
-@dataclass(frozen=True)
-class Product:
-    """Pointwise product of several multiplier symbols."""
-
-    factors: tuple = field(default_factory=tuple)
-
-    def evaluate(self, grid):
-        m = np.ones(grid.shape)
-        for f in self.factors:
-            m = m * f.evaluate(grid)
         return m
 
 

@@ -21,8 +21,9 @@ from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import ProfileSpec, gaussian
 from fnls.soliton import SolitonConfig, petviashvili_solve, traveling_wave_check
-from fnls.spectral import apply_multiplier, lebesgue_norm, spectral_l2_norm
-from fnls.symbols import Bessel, ErrorSymbol, FractionalLaplacian, Product, SolitonSymbol, evaluate_symbol
+from fnls.spectral import apply_multiplier, lebesgue_norm
+from fnls.symbols import Bessel, ErrorSymbol, FractionalLaplacian, SolitonSymbol, evaluate_symbol
+from references import Product, spectral_l2_norm
 
 
 def _verdict(number, name, ok, detail):

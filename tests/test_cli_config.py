@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import fnls.cli as cli
 import fnls.experiments as exp
 from fnls.cli import CONFIG_KEYS, KEY_TYPES, _load_config, main
+from fnls.config import load_config
 from fnls.grid import Grid, zeros
 from fnls.soliton import SolitonResult
 
@@ -27,6 +28,16 @@ def _run(tmp_path, command, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     return main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("sigma = 0.5\np = 3\n# sigma once more\nsigma = 0.75\n")
+    repeated = r"run\.cfg:4: config key 'sigma' is already set on line 1"
+    with pytest.raises(ValueError, match=repeated):
+        load_config(path)
+    with pytest.raises(ValueError, match="'sigma' is already set on line 1"):
+        _load_config(path, "dispersive")
 
 
 def test_key_types_cover_exactly_the_listed_keys():
@@ -141,7 +152,7 @@ def test_cli_passes_on_every_listed_key(tmp_path, monkeypatch, command):
     path.write_text("".join(f"{key} = {VALID[key]}\n" for key in required + optional))
     cfg = _Recording(_load_config(path, command))
     monkeypatch.setattr(cli, "_load_config", lambda *args: cfg)
-    monkeypatch.setattr(cli, "evolve", _stop)
+    monkeypatch.setattr(cli, "snapshots", _stop)
     monkeypatch.setattr(cli, "traveling_wave_check", _stop)
     monkeypatch.setattr(cli, "write_field", lambda *args: None)
     solved = SolitonResult(zeros(Grid(1, 64, 20.0)), [0.0], [1.0], converged=True)

@@ -21,7 +21,7 @@ def rk4_reference(u0, params, t_end, dt):
     where only the nonlinearity remains stiff-free.
     """
     grid = u0.grid
-    coeff = params.dispersion_coefficient
+    coeff = params.nu ** (2 * params.sigma)
     phase = coeff * grid.k_squared**params.sigma
 
     def nonlinear_hat(u_hat, t):

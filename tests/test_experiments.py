@@ -2,11 +2,13 @@
 
 import csv
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fnls.cli as cli
 from fnls.cli import CONFIG_KEYS, main
 from fnls.config import load_config, parse_value
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
@@ -289,6 +291,72 @@ def test_cli_evolve_honours_mass_drift_guard(tmp_path):
     )
     with pytest.raises(MassDriftError):
         main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
+EVOLVE_1D = (
+    "d = 1\nsigma = 0.75\np = 3\nn = 256\nL = 50.26548245743669\n"
+    "t_end = 0.2\ndt = 0.002\nsnapshot_stride = 20\n"
+)
+
+
+def _evolve_run(tmp_path, name, text=EVOLVE_1D):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    run_dir = tmp_path / name
+    return main(["evolve", "--config", str(cfg), "--out", str(run_dir)]), run_dir
+
+
+def _masses(run_dir):
+    with open(run_dir / "diagnostics.csv", newline="") as fh:
+        return [float(row["mass"]) for row in csv.DictReader(fh)]
+
+
+def test_cli_evolve_keeps_the_snapshots_written_before_a_guard_trip(tmp_path):
+    code, clean = _evolve_run(tmp_path, "clean")
+    assert code == 0
+    masses = _masses(clean)
+    drifts = [abs(m - masses[0]) / masses[0] for m in masses]
+    # A guard the third snapshot meets and a later one exceeds.
+    guard = max(drifts[:3])
+    tripped_at = next(i for i, drift in enumerate(drifts) if drift > guard)
+    with pytest.raises(MassDriftError):
+        _evolve_run(tmp_path, "tripped", EVOLVE_1D + f"mass_drift_guard = {guard!r}\n")
+    run_dir = tmp_path / "tripped"
+    assert _masses(run_dir) == masses[:tripped_at]
+    assert sorted(p.name for p in run_dir.glob("snap_*.fnls")) == [
+        f"snap_{i:05d}.fnls" for i in range(tripped_at)
+    ]
+    for path in run_dir.glob("snap_*.fnls"):
+        assert path.read_bytes() == (clean / path.name).read_bytes()
+
+
+def test_cli_norms_holds_at_most_two_snapshots(tmp_path, monkeypatch):
+    code, run_dir = _evolve_run(tmp_path, "run")
+    assert code == 0
+    alive, most = [], 0
+
+    def read_and_count(path):
+        nonlocal most
+        field = read_field(path)
+        alive.append(weakref.ref(field))
+        most = max(most, sum(ref() is not None for ref in alive))
+        return field
+
+    monkeypatch.setattr(cli, "read_field", read_and_count)
+    for variant in ("PLAIN", "TILDE"):
+        argv = ["norms", "--traj", str(run_dir), "--q", "6", "--r", "6", "--sigma", "0.75"]
+        assert main(argv + ["--variant", variant]) == 0
+    assert len(alive) == 2 * len(_masses(run_dir)) == 12
+    assert most <= 2
+
+
+def test_cli_norms_rejects_a_run_with_no_snapshots(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "diagnostics.csv").write_text("time,mass,energy,linf,boundary_amplitude\n")
+    argv = ["norms", "--traj", str(run_dir), "--q", "6", "--r", "6", "--sigma", "0.75"]
+    with pytest.raises(ValueError, match=re.escape(f"{run_dir}: diagnostics.csv lists no")):
+        main(argv)
 
 
 def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):

@@ -7,16 +7,21 @@ merges adjacent half-steps and reorders the arithmetic, so results agree
 to roundoff, not bit for bit.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from fnls.errors import NonFiniteFieldError
+import fnls.evolution
+from fnls.errors import MassDriftError, NonFiniteFieldError
 from fnls.evolution import (
     EvolveConfig,
     default_dt,
     evolve,
+    final_state,
     linear_propagate,
     nonlinear_phase,
+    snapshots,
     strang_step,
 )
 from fnls.grid import ComplexField, Grid
@@ -170,3 +175,56 @@ def test_nonfinite_guard_trips_within_a_step_under_large_stride():
     cfg = EvolveConfig(params, t_end=10.0, dt=1.0, snapshot_stride=10**9)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteFieldError, match=r"at t = 5$"):
         evolve(u0, cfg)
+
+
+@pytest.mark.parametrize("case", CASES, ids=list(CASES))
+def test_snapshot_stream_is_evolve_bit_for_bit(case):
+    grid, params, dt, t_end, stride = CASES[case]
+    u0 = gaussian(grid, width=1.5, amplitude=1.0, center=(0.3,) * grid.d)
+    cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=stride)
+    traj = evolve(u0, cfg)
+    # Copies taken as each snapshot arrives: later steps must not write
+    # into a field that has already been yielded.
+    seen = []
+    for t, u, diagnostics in snapshots(u0, cfg):
+        seen.append((t, u, u.values.copy(), diagnostics))
+    assert [t for t, *_ in seen] == traj.times
+    assert [d for *_, d in seen] == traj.diagnostics
+    for (_, u, at_yield, _), want in zip(seen, traj.fields):
+        assert np.array_equal(u.values, at_yield)
+        assert np.array_equal(u.values, want.values)
+
+    final = final_state(u0, params, t_end, dt)
+    endpoints = evolve(u0, EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=10**9))
+    assert np.array_equal(final.values, endpoints.final.values)
+    assert np.array_equal(final.values, traj.final.values)
+
+
+def _guard_message(run):
+    with np.errstate(all="ignore"), pytest.raises((MassDriftError, NonFiniteFieldError)) as err:
+        run()
+    return type(err.value), str(err.value)
+
+
+def test_final_state_trips_the_mass_drift_guard_as_evolve_does(monkeypatch):
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    u0 = gaussian(grid, width=1.0, amplitude=1.0)
+    cfg = EvolveConfig(params, t_end=0.2, dt=2e-3, snapshot_stride=10**9, mass_drift_guard=1e-30)
+    want = _guard_message(lambda: evolve(u0, cfg))
+    monkeypatch.setattr(
+        fnls.evolution, "EvolveConfig", functools.partial(EvolveConfig, mass_drift_guard=1e-30)
+    )
+    assert want[0] is MassDriftError
+    assert _guard_message(lambda: final_state(u0, params, 0.2, 2e-3)) == want
+
+
+def test_final_state_trips_the_nonfinite_guard_as_evolve_does():
+    # The data of test_nonfinite_guard_trips_within_a_step_under_large_stride.
+    grid = Grid(1, 1024, 64.0)
+    params = ModelParams(d=1, sigma=1.0, p=1001, mu=1, nu=1.0)
+    u0 = linear_propagate(gaussian(grid, width=0.5, amplitude=2.4), -4.5, params.sigma)
+    cfg = EvolveConfig(params, t_end=10.0, dt=1.0, snapshot_stride=10**9)
+    want = _guard_message(lambda: evolve(u0, cfg))
+    assert want == (NonFiniteFieldError, "nonfinite field at t = 5")
+    assert _guard_message(lambda: final_state(u0, params, 10.0, 1.0)) == want

@@ -1,5 +1,6 @@
 """Grid construction, wavenumber layout, and FNLS1 round-trips."""
 
+import re
 import struct
 
 import numpy as np
@@ -148,6 +149,22 @@ def test_fnls1_rejects_malformed_files(tmp_path, data, match):
     path = tmp_path / "bad.fnls"
     path.write_bytes(data)
     with pytest.raises(ValueError, match=match):
+        read_field(path)
+
+
+@pytest.mark.parametrize(
+    "axes, match",
+    [
+        ([(8, float("nan"))], "extents must be positive and finite"),
+        ([(8, -1.0)], "extents must be positive and finite"),
+        ([(12, 1.0)], "power of two"),
+    ],
+    ids=["nan-L", "negative-L", "n-not-power-of-two"],
+)
+def test_read_field_names_the_file_whose_header_grid_is_invalid(tmp_path, axes, match):
+    path = tmp_path / "bad.fnls"
+    path.write_bytes(_header(1, axes) + bytes(axes[0][0] * 16))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{match}"):
         read_field(path)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fnls.evolution import EvolveConfig, evolve, linear_propagate
+from fnls.evolution import EvolveConfig, evolve, linear_propagate, snapshots
 from fnls.grid import Grid
 from fnls.model import ModelParams
 from fnls.observables import (
@@ -84,6 +84,20 @@ def test_tilde_norm_dominates_single_band_content():
     )
     # overlap of adjacent cutoffs keeps this from exact equality
     assert 0.5 < tilde / plain < 2.0
+
+
+@pytest.mark.parametrize("variant", ["PLAIN", "TILDE"])
+def test_spacetime_norm_reads_a_one_pass_stream(variant):
+    u0 = gaussian(GRID, amplitude=0.5)
+    cfg = EvolveConfig(PARAMS, t_end=0.1, dt=1e-3, snapshot_stride=10)
+    spec = SpacetimeNormSpec(q=6.0, r=6.0, s=0.5, sigma=0.75, variant=variant)
+    stream = ((t, u) for t, u, _ in snapshots(u0, cfg))
+    assert spacetime_norm(stream, spec) == spacetime_norm(evolve(u0, cfg), spec)
+
+
+def test_spacetime_norm_rejects_no_snapshots():
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        spacetime_norm([], SpacetimeNormSpec(q=6.0, r=6.0, s=0.0, sigma=0.75))
 
 
 def test_sup_in_time_variant():

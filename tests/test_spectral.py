@@ -21,9 +21,9 @@ from fnls.spectral import (
     round_velocity,
     sobolev_norm,
     spatial_shift,
-    spectral_l2_norm,
 )
 from fnls.symbols import FractionalLaplacian, LpCutoff, evaluate_symbol
+from references import spectral_l2_norm
 
 
 def _random_field(grid, seed=0):

@@ -11,7 +11,6 @@ from fnls.symbols import (
     FractionalLaplacian,
     LinearPropagator,
     LpCutoff,
-    Product,
     Riesz,
     SolitonSymbol,
     StrichartzWeight,
@@ -19,6 +18,7 @@ from fnls.symbols import (
     lp_bump,
     smooth_step,
 )
+from references import Product
 
 GRID = Grid(1, 64, 16 * np.pi)
 GRID2 = Grid(2, 32, 8 * np.pi)
@@ -96,6 +96,12 @@ def test_linear_propagator_is_unimodular():
     assert np.allclose(np.abs(m), 1.0)
     m0 = evaluate_symbol(LinearPropagator(t=0.37, sigma=0.75, nu=0.0), GRID)
     assert np.allclose(m0, 1.0)
+
+
+def test_linear_propagator_scales_the_dispersion_by_nu_to_the_two_sigma():
+    for nu in (0.0, 0.5, 1.0):
+        m = evaluate_symbol(LinearPropagator(t=0.37, sigma=0.75, nu=nu), GRID)
+        assert np.allclose(m, np.exp(0.37j * nu**1.5 * GRID.k_abs**1.5), rtol=0, atol=1e-14)
 
 
 def test_error_symbol_identities():
