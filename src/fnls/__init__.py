@@ -9,7 +9,6 @@ from .evolution import (
     nonlinear_phase,
     scaling_transform,
     snapshots,
-    strang_step,
 )
 from .exponents import (
     classify_regime,
@@ -76,7 +75,6 @@ __all__ = [
     "soliton_residual",
     "spacetime_norm",
     "spatial_shift",
-    "strang_step",
     "traveling_wave_check",
     "verify_error_symbol_bound",
     "write_field",

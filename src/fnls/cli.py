@@ -152,11 +152,10 @@ def cmd_evolve(args):
         _params_from(cfg), **_pick(cfg, "t_end dt snapshot_stride mass_drift_guard")
     )
     with open(os.path.join(args.out, "diagnostics.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["time", "mass", "energy", "linf", "boundary_amplitude"]
-        )
-        writer.writeheader()
         for i, (_, field, diagnostics) in enumerate(snapshots(u0, run)):
+            if i == 0:  # the diagnostics' keys name the columns
+                writer = csv.DictWriter(fh, fieldnames=list(diagnostics))
+                writer.writeheader()
             writer.writerow(diagnostics)
             write_field(os.path.join(args.out, f"snap_{i:05d}.fnls"), field)
     print(f"wrote {i + 1} snapshots to {args.out}")

@@ -6,7 +6,7 @@ class FnlsError(Exception):
 
 
 class SingularSymbolError(FnlsError):
-    """Singular homogeneous weight requested without zero-mode projection."""
+    """A symbol is not finite somewhere on the wavenumber lattice."""
 
 
 class DyadicScaleError(FnlsError):

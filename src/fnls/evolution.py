@@ -54,9 +54,9 @@ def _propagator(grid, params, t):
     return evaluate_symbol(LinearPropagator(t, params.sigma, params.nu), grid)
 
 
-def linear_propagate(u, t, sigma, nu=1.0):
-    """Exact linear flow: spectrum times exp(i t nu^(2 sigma) |xi|^(2 sigma))."""
-    return apply_multiplier(u, LinearPropagator(t, sigma, nu))
+def linear_propagate(u, t, sigma):
+    """Exact linear flow: spectrum times exp(i t |xi|^(2 sigma))."""
+    return apply_multiplier(u, LinearPropagator(t, sigma))
 
 
 def _rotate(w, t, mu, p):
@@ -202,11 +202,6 @@ def final_state(u0, params, t_end, dt=None):
     for _, u, _ in snapshots(u0, EvolveConfig(params, t_end, dt, snapshot_stride=math.inf)):
         pass
     return u
-
-
-def strang_step(u, dt, params):
-    """linear(dt/2) o nonlinear(dt) o linear(dt/2)."""
-    return final_state(u, params, dt, dt)
 
 
 def scaling_transform(u, lam, params):

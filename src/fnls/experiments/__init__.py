@@ -3,7 +3,7 @@ from .dispersive import frequency_bump, run_dispersive_decay
 from .galilean import run_galilean_error
 from .report import ExperimentReport, loglog_fit
 from .scattering import run_scattering_probe
-from .smalldisp import run_small_dispersion, solve_small_dispersion
+from .smalldisp import run_small_dispersion
 
 __all__ = [
     "DecoherenceConfig",
@@ -16,5 +16,4 @@ __all__ = [
     "run_galilean_error",
     "run_scattering_probe",
     "run_small_dispersion",
-    "solve_small_dispersion",
 ]

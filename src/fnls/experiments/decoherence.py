@@ -155,13 +155,13 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         if save_dir is not None:
             write_field(f"{save_dir}/decohere_a_t0_nu{nu:g}.fnls", fields[("a", 0.0)])
             write_field(f"{save_dir}/decohere_a_tdec_nu{nu:g}.fnls", fields[("a", t_dec)])
-        size_a = sobolev_norm(fields[("a", 0.0)], cfg.s, 2.0, INHOMOGENEOUS)
-        size_ap = sobolev_norm(fields[("a_prime", 0.0)], cfg.s, 2.0, INHOMOGENEOUS)
+        size_a = sobolev_norm(fields[("a", 0.0)], cfg.s, INHOMOGENEOUS)
+        size_ap = sobolev_norm(fields[("a_prime", 0.0)], cfg.s, INHOMOGENEOUS)
         dist0 = sobolev_norm(
-            fields[("a", 0.0)] - fields[("a_prime", 0.0)], cfg.s, 2.0, INHOMOGENEOUS
+            fields[("a", 0.0)] - fields[("a_prime", 0.0)], cfg.s, INHOMOGENEOUS
         )
         distT = sobolev_norm(
-            fields[("a", t_dec)] - fields[("a_prime", t_dec)], cfg.s, 2.0, INHOMOGENEOUS
+            fields[("a", t_dec)] - fields[("a_prime", t_dec)], cfg.s, INHOMOGENEOUS
         )
         inflation = distT / dist0 if dist0 > 0 else np.inf
         correction = (
@@ -192,7 +192,7 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
             for label in ("a", "a_prime"):
                 evolved[label] = final_state(fields[(label, 0.0)], full, t_dec)
             row["true_dist_tdec"] = sobolev_norm(
-                evolved["a"] - evolved["a_prime"], cfg.s, 2.0, INHOMOGENEOUS
+                evolved["a"] - evolved["a_prime"], cfg.s, INHOMOGENEOUS
             )
 
         report.add_row(**row)

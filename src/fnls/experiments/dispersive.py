@@ -85,7 +85,7 @@ def run_dispersive_decay(
         u0 = frequency_bump(grid, N)
         sup_norms = []
         for t in t_grid:
-            ut = linear_propagate(u0, t, sigma, nu=1.0)
+            ut = linear_propagate(u0, t, sigma)
             linf = lebesgue_norm(ut, np.inf)
             sup_norms.append(linf)
             report.add_row(N=N, t=t, linf=linf)

@@ -33,7 +33,6 @@ class ExperimentReport:
     series: list = field(default_factory=list)  # list of row dicts
     fits: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)  # name -> bool
-    notes: list = field(default_factory=list)
 
     @property
     def passed(self):
@@ -50,8 +49,6 @@ class ExperimentReport:
             lines.append(f"fit {k} = {self.fits[k]:.6g}")
         for k, ok in self.checks.items():
             lines.append(f"check {k}: {'PASS' if ok else 'FAIL'}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return lines
 

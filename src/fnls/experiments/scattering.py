@@ -66,7 +66,7 @@ def run_scattering_probe(
 
     for amp in amplitude_list:
         u0 = amp * profile.realize(grid)
-        hc0 = sobolev_norm(u0, s_c, 2.0, INHOMOGENEOUS)
+        hc0 = sobolev_norm(u0, s_c, INHOMOGENEOUS)
         cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=snapshot_stride)
         traj = evolve(u0, cfg)
         report.inputs["snapshots"] = len(traj.times)

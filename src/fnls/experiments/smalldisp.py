@@ -1,19 +1,14 @@
 """Small-dispersion analysis: distance to the explicit zero-dispersion flow."""
 
+import dataclasses
+
 import numpy as np
 
 from ..evolution import final_state, nonlinear_phase
 from ..grid import Grid
-from ..model import ModelParams
 from ..io import write_field
 from ..spectral import HOMOGENEOUS, INHOMOGENEOUS, lebesgue_norm, sobolev_norm
 from .report import ExperimentReport, loglog_fit
-
-
-def solve_small_dispersion(phi0, params, nu, t_eval, dt=None):
-    """Evolve the nu-dispersion equation from phi0 to t_eval."""
-    p = ModelParams(params.d, params.sigma, params.p, params.mu, nu)
-    return final_state(phi0, p, t_eval, dt)
 
 
 def run_small_dispersion(
@@ -60,13 +55,13 @@ def run_small_dispersion(
     errors = []
     hs_raw = []
     for nu in nu_list:
-        phi_nu = solve_small_dispersion(phi0, params, nu, t_eval, dt)
+        phi_nu = final_state(phi0, dataclasses.replace(params, nu=nu), t_eval, dt)
         if save_dir is not None:
             write_field(f"{save_dir}/smalldisp_nu{nu:g}.fnls", phi_nu)
-        err = sobolev_norm(phi_nu - phi_ode, k, 2.0, INHOMOGENEOUS)
+        err = sobolev_norm(phi_nu - phi_ode, k, INHOMOGENEOUS)
         errors.append(err)
         linf = lebesgue_norm(phi_nu, np.inf)
-        hs = sobolev_norm(phi_nu, hs_track, 2.0, HOMOGENEOUS)
+        hs = sobolev_norm(phi_nu, hs_track, HOMOGENEOUS)
         hs_raw.append(hs)
         # Size of phi_nu(t, nu x) via the exact rescaling identity.
         rescaled_hs = nu ** (hs_track - params.d / 2) * hs

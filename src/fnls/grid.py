@@ -1,15 +1,15 @@
 """Periodic computational grids and complex-valued fields on them."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteFieldError
 
-#: Hard cap on the total number of grid points (overridable per grid).
-DEFAULT_MAX_POINTS = 2**24
+#: Hard cap on the total number of grid points.
+MAX_POINTS = 2**24
 
 
 def mode_indices(n):
@@ -61,9 +61,8 @@ class Grid:
     d: int
     n: tuple
     L: tuple
-    max_points: int = field(default=DEFAULT_MAX_POINTS, compare=False)
 
-    def __init__(self, d, n, L, max_points=DEFAULT_MAX_POINTS):
+    def __init__(self, d, n, L):
         if d not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
         n = _as_tuple(n, d, _whole)
@@ -74,12 +73,11 @@ class Grid:
         for Lj in L:
             if not 0 < Lj < np.inf:
                 raise ValueError("extents must be positive and finite")
-        if math.prod(n) > max_points:
-            raise ValueError("total point count exceeds configured maximum")
+        if math.prod(n) > MAX_POINTS:
+            raise ValueError(f"total point count exceeds the maximum of {MAX_POINTS}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "max_points", max_points)
 
     @property
     def shape(self):
@@ -97,10 +95,6 @@ class Grid:
     @property
     def cell_volume(self):
         return float(np.prod(self.dx))
-
-    @property
-    def volume(self):
-        return float(np.prod(self.L))
 
     def axis(self, j):
         """Physical coordinates along axis j."""
@@ -166,12 +160,8 @@ class ComplexField:
             raise ValueError(
                 f"value shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        self.check_finite()
-
-    def check_finite(self):
         if not np.all(np.isfinite(self.values.view(np.float64))):
             raise NonFiniteFieldError("nonfinite field")
-        return self
 
     def copy(self):
         return ComplexField(self.grid, self.values.copy())
@@ -203,7 +193,3 @@ def abs_power(values, q):
     if q != 2:
         np.power(a, q / 2, out=a)
     return a
-
-
-def zeros(grid):
-    return ComplexField(grid, np.zeros(grid.shape, dtype=np.complex128))

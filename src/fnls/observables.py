@@ -1,5 +1,6 @@
 """Conserved quantities, space-time norms and the scattering defect."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,11 +122,6 @@ def _interaction_pairs(snapshots, sigma, source):
         t0, a = t1, b
 
 
-def _hs_norm(spectrum, bessel2, grid):
-    """H^s norm from an unnormalized spectrum; bessel2 = (1 + |xi|^2)^s."""
-    return float(np.sqrt(plancherel(spectrum, bessel2, grid)))
-
-
 def scattering_defect(traj, sigma, s_c):
     """Cauchy increments of the backward-propagated trajectory in H^(s_c).
 
@@ -136,7 +132,7 @@ def scattering_defect(traj, sigma, s_c):
     grid = traj.fields[0].grid
     bessel2 = evaluate_symbol(Bessel(s_c), grid) ** 2
     return [
-        _hs_norm(b - a, bessel2, grid)
+        math.sqrt(plancherel(b - a, bessel2, grid))
         for _, a, b in _interaction_pairs(traj, sigma, lambda v: v)
     ]
 
@@ -157,7 +153,7 @@ def duhamel_defect_increments(traj, sigma, s_c, mu, p):
         return abs_power(v, p - 1) * v * (1j * mu)
 
     return [
-        0.5 * dt * _hs_norm(a + b, bessel2, grid)
+        0.5 * dt * math.sqrt(plancherel(a + b, bessel2, grid))
         for dt, a, b in _interaction_pairs(traj, sigma, nonlinearity)
     ]
 

@@ -27,5 +27,5 @@ class ProfileSpec:
 
 
 def gaussian(grid, width=1.0, amplitude=1.0, center=None):
-    spec = ProfileSpec(width, amplitude, tuple(center) if center else ())
+    spec = ProfileSpec(width, amplitude, tuple(center) if center is not None else ())
     return spec.realize(grid)

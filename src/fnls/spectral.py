@@ -1,5 +1,7 @@
 """Multiplier application, projections, norms, shifts and rescaling."""
 
+import math
+
 import numpy as np
 
 from .errors import DyadicScaleError, OffLatticeError, RescaleAliasingError
@@ -8,6 +10,9 @@ from .symbols import Bessel, LpCutoff, Riesz, evaluate_symbol
 
 HOMOGENEOUS = "HOMOGENEOUS"
 INHOMOGENEOUS = "INHOMOGENEOUS"
+
+#: Largest fraction of spectral energy that rescale may truncate away.
+RESCALE_ALIAS_TOL = 1e-12
 
 
 def fft(field):
@@ -60,17 +65,16 @@ def plancherel(spectrum, weight2, grid):
     return float(total / grid.total_points * grid.cell_volume)
 
 
-def sobolev_norm(u, s, r=2.0, homogeneity=INHOMOGENEOUS):
-    """W^(s,r) norm: spectral weight (Bessel or Riesz) then L^r quadrature."""
+def sobolev_norm(u, s, homogeneity=INHOMOGENEOUS):
+    """H^s (Bessel) or Hdot^s (Riesz) norm by Plancherel: one forward FFT."""
     if homogeneity == INHOMOGENEOUS:
         spec = Bessel(s)
     elif homogeneity == HOMOGENEOUS:
         spec = Riesz(s)
     else:
         raise ValueError(f"unknown homogeneity {homogeneity!r}")
-    if s == 0:
-        return lebesgue_norm(u, r)
-    return lebesgue_norm(apply_multiplier(u, spec), r)
+    weight = evaluate_symbol(spec, u.grid)
+    return math.sqrt(plancherel(fft(u), weight**2, u.grid))
 
 
 def round_velocity(grid, v):
@@ -116,14 +120,14 @@ def galilean_boost(u, v, t, sigma):
     return ComplexField(out.grid, np.exp(1j * phase) * out.values)
 
 
-def rescale(u, beta, n_target=None, alias_tol=1e-12):
+def rescale(u, beta, n_target=None):
     """Return the field x -> u(beta x) on the box with extents L/beta.
 
     Spectral content moves rigidly: mode m of the source becomes mode m of
     the target (frequency k -> beta k on the wider/narrower box), so the
     operation is a spectral pad/truncate plus a box reinterpretation and is
     exact for band-limited data. Truncation that would discard more than
-    alias_tol of the spectral energy raises RescaleAliasingError.
+    RESCALE_ALIAS_TOL of the spectral energy raises RescaleAliasingError.
     """
     grid = u.grid
     if beta <= 0:
@@ -139,7 +143,7 @@ def rescale(u, beta, n_target=None, alias_tol=1e-12):
     total = np.sum(abs_power(src, 2))
     if total > 0:
         discarded = 1.0 - np.sum(abs_power(kept, 2)) / total
-        if discarded > alias_tol:
+        if discarded > RESCALE_ALIAS_TOL:
             raise RescaleAliasingError(
                 f"rescale aliasing: {discarded:.3e} of spectral energy beyond target Nyquist"
             )

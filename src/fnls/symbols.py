@@ -46,11 +46,8 @@ class Riesz:
     """Homogeneous weight |xi|^s with the zero mode projected out."""
 
     s: float
-    project_zero: bool = True
 
     def evaluate(self, grid):
-        if self.s < 0 and not self.project_zero:
-            raise SingularSymbolError("singular symbol at zero mode")
         k = grid.k_abs
         with np.errstate(divide="ignore"):
             m = np.where(k > 0, k**self.s, 0.0 if self.s != 0 else 1.0)

@@ -4,7 +4,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fnls.spectral import fft, plancherel
+from fnls.spectral import (
+    INHOMOGENEOUS,
+    apply_multiplier,
+    fft,
+    lebesgue_norm,
+    plancherel,
+)
+from fnls.symbols import Bessel, Riesz
 
 
 @dataclass(frozen=True)
@@ -24,3 +31,9 @@ def spectral_l2_norm(u, weights=None):
     """L^2 norm computed on the spectral side (Plancherel)."""
     w = 1.0 if weights is None else weights**2
     return float(np.sqrt(plancherel(fft(u), w, u.grid)))
+
+
+def physical_sobolev_norm(u, s, homogeneity=INHOMOGENEOUS):
+    """H^s norm in physical space: the weight's multiplier round trip, then L^2 quadrature."""
+    spec = Bessel(s) if homogeneity == INHOMOGENEOUS else Riesz(s)
+    return lebesgue_norm(apply_multiplier(u, spec), 2.0)

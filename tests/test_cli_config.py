@@ -1,5 +1,6 @@
 """The CLI's config table: strict typing, required keys, and what each subcommand reads."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +8,7 @@ import fnls.cli as cli
 import fnls.experiments as exp
 from fnls.cli import CONFIG_KEYS, KEY_TYPES, _load_config, main
 from fnls.config import load_config
-from fnls.grid import Grid, zeros
+from fnls.grid import ComplexField, Grid
 from fnls.soliton import SolitonResult
 
 # A valid value for every key, as config text.
@@ -155,7 +156,8 @@ def test_cli_passes_on_every_listed_key(tmp_path, monkeypatch, command):
     monkeypatch.setattr(cli, "snapshots", _stop)
     monkeypatch.setattr(cli, "traveling_wave_check", _stop)
     monkeypatch.setattr(cli, "write_field", lambda *args: None)
-    solved = SolitonResult(zeros(Grid(1, 64, 20.0)), [0.0], [1.0], converged=True)
+    Q = ComplexField(Grid(1, 64, 20.0), np.zeros(64))
+    solved = SolitonResult(Q, [0.0], [1.0], converged=True)
     monkeypatch.setattr(cli, "petviashvili_solve", lambda *args: solved)
     for name in exp.__all__:
         if name.startswith("run_"):

@@ -22,7 +22,6 @@ from fnls.evolution import (
     linear_propagate,
     nonlinear_phase,
     snapshots,
-    strang_step,
 )
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
@@ -144,7 +143,7 @@ def test_strang_step_is_one_evolve_step():
     grid = Grid(2, 32, 8 * np.pi)
     params = ModelParams(2, 0.75, 2.5, -1, 1.0)
     u0 = gaussian(grid, width=1.5)
-    stepped = strang_step(u0, 0.01, params)
+    stepped = final_state(u0, params, 0.01, 0.01)
     evolved = evolve(u0, EvolveConfig(params, t_end=0.01, dt=0.01)).final
     composed = linear_propagate(
         nonlinear_phase(linear_propagate(u0, 0.005, 0.75), 0.01, -1, 2.5), 0.005, 0.75

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fnls.grid import ComplexField, Grid, mode_indices, zeros
+from fnls.grid import ComplexField, Grid, mode_indices
 from fnls.io import read_field, write_field
+from fnls.profiles import gaussian
 
 
 def test_grid_scalar_arguments_broadcast():
@@ -25,7 +26,7 @@ def test_grid_rejects_bad_sizes():
     with pytest.raises(ValueError):
         Grid(4, 8, 10.0)  # dimension out of range
     with pytest.raises(ValueError):
-        Grid(3, 1024, 10.0)  # exceeds max_points
+        Grid(3, 1024, 10.0)  # exceeds MAX_POINTS
 
 
 def test_wavenumber_layout_matches_fft_convention():
@@ -67,6 +68,16 @@ def test_grid_coordinates_center_the_box():
     assert g.cell_volume == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_takes_the_center_as_a_tuple_or_an_array(d):
+    g = Grid(d, 16, 8.0)
+    center = np.array([0.5, -0.25, 1.0][:d])
+    u = gaussian(g, width=1.5, amplitude=2.0, center=center)
+    r2 = sum((xj - cj) ** 2 for xj, cj in zip(g.x, center))
+    assert np.array_equal(u.values, 2.0 * np.exp(-r2 / (2 * 1.5**2)))
+    assert np.array_equal(u.values, gaussian(g, 1.5, 2.0, tuple(center)).values)
+
+
 def test_complex_field_requires_finite_values():
     g = Grid(1, 8, 1.0)
     bad = np.full(8, np.nan, dtype=complex)
@@ -97,7 +108,7 @@ def test_fnls1_round_trip(tmp_path):
 
 def test_fnls1_header_layout(tmp_path):
     g = Grid(1, 8, 2.5)
-    u = zeros(g)
+    u = ComplexField(g, np.zeros(g.shape))
     path = tmp_path / "field.fnls"
     write_field(path, u)
     raw = path.read_bytes()

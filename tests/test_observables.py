@@ -48,7 +48,7 @@ def test_energy_matches_direct_spectral_sum():
 def test_kinetic_energy_conserved_by_linear_flow():
     sigma = 0.75
     u = gaussian(GRID, amplitude=0.7)
-    ut = linear_propagate(u, 0.8, sigma, nu=1.0)
+    ut = linear_propagate(u, 0.8, sigma)
     # the propagator is unimodular in spectrum, so the sigma-Riesz
     # kinetic term is exactly invariant (mu = 0 kills the potential part)
     kin0 = 0.5 * (energy(u, sigma, 1, 3) + energy(u, sigma, -1, 3))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fnls.errors import DyadicScaleError, OffLatticeError, RescaleAliasingError
 from fnls.grid import ComplexField, Grid
+from fnls.profiles import gaussian
 from fnls.spectral import (
     HOMOGENEOUS,
     INHOMOGENEOUS,
@@ -23,7 +24,7 @@ from fnls.spectral import (
     spatial_shift,
 )
 from fnls.symbols import FractionalLaplacian, LpCutoff, evaluate_symbol
-from references import spectral_l2_norm
+from references import physical_sobolev_norm, spectral_l2_norm
 
 
 def _random_field(grid, seed=0):
@@ -88,22 +89,50 @@ def test_lebesgue_norm_closed_form():
     assert lebesgue_norm(u, np.inf) == pytest.approx(1.0)
 
 
-def test_sobolev_norm_against_direct_spectral_sum():
-    g = Grid(1, 32, 9.0)
-    u = _random_field(g, 11)
-    s = 0.7
-    spec = np.fft.fftn(u.values) / u.values.size
+SOBOLEV_GRIDS = {
+    "1d4096": Grid(1, 4096, 128 * np.pi),
+    "2d256": Grid(2, 256, 16 * np.pi),
+    "3d64": Grid(3, 64, 8 * np.pi),
+}
+
+
+@pytest.mark.parametrize("homogeneity", [INHOMOGENEOUS, HOMOGENEOUS])
+@pytest.mark.parametrize("s", [-0.25, 0.0, 1 / 6, 1.0])
+@pytest.mark.parametrize("size", list(SOBOLEV_GRIDS))
+def test_sobolev_norm_against_direct_spectral_sum(size, s, homogeneity):
+    g = SOBOLEV_GRIDS[size]
+    u = gaussian(g, width=1.5, center=np.full(g.d, 0.3)) + 0.1 * _random_field(g, 11)
+    spec = np.fft.fftn(u.values) / g.total_points
     k = g.k_abs
-    direct_inhom = np.sqrt(np.sum((1 + k**2) ** s * np.abs(spec) ** 2) * g.L[0])
-    direct_hom = np.sqrt(np.sum(k ** (2 * s) * np.abs(spec) ** 2) * g.L[0])
-    assert sobolev_norm(u, s, 2.0, INHOMOGENEOUS) == pytest.approx(direct_inhom, rel=1e-12)
-    assert sobolev_norm(u, s, 2.0, HOMOGENEOUS) == pytest.approx(direct_hom, rel=1e-12)
+    if homogeneity == INHOMOGENEOUS:
+        weight2 = (1 + k**2) ** s
+    else:
+        with np.errstate(divide="ignore"):
+            weight2 = np.where(k > 0, k ** (2 * s), 0.0 if s != 0 else 1.0)
+    direct = np.sqrt(np.sum(weight2 * np.abs(spec) ** 2) * np.prod(g.L))
+    got = sobolev_norm(u, s, homogeneity)
+    assert got == pytest.approx(direct, rel=1e-13)
+    assert got == pytest.approx(physical_sobolev_norm(u, s, homogeneity), rel=1e-13)
+
+
+def test_sobolev_norm_is_one_forward_fft(monkeypatch):
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    u = _random_field(Grid(2, 16, 4.0), 7)
+    for homogeneity in (INHOMOGENEOUS, HOMOGENEOUS):
+        sobolev_norm(u, 0.5, homogeneity=homogeneity)
+    assert calls == {"fftn": 2, "ifftn": 0}
 
 
 def test_negative_order_sobolev_norm_is_finite():
     g = Grid(1, 64, 12.0)
     u = _random_field(g, 2)
-    val = sobolev_norm(u, -0.25, 2.0, INHOMOGENEOUS)
+    val = sobolev_norm(u, -0.25, INHOMOGENEOUS)
     assert np.isfinite(val) and val > 0
 
 

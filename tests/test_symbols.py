@@ -45,9 +45,9 @@ def test_riesz_zero_mode_projected():
     assert np.all(np.isfinite(r))
 
 
-def test_riesz_negative_order_requires_projection():
-    with pytest.raises(SingularSymbolError):
-        evaluate_symbol(Riesz(-0.5, project_zero=False), GRID)
+def test_symbol_not_finite_on_the_lattice_is_rejected():
+    with np.errstate(divide="ignore"), pytest.raises(SingularSymbolError, match="not finite"):
+        evaluate_symbol(FractionalLaplacian(-0.25), GRID)  # |0|^(-1/2)
 
 
 def test_smooth_step_plateaus():
