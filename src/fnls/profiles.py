@@ -15,6 +15,10 @@ class ProfileSpec:
     amplitude: float = 1.0
     center: tuple = ()
 
+    def __post_init__(self):
+        # A tuple keeps the spec hashable and its truth test unambiguous.
+        object.__setattr__(self, "center", tuple(self.center))
+
     def realize(self, grid):
         center = self.center if self.center else (0.0,) * grid.d
         if len(center) != grid.d:
@@ -26,6 +30,5 @@ class ProfileSpec:
         return ComplexField(grid, vals.astype(np.complex128))
 
 
-def gaussian(grid, width=1.0, amplitude=1.0, center=None):
-    spec = ProfileSpec(width, amplitude, tuple(center) if center is not None else ())
-    return spec.realize(grid)
+def gaussian(grid, width=1.0, amplitude=1.0, center=()):
+    return ProfileSpec(width, amplitude, center).realize(grid)

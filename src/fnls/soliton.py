@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoercivityError, StagnationError
-from .grid import ComplexField, abs_power
+from .grid import ComplexField, abs_power, axis_vector
 from .model import ModelParams
 from .spectral import galilean_boost, modulate, round_velocity
 from .symbols import SolitonSymbol, evaluate_symbol
@@ -28,8 +28,8 @@ class SolitonConfig:
     def __post_init__(self):
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        if not self.v:
-            self.v = (0.0,) * self.params.d
+        d = self.params.d
+        self.v = tuple(axis_vector(self.v, d).tolist()) if np.size(self.v) else (0.0,) * d
         g = self.gamma if self.gamma is not None else self.params.p / (self.params.p - 1)
         if not 1 < g < self.params.p:
             raise ValueError("gamma must lie in (1, p)")
@@ -68,20 +68,25 @@ def _relative_residual(vals, lin, nl):
 
 
 def soliton_residual(Q, cfg):
-    """Relative L^2 residual of the profile equation."""
+    """Relative L^2 residual of the profile equation, both terms taken directly."""
     symbol, _ = soliton_symbol_on_grid(cfg, Q.grid)
     shifted = symbol + cfg.omega ** (2 * cfg.params.sigma)
     return _relative_residual(Q.values, *_profile_terms(Q.values, shifted, cfg.params.p))
 
 
 def petviashvili_solve(cfg, seed):
-    """Fixed-point iteration with stabilization factor M_n.
+    """Fixed-point iteration with stabilization factor M_n, one FFT pair per iteration.
 
     Q_{n+1} = M_n^gamma (p_v + omega^(2 sigma))^(-1) [|Q_n|^(p-1) Q_n],
     M_n = <(p_v + omega^(2 sigma)) Q_n, Q_n> / <|Q_n|^(p-1) Q_n, Q_n>.
 
-    The symbol is evaluated once per solve, and both terms of the profile
-    equation at Q_n serve the residual of step n - 1 and the update of step n.
+    The symbol is evaluated once per solve. Applying p_v + omega^(2 sigma)
+    to the update undoes its division, so the linear term at Q_{n+1} is
+    M_n^gamma |Q_n|^(p-1) Q_n up to roundoff and is taken in that form. Only
+    the seed's linear term costs an FFT pair of its own; after it, each
+    iteration runs the update's pair and the pointwise |Q|^(p-1) Q, and both
+    terms at Q_n serve the residual of step n - 1 and the update of step n.
+    `soliton_residual` keeps the direct two-FFT form.
     """
     params = cfg.params
     grid = seed.grid
@@ -105,9 +110,14 @@ def petviashvili_solve(cfg, seed):
         if den == 0 or not np.isfinite(num / den):
             raise StagnationError("stagnation: degenerate seed (zero nonlinear pairing)")
         M = num / den
-        new_vals = (M**cfg.gamma) * np.fft.ifftn(np.fft.fftn(nl) / shifted)
+        scale = M**cfg.gamma
+        new_vals = np.fft.fftn(nl)
+        new_vals /= shifted
+        np.fft.ifftn(new_vals, out=new_vals)
+        new_vals *= scale
         Q = ComplexField(grid, new_vals)
-        lin, nl = _profile_terms(Q.values, shifted, params.p)
+        lin = scale * nl
+        nl = abs_power(Q.values, params.p - 1) * Q.values
         res = _relative_residual(Q.values, lin, nl)
         result.residual_history.append(res)
         result.stabilization_history.append(M)

@@ -79,7 +79,7 @@ def sobolev_norm(u, s, homogeneity=INHOMOGENEOUS):
 
 def round_velocity(grid, v):
     """Round v to the nearest lattice-commensurate vector (2 pi m / L_j)."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = axis_vector(v, grid.d)
     return np.array(
         [2 * np.pi * round(vj * Lj / (2 * np.pi)) / Lj for vj, Lj in zip(v, grid.L)]
     )

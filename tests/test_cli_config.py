@@ -122,6 +122,13 @@ def test_cli_rejects_keys_a_subcommand_never_reads(tmp_path, command, key):
         _run(tmp_path, command, f"sigma = 0.75\n{key} = {VALID[key]}\n")
 
 
+def test_soliton_rejects_a_velocity_with_the_wrong_number_of_components(tmp_path):
+    text = "d = 2\nsigma = 0.75\np = 3\nmu = -1\nn = 32\nL = 20\nv = 0.5, 0, 0.7\n"
+    with pytest.raises(ValueError, match="velocity must have 2 components"):
+        _run(tmp_path, "soliton", text)
+    assert not (tmp_path / "out").exists()
+
+
 class _Recording(dict):
     """A config that records the keys the CLI reads from it."""
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from fnls.grid import ComplexField, Grid, mode_indices
 from fnls.io import read_field, write_field
-from fnls.profiles import gaussian
+from fnls.profiles import ProfileSpec, gaussian
 
 
 def test_grid_scalar_arguments_broadcast():
@@ -76,6 +76,16 @@ def test_gaussian_takes_the_center_as_a_tuple_or_an_array(d):
     r2 = sum((xj - cj) ** 2 for xj, cj in zip(g.x, center))
     assert np.array_equal(u.values, 2.0 * np.exp(-r2 / (2 * 1.5**2)))
     assert np.array_equal(u.values, gaussian(g, 1.5, 2.0, tuple(center)).values)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_profile_spec_takes_an_array_center(d):
+    g = Grid(d, 16, 8.0)
+    center = [0.5, -0.25, 1.0][:d]
+    spec = ProfileSpec(width=1.5, center=np.array(center))
+    assert spec == ProfileSpec(width=1.5, center=tuple(center))
+    assert hash(spec) == hash(ProfileSpec(width=1.5, center=tuple(center)))
+    assert np.array_equal(spec.realize(g).values, gaussian(g, 1.5, center=center).values)
 
 
 def test_complex_field_requires_finite_values():
