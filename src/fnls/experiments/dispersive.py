@@ -15,9 +15,9 @@ prefactor.
 import numpy as np
 
 from ..errors import WrapAroundError
-from ..grid import ComplexField, Grid
+from ..grid import Grid
 from ..evolution import linear_propagate
-from ..spectral import lebesgue_norm
+from ..spectral import field_from_spectrum, lebesgue_norm
 from ..io import write_field
 from .report import ExperimentReport, loglog_fit
 
@@ -30,8 +30,7 @@ def frequency_bump(grid, N):
     """Unit-L^1 bump with spectrum exp(-(|xi| - N)^2 / (2 N^2))."""
     k_abs = grid.k_abs
     spectrum = np.exp(-((k_abs - N) ** 2) / (2.0 * N**2))
-    vals = np.fft.ifftn(spectrum.astype(complex))
-    field = ComplexField(grid, vals)
+    field = field_from_spectrum(grid, spectrum)
     return (1.0 / lebesgue_norm(field, 1.0)) * field
 
 

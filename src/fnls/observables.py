@@ -7,7 +7,15 @@ import numpy as np
 
 from .exponents import is_admissible
 from .grid import ComplexField, abs_power
-from .spectral import apply_multiplier, lebesgue_norm, plancherel, resolvable_scales
+from .spectral import (
+    BandMultiplier,
+    apply_multiplier,
+    fft,
+    fft_values,
+    lebesgue_norm,
+    plancherel,
+    resolvable_scales,
+)
 from .symbols import (
     Bessel,
     FractionalLaplacian,
@@ -63,21 +71,24 @@ def spacetime_norm(snapshots, spec):
     PLAIN: L^q in time of the W^(s,r) norm of the derivative-loss-weighted
     field. TILDE: l^2 over resolvable dyadic bands of the per-band PLAIN
     norm. Each band is one multiplier (weight x Bessel(s) x LP cutoff),
-    evaluated once per call; a snapshot costs one forward FFT plus one
-    inverse FFT per band, and none is kept.
+    evaluated once per call and held as a `BandMultiplier`: only the box
+    of FFT-order slices that holds its nonzeros is stored. A snapshot costs
+    one forward FFT into a held buffer and, per band, an inverse transform
+    that skips the lines outside the band's box, which are zero. No field
+    is kept.
     """
     times = []
     for t, u in snapshots:
         if not times:  # the first snapshot's grid sets the bands
             grid = u.grid
             spec.validate(grid.d)
-            bands = _spacetime_bands(grid, spec)
+            bands = [BandMultiplier(m) for m in _spacetime_bands(grid, spec)]
             vals = [[] for _ in bands]
-            work = np.empty(grid.shape, dtype=np.complex128)
-        uh = np.fft.fftn(u.values)
-        for b, m in enumerate(bands):
-            np.multiply(m, uh, out=work)
-            np.fft.ifftn(work, out=work)
+            uh = np.empty(grid.shape, dtype=np.complex128)
+            work = np.empty_like(uh)
+        fft_values(u.values, out=uh)
+        for b, band in enumerate(bands):
+            band.inverse(uh, work)
             vals[b].append(lebesgue_norm(ComplexField(grid, work), spec.r))
         times.append(t)
     if not times:
@@ -89,13 +100,15 @@ def spacetime_norm(snapshots, spec):
 
 
 def _spacetime_bands(grid, spec):
-    """The multiplier of each band spacetime_norm sums over."""
+    """Yield the multiplier of each band spacetime_norm sums over, one at a time."""
     weight = evaluate_symbol(StrichartzWeight(spec.r, grid.d, spec.sigma), grid)
     if spec.s != 0:
         weight = weight * evaluate_symbol(Bessel(spec.s), grid)
     if spec.variant == PLAIN:
-        return [weight]
-    return [weight * evaluate_symbol(LpCutoff(N), grid) for N in resolvable_scales(grid)]
+        yield weight
+        return
+    for N in resolvable_scales(grid):
+        yield weight * evaluate_symbol(LpCutoff(N), grid)
 
 
 def _interaction_pairs(snapshots, sigma, source):
@@ -111,7 +124,7 @@ def _interaction_pairs(snapshots, sigma, source):
     """
     a = phase_dt = None
     for t1, u in snapshots:
-        b = np.fft.fftn(source(u.values))
+        b = fft_values(source(u.values))
         if a is None:
             laplacian = evaluate_symbol(FractionalLaplacian(sigma), u.grid)
         else:
@@ -160,8 +173,7 @@ def duhamel_defect_increments(traj, sigma, s_c, mu, p):
 
 def lp_band_energy_fraction(u, k_threshold):
     """Fraction of spectral energy at |xi| >= k_threshold (aliasing monitor)."""
-    uh = np.fft.fftn(u.values)
-    e = abs_power(uh, 2)
+    e = abs_power(fft(u), 2)
     total = float(np.sum(e))
     if total == 0:
         return 0.0

@@ -1,5 +1,6 @@
 """Multiplier application, projections, norms, shifts and rescaling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,13 +16,25 @@ INHOMOGENEOUS = "INHOMOGENEOUS"
 RESCALE_ALIAS_TOL = 1e-12
 
 
+def fft_values(values, out=None):
+    """Forward transform of an array (unnormalized), into out or a new array.
+
+    numpy's fftn given no output array allocates one for every axis it
+    transforms; with one, the values are bitwise the same.
+    """
+    if out is None:
+        out = np.empty(np.shape(values), dtype=np.complex128)
+    return np.fft.fftn(values, out=out)
+
+
 def fft(field):
     """Forward transform of the sample array (unnormalized)."""
-    return np.fft.fftn(field.values)
+    return fft_values(field.values)
 
 
 def field_from_spectrum(grid, spectrum):
-    return ComplexField(grid, np.fft.ifftn(spectrum))
+    out = np.empty(np.shape(spectrum), dtype=np.complex128)
+    return ComplexField(grid, np.fft.ifftn(spectrum, out=out))
 
 
 def apply_multiplier(u, spec):
@@ -51,18 +64,69 @@ def littlewood_paley_project(u, N):
 
 
 def lebesgue_norm(u, r):
-    """L^r norm by rectangle-rule quadrature; r = inf returns max |u|."""
+    """L^r norm by rectangle-rule quadrature; r = inf returns max |u| as sqrt(max |u|^2)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if np.isinf(r):
-        return float(np.max(np.abs(u.values)))
+        return math.sqrt(float(np.max(abs_power(u.values, 2))))
     return float((np.sum(abs_power(u.values, r)) * u.grid.cell_volume) ** (1.0 / r))
 
 
 def plancherel(spectrum, weight2, grid):
     """Integral of |v|^2 where v has unnormalized spectrum sqrt(weight2) * spectrum."""
-    total = np.sum(weight2 * abs_power(spectrum, 2))
-    return float(total / grid.total_points * grid.cell_volume)
+    a = abs_power(spectrum, 2)
+    a *= weight2
+    return float(np.sum(a) / grid.total_points * grid.cell_volume)
+
+
+def _axis_box(support):
+    """FFT-order slices of an axis that hold the modes |m| <= K.
+
+    K is the largest |m| at which support is True; the box is the whole
+    axis when 2K + 1 >= n, and empty when support is nowhere True.
+    """
+    n = support.size
+    if not support.any():
+        return []
+    K = int(np.max(np.abs(mode_indices(n)[support])))
+    if 2 * K + 1 >= n:
+        return [slice(0, n)]
+    if K == 0:
+        return [slice(0, 1)]
+    return [slice(0, K + 1), slice(n - K, n)]
+
+
+class BandMultiplier:
+    """A real Fourier multiplier held only on the box that holds its nonzeros.
+
+    Per axis, the box covers the modes |m| <= K, K the largest |m| at which
+    the multiplier is nonzero: one or two FFT-order slices. The multiplier
+    is stored as the blocks of that box. `inverse` transforms the axes in
+    order, axis j over only the lines whose later axes lie in the box (its
+    earlier axes are already transformed): axis 0, the strided and
+    costliest pass, transforms the fewest lines and the last axis all of
+    them. Every skipped line is zero and stays zero, so the result is the
+    inverse FFT of (multiplier x spectrum) up to the order of its roundoff.
+    """
+
+    def __init__(self, m):
+        nonzero = m != 0
+        axes = range(m.ndim)
+        self.box = [
+            _axis_box(np.any(nonzero, axis=tuple(k for k in axes if k != j))) for j in axes
+        ]
+        self.blocks = [(idx, m[idx].copy()) for idx in itertools.product(*self.box)]
+
+    def inverse(self, spectrum, out):
+        """out <- inverse FFT of (multiplier x spectrum); returns out."""
+        out.fill(0)
+        for idx, m in self.blocks:
+            np.multiply(m, spectrum[idx], out=out[idx])
+        for j in range(out.ndim):
+            for later in itertools.product(*self.box[j + 1 :]):
+                lines = out[(slice(None),) * (j + 1) + later]
+                np.fft.ifft(lines, axis=j, out=lines)
+        return out
 
 
 def sobolev_norm(u, s, homogeneity=INHOMOGENEOUS):

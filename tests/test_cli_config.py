@@ -129,6 +129,16 @@ def test_soliton_rejects_a_velocity_with_the_wrong_number_of_components(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line, match", [("max_iter = 0", "max_iter must be >= 1"), ("tol = 0", "tol must be positive")]
+)
+def test_soliton_rejects_an_empty_iteration_budget_before_solving(tmp_path, line, match):
+    text = f"sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\n{line}\n"
+    with pytest.raises(ValueError, match=match):
+        _run(tmp_path, "soliton", text)
+    assert not (tmp_path / "out").exists()
+
+
 class _Recording(dict):
     """A config that records the keys the CLI reads from it."""
 

@@ -27,6 +27,7 @@ from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.observables import energy, mass
 from fnls.profiles import gaussian
+from fnls.spectral import lebesgue_norm
 from fnls.symbols import LinearPropagator, evaluate_symbol
 
 FIELD_TOL = 1e-12
@@ -137,6 +138,10 @@ def test_fused_evolve_matches_unfused_loop(case):
         # energy of the stored field.
         e = energy(u, params.sigma, params.mu, params.p)
         assert abs(got["energy"] - e) <= ENERGY_TOL * abs(e)
+        # Mass and L^inf share one |u|^2 array; they are the mass and L^inf
+        # kernels' values bit for bit.
+        assert got["mass"] == mass(u)
+        assert got["linf"] == lebesgue_norm(u, np.inf)
 
 
 def test_strang_step_is_one_evolve_step():

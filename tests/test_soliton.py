@@ -68,6 +68,22 @@ def test_gamma_validation():
         _config(gamma=1.0)
 
 
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1.0}, "tol must be positive"),
+        ({"tol": float("nan")}, "tol must be positive"),
+    ],
+)
+def test_iteration_budget_and_tolerance_are_validated(kw, match):
+    with pytest.raises(ValueError, match=match):
+        _config(**kw)
+    assert _config(max_iter=1).max_iter == 1
+
+
 def test_traveling_wave_closes_under_evolution():
     cfg = _config()
     res = petviashvili_solve(cfg, SEED)

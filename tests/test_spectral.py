@@ -11,9 +11,11 @@ from fnls.profiles import gaussian
 from fnls.spectral import (
     HOMOGENEOUS,
     INHOMOGENEOUS,
+    BandMultiplier,
     apply_multiplier,
     field_from_spectrum,
     fft,
+    fft_values,
     lebesgue_norm,
     littlewood_paley_project,
     modulate,
@@ -54,6 +56,69 @@ def test_fft_round_trip():
     u = _random_field(g, 3)
     v = field_from_spectrum(g, fft(u))
     assert np.allclose(v.values, u.values, atol=1e-13)
+
+
+ONE_OFF_GRIDS = [Grid(1, 64, 9.0), Grid(2, (16, 32), (5.0, 7.0)), Grid(3, (8, 16, 8), (3.0, 4.0, 5.0))]
+
+
+@pytest.mark.parametrize("g", ONE_OFF_GRIDS, ids=["1d", "2d", "3d"])
+def test_one_off_transforms_into_an_output_buffer_are_bitwise_numpys(g):
+    u = _random_field(g, 4)
+    assert np.array_equal(fft(u), np.fft.fftn(u.values))
+    held = np.empty(g.shape, dtype=np.complex128)
+    assert fft_values(u.values, out=held) is held
+    assert np.array_equal(held, np.fft.fftn(u.values))
+    spectrum = _random_field(g, 5).values
+    assert np.array_equal(field_from_spectrum(g, spectrum).values, np.fft.ifftn(spectrum))
+
+
+def _box_multiplier(shape, half_widths):
+    """Random real multiplier on a box of mode numbers m.
+
+    Per axis: None is the whole axis and K is |m| <= K.
+    """
+    m = np.random.default_rng(7).uniform(0.5, 1.5, shape)
+    for j, (n, K) in enumerate(zip(shape, half_widths)):
+        if K is not None:
+            modes = np.fft.fftfreq(n, 1.0 / n)
+            m[(slice(None),) * j + (np.abs(modes) > K,)] = 0.0
+    return m
+
+
+# (shape, half-width per axis, box size per axis): bands that span a whole
+# axis, bands with K = 0 (only the zero mode), and an unpruned one.
+BAND_CASES = {
+    "1d-wraps": ((64,), (5,), [11]),
+    "2d-whole-axis-0": ((32, 64), (None, 3), [32, 7]),
+    "2d-k0-on-axis-1": ((32, 64), (4, 0), [9, 1]),
+    "3d-k0-and-whole-axis": ((8, 16, 32), (0, None, 3), [1, 16, 7]),
+    "3d-unpruned": ((8, 16, 8), (None, None, None), [8, 16, 8]),
+}
+
+
+@pytest.mark.parametrize("case", BAND_CASES, ids=list(BAND_CASES))
+def test_band_multiplier_matches_the_full_inverse_transform(case):
+    shape, half_widths, sizes = BAND_CASES[case]
+    m = _box_multiplier(shape, half_widths)
+    band = BandMultiplier(m)
+    assert [sum(s.stop - s.start for s in b) for b in band.box] == sizes
+    spectrum = np.random.default_rng(8).normal(size=shape + (2,)) @ [1, 1j]
+    want = np.fft.ifftn(m * spectrum)
+    got = band.inverse(spectrum, np.full(shape, np.nan, dtype=np.complex128))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_band_box_covers_a_support_on_negative_modes_alone():
+    m = np.zeros(16)
+    m[-3] = 1.0  # mode -3 only: the box is |m| <= 3
+    assert BandMultiplier(m).box == [[slice(0, 4), slice(13, 16)]]
+
+
+def test_band_multiplier_of_a_zero_multiplier_has_an_empty_box():
+    band = BandMultiplier(np.zeros((8, 16)))
+    assert band.box == [[], []] and band.blocks == []
+    out = band.inverse(np.ones((8, 16), dtype=np.complex128), np.empty((8, 16), dtype=complex))
+    assert not np.any(out)
 
 
 def test_apply_multiplier_matches_direct_dft_sum():

@@ -25,7 +25,12 @@ from fnls.observables import (
     spacetime_norm,
 )
 from fnls.profiles import gaussian
-from fnls.spectral import apply_multiplier, littlewood_paley_project, resolvable_scales
+from fnls.spectral import (
+    BandMultiplier,
+    apply_multiplier,
+    littlewood_paley_project,
+    resolvable_scales,
+)
 from fnls.symbols import (
     Bessel,
     LinearPropagator,
@@ -109,8 +114,13 @@ def _max_rel(got, want):
 
 GRID_1D = Grid(1, 256, 16 * np.pi)
 GRID_2D = Grid(2, (32, 64), (8 * np.pi, 12 * np.pi))
+# Unequal in n and L. Its lowest TILDE band holds only the zero mode of
+# axis 0 (K = 0), its band N = 2 spans axes 1 and 2 whole and is pruned on
+# axis 0, and its top band is not pruned at all.
+GRID_3D = Grid(3, (16, 32, 16), (3 * np.pi, 10 * np.pi, 8 * np.pi))
 PARAMS_1D = ModelParams(1, 0.75, 7, 1, 1.0)
 PARAMS_2D = ModelParams(2, 0.8, 5, -1, 1.0)
+PARAMS_3D = ModelParams(3, 0.75, 3, 1, 1.0)
 
 
 def _traj(grid, params, amplitude, t_end=0.205, dt=1e-2, stride=2):
@@ -120,7 +130,8 @@ def _traj(grid, params, amplitude, t_end=0.205, dt=1e-2, stride=2):
 
 
 # (grid, params, q, r, s): every admissible r of {2, 4, inf} in 1D and 2D
-# (the 2D endpoint (2, inf) is not admissible), with s = 0 and s != 0.
+# (the 2D endpoint (2, inf) is not admissible), and r = 2, 3 in 3D, with
+# s = 0 and s != 0.
 NORM_CASES = {
     "1d-r2-s0": (GRID_1D, PARAMS_1D, np.inf, 2.0, 0.0),
     "1d-r4-s0.5": (GRID_1D, PARAMS_1D, 8.0, 4.0, 0.5),
@@ -129,7 +140,60 @@ NORM_CASES = {
     "2d-r2-s0.25": (GRID_2D, PARAMS_2D, np.inf, 2.0, 0.25),
     "2d-r4-s0": (GRID_2D, PARAMS_2D, 4.0, 4.0, 0.0),
     "2d-r4-s1": (GRID_2D, PARAMS_2D, 4.0, 4.0, 1.0),
+    "3d-r3-s0": (GRID_3D, PARAMS_3D, 4.0, 3.0, 0.0),
+    "3d-r3-s0.5": (GRID_3D, PARAMS_3D, 4.0, 3.0, 0.5),
+    "3d-r2-s0": (GRID_3D, PARAMS_3D, np.inf, 2.0, 0.0),
+    "3d-r2-s0.5": (GRID_3D, PARAMS_3D, np.inf, 2.0, 0.5),
 }
+
+
+def _band_boxes(grid, spec):
+    """Lines per axis in the box of each band spacetime_norm transforms."""
+    bands = [BandMultiplier(m) for m in observables._spacetime_bands(grid, spec)]
+    return [[sum(s.stop - s.start for s in b) for b in band.box] for band in bands]
+
+
+def test_3d_norm_cases_cover_a_zero_mode_band_and_whole_axes():
+    spec = SpacetimeNormSpec(q=4.0, r=3.0, s=0.0, sigma=PARAMS_3D.sigma, variant=TILDE)
+    assert _band_boxes(GRID_3D, spec) == [
+        [1, 5, 3],
+        [3, 9, 7],
+        [5, 19, 15],
+        [11, 32, 16],
+        [16, 32, 16],
+    ]
+
+
+def _count_inverse_lines(monkeypatch):
+    """Record (axis, lines) for every 1D line the inverse transforms run."""
+    lines = []
+    ifft, ifftn = np.fft.ifft, np.fft.ifftn
+
+    def counting_ifft(a, *args, axis=-1, **kw):
+        lines.append((axis % a.ndim, a.size // a.shape[axis]))
+        return ifft(a, *args, axis=axis, **kw)
+
+    def counting_ifftn(a, *args, **kw):
+        lines.extend((j, a.size // a.shape[j]) for j in range(a.ndim))
+        return ifftn(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    monkeypatch.setattr(np.fft, "ifftn", counting_ifftn)
+    return lines
+
+
+@pytest.mark.parametrize("variant, columns", [(PLAIN, 256), (TILDE, 631)])
+def test_pruned_inverse_transforms_only_the_box_columns(monkeypatch, variant, columns):
+    # norms-2d's grid: the eight TILDE bands hold 3, 5, 11, 23, 47, 95, 191
+    # and 256 of the 256 columns; every row is transformed, once per band.
+    grid = Grid(2, 256, (32 * np.pi, 24 * np.pi))
+    u = gaussian(grid, width=2.0, amplitude=1.0)
+    spec = SpacetimeNormSpec(q=4.0, r=4.0, s=0.0, sigma=0.75, variant=variant)
+    lines = _count_inverse_lines(monkeypatch)
+    spacetime_norm([(0.0, u)], spec)
+    rows = 256 * len(_band_boxes(grid, spec))
+    assert sum(n for axis, n in lines if axis == 0) == columns
+    assert sum(n for axis, n in lines if axis == 1) == rows
 
 
 @pytest.mark.parametrize("variant", [PLAIN, TILDE])
