@@ -35,6 +35,14 @@ def axis_dot(grid, axes, v):
     return s
 
 
+def squared_distance(grid, axes, c):
+    """sum_j (axes[j] - c_j)^2 on the grid: |x - c|^2 for grid.x, |xi - c|^2 for grid.k."""
+    s = np.zeros(grid.shape)
+    for aj, cj in zip(axes, c):
+        s = s + (aj - cj) ** 2
+    return s
+
+
 def _whole(v):
     if int(v) != v:
         raise ValueError(f"grid sizes must be integers, got {v!r}")
@@ -127,10 +135,7 @@ class Grid:
 
     @cached_property
     def k_squared(self):
-        k2 = np.zeros(self.n)
-        for kj in self.k:
-            k2 = k2 + kj**2
-        return k2
+        return squared_distance(self, self.k, (0.0,) * self.d)
 
     @cached_property
     def k_abs(self):

@@ -7,23 +7,8 @@ import numpy as np
 
 from .exponents import is_admissible
 from .grid import ComplexField, abs_power
-from .spectral import (
-    BandMultiplier,
-    apply_multiplier,
-    fft,
-    fft_values,
-    lebesgue_norm,
-    plancherel,
-    resolvable_scales,
-)
-from .symbols import (
-    Bessel,
-    FractionalLaplacian,
-    LpCutoff,
-    Riesz,
-    StrichartzWeight,
-    evaluate_symbol,
-)
+from .spectral import BandMultiplier, fft, fft_values, lebesgue_norm, plancherel, resolvable_scales
+from .symbols import Bessel, FractionalLaplacian, LpCutoff, StrichartzWeight, evaluate_symbol
 
 PLAIN = "PLAIN"
 TILDE = "TILDE"
@@ -34,13 +19,30 @@ def mass(u):
     return float(np.sum(abs_power(u.values, 2)) * u.grid.cell_volume)
 
 
+def field_diagnostics(grid, spectrum, dispersion, mu, p, u=None):
+    """(u, its mass, energy and L^inf) from u's unnormalized spectrum and omega.
+
+    The energy is 1/2 int omega |u_hat|^2 + mu/(p+1) int |u|^(p+1), omega the
+    dispersion relation of the linear flow. Its kinetic part comes from the
+    spectrum by Plancherel; then, if u is not given, the spectrum is inverted
+    in place to give it. Mass, L^inf and the potential part come from one
+    |u|^2 array.
+    """
+    kinetic = 0.5 * plancherel(spectrum, dispersion, grid)
+    if u is None:
+        u = ComplexField(grid, np.fft.ifftn(spectrum, out=spectrum))
+    a = abs_power(u.values, 2)
+    m = float(np.sum(a) * grid.cell_volume)
+    linf = math.sqrt(float(np.max(a)))
+    np.power(a, (p + 1) / 2, out=a)  # |u|^(p+1), as abs_power takes it
+    potential = float((mu / (p + 1)) * np.sum(a) * grid.cell_volume)
+    return u, {"mass": m, "energy": kinetic + potential, "linf": linf}
+
+
 def energy(u, sigma, mu, p):
-    """Integral of 1/2 ||grad|^sigma u|^2 + mu/(p+1) |u|^(p+1)."""
-    kinetic = apply_multiplier(u, Riesz(sigma))
-    dens = 0.5 * np.abs(kinetic.values) ** 2 + (mu / (p + 1)) * np.abs(u.values) ** (
-        p + 1
-    )
-    return float(np.sum(dens) * u.grid.cell_volume)
+    """Integral of 1/2 ||grad|^sigma u|^2 + mu/(p+1) |u|^(p+1); one forward FFT."""
+    laplacian = evaluate_symbol(FractionalLaplacian(sigma), u.grid)
+    return field_diagnostics(u.grid, fft(u), laplacian, mu, p, u)[1]["energy"]
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,7 @@ def lp_band_energy_fraction(u, k_threshold):
 __all__ = [
     "mass",
     "energy",
+    "field_diagnostics",
     "SpacetimeNormSpec",
     "spacetime_norm",
     "scattering_defect",

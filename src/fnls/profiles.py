@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField
+from .grid import ComplexField, squared_distance
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,7 @@ class ProfileSpec:
         center = self.center if self.center else (0.0,) * grid.d
         if len(center) != grid.d:
             raise ValueError(f"center must have {grid.d} components")
-        r2 = np.zeros(grid.shape)
-        for xj, cj in zip(grid.x, center):
-            r2 = r2 + (xj - cj) ** 2
+        r2 = squared_distance(grid, grid.x, center)
         vals = self.amplitude * np.exp(-r2 / (2 * self.width**2))
         return ComplexField(grid, vals.astype(np.complex128))
 

@@ -2,7 +2,9 @@
 
 The profile solves p_v(xi) Q_hat + omega^(2 sigma) Q_hat = F[|Q|^(p-1) Q]
 in spectrum; the iteration renormalizes with the standard power-law
-stabilization factor, which tends to 1 at a converged fixed point.
+stabilization factor, which tends to 1 at a converged fixed point. That
+equation is the focusing (mu = -1), full-dispersion (nu = 1) one, and
+`SolitonConfig` rejects any other parameters.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +28,10 @@ class SolitonConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if self.params.mu != -1:
+            raise ValueError("soliton profiles need the focusing sign mu = -1")
+        if self.params.nu != 1:
+            raise ValueError("soliton profiles need full dispersion nu = 1")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.max_iter < 1:
@@ -149,22 +155,19 @@ def petviashvili_solve(cfg, seed):
 def traveling_wave_check(result, cfg, t_end, dt):
     """Relative L^2 mismatch between the evolved and the analytic traveling wave.
 
-    Evolves u0 = exp(-i v.x) Q under the full equation and compares with
+    Evolves u0 = exp(-i v.x) Q under cfg.params and compares with
     exp(-i t omega^(2 sigma)) G_v(Q)(t), the pseudo-Galilean boost of Q.
-    The ansatz closes for mu = -1 with this sign convention of the flow, so
-    the check runs at mu = -1 regardless of the mu stored in cfg.params.
+    The ansatz closes for mu = -1 with this sign convention of the flow,
+    which `SolitonConfig` requires.
     """
     from .evolution import final_state
 
     if not result.converged:
         raise ValueError("traveling check requires a converged profile")
-    params = cfg.params
     _, v = soliton_symbol_on_grid(cfg, result.Q.grid)
-    sigma = params.sigma
+    sigma = cfg.params.sigma
 
-    u0 = modulate(result.Q, v)
-    run = ModelParams(params.d, sigma, params.p, mu=-1, nu=1.0)
-    final = final_state(u0, run, t_end, dt)
+    final = final_state(modulate(result.Q, v), cfg.params, t_end, dt)
 
     boosted = galilean_boost(result.Q, v, t_end, sigma)
     ref = np.exp(-1j * t_end * cfg.omega ** (2 * sigma)) * boosted.values

@@ -10,15 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSymbolError
-from .grid import axis_dot, axis_vector
-
-
-def _shifted_abs(grid, v):
-    """|xi - v| on the lattice."""
-    s = np.zeros(grid.shape)
-    for kj, vj in zip(grid.k, v):
-        s = s + (kj - vj) ** 2
-    return np.sqrt(s)
+from .grid import axis_dot, axis_vector, squared_distance
 
 
 @dataclass(frozen=True)
@@ -100,15 +92,13 @@ class LpCutoff:
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Unimodular symbol exp(i t nu^(2 sigma) |xi|^(2 sigma))."""
+    """Unimodular symbol exp(i t |xi|^(2 sigma)); at nu < 1, scale t by nu^(2 sigma)."""
 
     t: float
     sigma: float
-    nu: float = 1.0
 
     def evaluate(self, grid):
-        coeff = 0.0 if self.nu == 0 else self.nu ** (2 * self.sigma)
-        return np.exp(1j * self.t * coeff * grid.k_squared**self.sigma)
+        return np.exp(1j * self.t * FractionalLaplacian(self.sigma).evaluate(grid))
 
 
 @dataclass(frozen=True)
@@ -148,7 +138,7 @@ class SolitonSymbol:
         if vmag == 0:
             return grid.k_squared**self.sigma
         m = (
-            _shifted_abs(grid, v) ** ts
+            np.sqrt(squared_distance(grid, grid.k, v)) ** ts
             - vmag**ts
             + ts * vmag ** (ts - 2) * axis_dot(grid, grid.k, v)
         )

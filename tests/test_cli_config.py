@@ -11,9 +11,9 @@ from fnls.config import load_config
 from fnls.grid import ComplexField, Grid
 from fnls.soliton import SolitonResult
 
-# A valid value for every key, as config text.
+# A valid value for every key, as config text; soliton takes only mu = -1.
 VALID = {
-    "d": "1", "sigma": "0.75", "p": "3", "mu": "1", "nu": "1.0", "n": "64", "L": "20",
+    "d": "1", "sigma": "0.75", "p": "3", "mu": "-1", "nu": "1.0", "n": "64", "L": "20",
     "dt": "0.01", "profile_width": "1.0", "profile_amplitude": "0.5", "t_end": "0.1",
     "snapshot_stride": "2", "mass_drift_guard": "1e-8", "omega": "1.0", "v": "0.5",
     "gamma": "1.5", "max_iter": "10", "tol": "1e-10", "seed_width": "1.0",
@@ -125,6 +125,15 @@ def test_cli_rejects_keys_a_subcommand_never_reads(tmp_path, command, key):
 def test_soliton_rejects_a_velocity_with_the_wrong_number_of_components(tmp_path):
     text = "d = 2\nsigma = 0.75\np = 3\nmu = -1\nn = 32\nL = 20\nv = 0.5, 0, 0.7\n"
     with pytest.raises(ValueError, match="velocity must have 2 components"):
+        _run(tmp_path, "soliton", text)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mu", ["mu = 1\n", ""])
+def test_soliton_rejects_the_defocusing_sign_before_writing(tmp_path, mu):
+    # Without a mu line the model default mu = 1 applies, and is rejected too.
+    text = f"sigma = 0.75\np = 3\n{mu}n = 64\nL = 20\nt_end = 0.1\n"
+    with pytest.raises(ValueError, match="mu = -1"):
         _run(tmp_path, "soliton", text)
     assert not (tmp_path / "out").exists()
 

@@ -1,18 +1,24 @@
 """One kernel per operation, pinned to the copies it replaced.
 
 The references below are the code paths that `galilean_boost`, the
-`mode_indices`-based `rescale` and the `SolitonSymbol`-based `ErrorSymbol`
-replaced: the pseudo-Galilean transform G_v as the galilean experiment, the
-decoherence experiment and the soliton traveling-wave check each built it,
-the argsort-and-slice `rescale`, and the closed form of the error symbol.
+`mode_indices`-based `rescale`, the `SolitonSymbol`-based `ErrorSymbol`,
+`grid.squared_distance` and the Plancherel `energy` replaced: the
+pseudo-Galilean transform G_v as the galilean experiment, the decoherence
+experiment and the soliton traveling-wave check each built it, the
+argsort-and-slice `rescale`, the closed form of the error symbol, the
+per-axis loop that `Grid.k_squared`, the soliton symbol's |xi - v| and
+`ProfileSpec.realize` each ran, and the energy density in physical space
+from an FFT pair.
 """
 
 import numpy as np
 import pytest
 
 from fnls.errors import RescaleAliasingError
-from fnls.grid import ComplexField, Grid
+from fnls.grid import ComplexField, Grid, squared_distance
+from fnls.observables import energy
 from fnls.spectral import (
+    apply_multiplier,
     fft,
     field_from_spectrum,
     galilean_boost,
@@ -21,7 +27,7 @@ from fnls.spectral import (
     round_velocity,
     spatial_shift,
 )
-from fnls.symbols import ErrorSymbol, evaluate_symbol
+from fnls.symbols import ErrorSymbol, Riesz, evaluate_symbol
 
 SIGMA = 0.75
 
@@ -99,6 +105,21 @@ def _closed_form_error_symbol(v, sigma, grid):
     shifted = np.sqrt(sum((kj - vj) ** 2 for kj, vj in zip(grid.k, v)))
     dot = sum(vj * kj for kj, vj in zip(grid.k, v))
     return shifted**ts - grid.k_abs**ts - vmag**ts + ts * vmag ** (ts - 2) * dot
+
+
+def _loop_squared_distance(grid, axes, c):
+    """sum_j (axes[j] - c_j)^2 by the loop each of its three callers ran."""
+    s = np.zeros(grid.shape)
+    for aj, cj in zip(axes, c):
+        s = s + (aj - cj) ** 2
+    return s
+
+
+def _physical_energy(u, sigma, mu, p):
+    """`observables.energy` as it was: |grad|^sigma u by an FFT pair, then the density."""
+    kinetic = apply_multiplier(u, Riesz(sigma))
+    dens = 0.5 * np.abs(kinetic.values) ** 2 + (mu / (p + 1)) * np.abs(u.values) ** (p + 1)
+    return float(np.sum(dens) * u.grid.cell_volume)
 
 
 def _smooth_field(grid, seed):
@@ -206,3 +227,27 @@ def test_error_symbol_matches_closed_form(d, v, sigma):
     assert E.flat[0] == 0.0
     assert np.all(evaluate_symbol(ErrorSymbol(v, 1.0), grid) == 0.0)
     assert np.all(evaluate_symbol(ErrorSymbol((0.0,) * d, sigma), grid) == 0.0)
+
+
+GRIDS = [Grid(1, 32, 8.0), Grid(2, (16, 32), (8.0, 12.0)), Grid(3, (8, 16, 32), (6.0, 8.0, 10.0))]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+def test_squared_distance_is_the_per_axis_loop_bit_for_bit(grid):
+    c = [0.5, -0.25, 1.3][: grid.d]
+    for axes in (grid.x, grid.k):
+        got = squared_distance(grid, axes, c)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, _loop_squared_distance(grid, axes, c))
+    k2 = np.zeros(grid.shape)
+    for kj in grid.k:
+        k2 = k2 + kj**2
+    assert np.array_equal(grid.k_squared, k2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [0.3, 0.75, 1.0])
+@pytest.mark.parametrize("mu, p", [(1, 3), (-1, 2.5)])
+def test_energy_matches_the_physical_space_density(d, sigma, mu, p):
+    u = _smooth_field(Grid(d, 64 if d < 3 else 16, 16 * np.pi if d < 3 else 8 * np.pi), d)
+    assert energy(u, sigma, mu, p) == pytest.approx(_physical_energy(u, sigma, mu, p), rel=1e-12)

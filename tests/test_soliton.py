@@ -91,6 +91,31 @@ def test_traveling_wave_closes_under_evolution():
     assert mismatch < 1e-4
 
 
+@pytest.mark.parametrize(
+    "mu, nu, match", [(1, 1.0, "mu = -1"), (-1, 0.5, "nu = 1"), (-1, 0.0, "nu = 1")]
+)
+def test_config_rejects_parameters_the_profile_equation_does_not_have(mu, nu, match):
+    with pytest.raises(ValueError, match=match):
+        SolitonConfig(ModelParams(d=1, sigma=0.75, p=3, mu=mu, nu=nu), v=(0.5,))
+
+
+def test_traveling_check_evolves_under_the_config_params(monkeypatch):
+    import fnls.evolution
+
+    cfg = _config()
+    res = petviashvili_solve(cfg, SEED)
+    seen = []
+    final_state = fnls.evolution.final_state
+
+    def recording(u0, params, t_end, dt=None):
+        seen.append(params)
+        return final_state(u0, params, t_end, dt)
+
+    monkeypatch.setattr(fnls.evolution, "final_state", recording)
+    traveling_wave_check(res, cfg, t_end=0.05, dt=1e-2)
+    assert len(seen) == 1 and seen[0] is cfg.params
+
+
 def test_traveling_check_requires_convergence():
     cfg = _config(max_iter=1)
     res = petviashvili_solve(cfg, SEED)

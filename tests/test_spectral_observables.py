@@ -83,7 +83,7 @@ def _reference_spacetime_norm(traj, spec):
 
 
 def _backward(values, t, sigma, grid):
-    m = evaluate_symbol(LinearPropagator(-t, sigma, 1.0), grid)
+    m = evaluate_symbol(LinearPropagator(-t, sigma), grid)
     return np.fft.ifftn(m * np.fft.fftn(values))
 
 

