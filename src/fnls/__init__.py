@@ -19,7 +19,7 @@ from .exponents import (
 from .grid import ComplexField, Grid
 from .io import read_field, write_field
 from .model import ModelParams
-from .observables import SpacetimeNormSpec, energy, mass, scattering_defect, spacetime_norm
+from .observables import SpacetimeNormSpec, energy, mass, scattering_defects, spacetime_norm
 from .profiles import ProfileSpec, gaussian
 from .soliton import SolitonConfig, petviashvili_solve, soliton_residual, traveling_wave_check
 from .spectral import (
@@ -69,7 +69,7 @@ __all__ = [
     "resolvable_scales",
     "round_velocity",
     "scaling_transform",
-    "scattering_defect",
+    "scattering_defects",
     "snapshots",
     "sobolev_norm",
     "soliton_residual",

@@ -23,7 +23,7 @@ from .grid import ComplexField, abs_power
 from .model import ModelParams
 from .observables import field_diagnostics
 from .spectral import apply_multiplier, fft, rescale
-from .symbols import FractionalLaplacian, LinearPropagator, evaluate_symbol
+from .symbols import LinearPropagator
 
 
 def default_dt(grid, params, t_end):
@@ -123,8 +123,7 @@ def snapshots(u0, cfg):
     params = cfg.params
     grid = u0.grid
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, params, cfg.t_end)
-    omega = evaluate_symbol(FractionalLaplacian(params.sigma), grid)
-    omega *= params.nu ** (2 * params.sigma)
+    omega = params.dispersion(grid)
 
     def propagator(tau):
         # The real product first, on purpose: built as (1j * tau) * omega, they

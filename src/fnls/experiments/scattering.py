@@ -6,7 +6,7 @@ from ..errors import RegimeError
 from ..evolution import EvolveConfig, default_dt, evolve, step_plan
 from ..exponents import critical_exponents
 from ..grid import Grid
-from ..observables import duhamel_defect_increments, scattering_defect
+from ..observables import scattering_defects
 from ..io import write_field
 from ..spectral import INHOMOGENEOUS, sobolev_norm
 from .report import ExperimentReport
@@ -25,13 +25,15 @@ def run_scattering_probe(
 ):
     """Evolve small data and report the defect decay across time windows.
 
-    The defect series is reported twice: as consecutive H^(s_c) distances of
-    the backward-propagated snapshots (the direct definition, which sits at
-    the double-precision noise floor for tiny amplitudes) and as the same
-    increments evaluated through the Duhamel integrand, which resolves the
-    nonlinear signal at any amplitude. Window comparisons use the Duhamel
-    form. Without a snapshot_stride the run takes ~40 snapshots; the report
-    inputs record the resolved dt, steps, snapshot_stride and snapshots.
+    One `scattering_defects` pass reports the defect series twice: as
+    consecutive H^(s_c) distances of the snapshots propagated back under the
+    run's dispersion nu^(2 sigma) |xi|^(2 sigma) (the direct definition,
+    which sits at the double-precision noise floor for tiny amplitudes) and
+    as the same increments evaluated through the Duhamel integrand, which
+    resolves the nonlinear signal at any amplitude. Window comparisons use
+    the Duhamel form, each increment binned by its midpoint. Without a
+    snapshot_stride the run takes ~40 snapshots; the report inputs record
+    nu and the resolved dt, steps, snapshot_stride and snapshots.
     """
     d, sigma, p = params.d, params.sigma, params.p
     if not ((d == 1 and p > 5) or (d >= 2 and p > 3)):
@@ -52,6 +54,7 @@ def run_scattering_probe(
             "sigma": sigma,
             "p": p,
             "mu": params.mu,
+            "nu": params.nu,
             "s_c": s_c,
             "amplitudes": list(amplitude_list),
             "t_end": t_end,
@@ -73,24 +76,15 @@ def run_scattering_probe(
 
         if save_dir is not None:
             write_field(f"{save_dir}/scatter_final_amp{amp:g}.fnls", traj.final)
-        direct = scattering_defect(traj, sigma, s_c)
-        duhamel = duhamel_defect_increments(traj, sigma, s_c, params.mu, p)
-        window_sums = {}
-        for lo, hi in windows:
-            total = 0.0
-            for i in range(len(duhamel)):
-                t_mid = 0.5 * (traj.times[i] + traj.times[i + 1])
-                if lo <= t_mid < hi:
-                    total += duhamel[i]
-            window_sums[(lo, hi)] = total
-        for i, (dd, dq) in enumerate(zip(direct, duhamel)):
+        window_sums = {(lo, hi): 0.0 for lo, hi in windows}
+        for t_lo, t_hi, direct, duhamel in scattering_defects(traj, params, s_c):
             report.add_row(
-                amplitude=amp,
-                t_lo=traj.times[i],
-                t_hi=traj.times[i + 1],
-                defect_direct=dd,
-                defect_duhamel=dq,
+                amplitude=amp, t_lo=t_lo, t_hi=t_hi, defect_direct=direct, defect_duhamel=duhamel
             )
+            t_mid = 0.5 * (t_lo + t_hi)
+            for lo, hi in window_sums:
+                if lo <= t_mid < hi:
+                    window_sums[(lo, hi)] += duhamel
         report.fits[f"initial_hsc_amp{amp:g}"] = hc0
         for (lo, hi), total in window_sums.items():
             report.fits[f"defect[{lo:g},{hi:g}]_amp{amp:g}"] = total

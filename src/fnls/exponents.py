@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import axis_vector
-from .symbols import ErrorSymbol, evaluate_symbol
+from .symbols import ErrorSymbol, FractionalLaplacian, evaluate_symbol
 
 SUBCRITICAL_LWP = "SUBCRITICAL_LWP"
 CRITICAL_LWP = "CRITICAL_LWP"
@@ -119,9 +119,9 @@ def verify_error_symbol_bound(v, sigma, grid):
     if not np.any(v):
         raise ValueError("v must be nonzero")
     E = evaluate_symbol(ErrorSymbol(tuple(v), sigma), grid)
-    k = grid.k_abs
+    laplacian = evaluate_symbol(FractionalLaplacian(sigma), grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(k > 0, np.abs(E) / k ** (2 * sigma), 0.0)
+        ratio = np.where(laplacian > 0, np.abs(E) / laplacian, 0.0)
     idx = np.unravel_index(np.argmax(ratio), ratio.shape)
     mode = np.array([np.broadcast_to(kj, grid.shape)[idx] for kj in grid.k])
     return float(ratio[idx]), mode

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+from .symbols import FractionalLaplacian, evaluate_symbol
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -28,3 +30,9 @@ class ModelParams:
             raise ValueError("mu must be +1 or -1")
         if not 0 <= self.nu <= 1:
             raise ValueError("nu must lie in [0, 1]")
+
+    def dispersion(self, grid):
+        """The run's dispersion relation omega = nu^(2 sigma) |xi|^(2 sigma) on grid."""
+        omega = evaluate_symbol(FractionalLaplacian(self.sigma), grid)
+        omega *= self.nu ** (2 * self.sigma)
+        return omega

@@ -113,64 +113,39 @@ def _spacetime_bands(grid, spec):
         yield weight * evaluate_symbol(LpCutoff(N), grid)
 
 
-def _interaction_pairs(snapshots, sigma, source):
-    """Yield (dt, a, b) for each pair of consecutive (t, field) snapshots.
+def scattering_defects(snapshots, params, s_c):
+    """Yield (t_lo, t_hi, direct, duhamel) per pair of consecutive (t, field) snapshots.
 
-    dt = t_{i+1} - t_i, a = fft(source(u_i)) and
-    b = exp(-i dt (-Lap)^sigma) fft(source(u_{i+1})). The interaction-picture
-    spectra exp(-i t (-Lap)^sigma) fft(source(u)) of the two snapshots are
-    exp(-i t_i (-Lap)^sigma) times (a, b). That common factor is unimodular,
-    so it drops out of any weighted L^2 norm of a combination of them.
-    |xi|^(2 sigma) is evaluated once and the phase once per distinct dt, so
-    a snapshot costs one forward FFT.
+    Both measure the H^(s_c) Cauchy increment of the interaction-picture
+    field w(t) = exp(-i t omega) u(t), omega = params.dispersion(grid):
+    direct is ||w(t_hi) - w(t_lo)||, which sits at the double-precision
+    noise floor for tiny data, and duhamel is the trapezoid panel of the
+    Duhamel integrand exp(-i t omega) F[i mu |u|^(p-1) u], which stays
+    resolvable at any amplitude. Both norms are taken on the spectral side
+    by Plancherel. The common factor exp(-i t_lo omega) of a pair is
+    unimodular and drops out, so only the relative phase exp(-i dt omega)
+    is applied. Bessel(s_c)^2 and omega are evaluated once per call and the
+    phase once per distinct dt; a snapshot costs two forward FFTs, of u and
+    of the nonlinearity.
     """
-    a = phase_dt = None
-    for t1, u in snapshots:
-        b = fft_values(source(u.values))
-        if a is None:
-            laplacian = evaluate_symbol(FractionalLaplacian(sigma), u.grid)
+    mu, p = params.mu, params.p
+    prev = phase_dt = None
+    for t, u in snapshots:
+        a = fft_values(u.values)
+        n = fft_values(abs_power(u.values, p - 1) * u.values * (1j * mu))
+        if prev is None:
+            grid = u.grid
+            bessel2 = evaluate_symbol(Bessel(s_c), grid) ** 2
+            omega = params.dispersion(grid)
         else:
-            dt = t1 - t0
+            t0, a0, n0 = prev
+            dt = t - t0
             if dt != phase_dt:
-                phase_dt, phase = dt, np.exp((-1j * dt) * laplacian)
-            yield dt, a, phase * b
-        t0, a = t1, b
-
-
-def scattering_defect(traj, sigma, s_c):
-    """Cauchy increments of the backward-propagated trajectory in H^(s_c).
-
-    Returns the list of consecutive distances
-    ||w(t_{i+1}) - w(t_i)||_{H^{s_c}} with w(t) = exp(-i t (-Lap)^sigma) u(t),
-    taken on the spectral side by Plancherel.
-    """
-    grid = traj.fields[0].grid
-    bessel2 = evaluate_symbol(Bessel(s_c), grid) ** 2
-    return [
-        math.sqrt(plancherel(b - a, bessel2, grid))
-        for _, a, b in _interaction_pairs(traj, sigma, lambda v: v)
-    ]
-
-
-def duhamel_defect_increments(traj, sigma, s_c, mu, p):
-    """Scattering-defect increments via the Duhamel integrand.
-
-    Mathematically identical to consecutive differences of the
-    backward-propagated solution, but evaluated as the time quadrature of
-    exp(-i s (-Lap)^sigma) applied to the nonlinearity, which stays
-    resolvable in double precision when the field amplitude is tiny. Each
-    trapezoid panel is taken from its two end spectra alone.
-    """
-    grid = traj.fields[0].grid
-    bessel2 = evaluate_symbol(Bessel(s_c), grid) ** 2
-
-    def nonlinearity(v):
-        return abs_power(v, p - 1) * v * (1j * mu)
-
-    return [
-        0.5 * dt * math.sqrt(plancherel(a + b, bessel2, grid))
-        for dt, a, b in _interaction_pairs(traj, sigma, nonlinearity)
-    ]
+                phase_dt, phase = dt, np.exp((-1j * dt) * omega)
+            direct = math.sqrt(plancherel(phase * a - a0, bessel2, grid))
+            duhamel = 0.5 * dt * math.sqrt(plancherel(n0 + phase * n, bessel2, grid))
+            yield t0, t, direct, duhamel
+        prev = t, a, n
 
 
 def lp_band_energy_fraction(u, k_threshold):
@@ -189,8 +164,7 @@ __all__ = [
     "field_diagnostics",
     "SpacetimeNormSpec",
     "spacetime_norm",
-    "scattering_defect",
-    "duhamel_defect_increments",
+    "scattering_defects",
     "lp_band_energy_fraction",
     "PLAIN",
     "TILDE",

@@ -60,8 +60,10 @@ def _inner(grid, a, b):
 
 
 def soliton_symbol_on_grid(cfg, grid):
-    v = round_velocity(grid, cfg.v)
-    return evaluate_symbol(SolitonSymbol(tuple(v), cfg.params.sigma), grid), v
+    """The shifted symbol p_v + omega^(2 sigma) at the velocity rounded to grid."""
+    sigma = cfg.params.sigma
+    v = tuple(round_velocity(grid, cfg.v))
+    return evaluate_symbol(SolitonSymbol(v, sigma), grid) + cfg.omega ** (2 * sigma)
 
 
 def _profile_terms(vals, shifted, p):
@@ -84,8 +86,7 @@ def _relative_residual(vals, lin, nl):
 
 def soliton_residual(Q, cfg):
     """Relative L^2 residual of the profile equation, both terms taken directly."""
-    symbol, _ = soliton_symbol_on_grid(cfg, Q.grid)
-    shifted = symbol + cfg.omega ** (2 * cfg.params.sigma)
+    shifted = soliton_symbol_on_grid(cfg, Q.grid)
     return _relative_residual(Q.values, *_profile_terms(Q.values, shifted, cfg.params.p))
 
 
@@ -105,8 +106,7 @@ def petviashvili_solve(cfg, seed):
     """
     params = cfg.params
     grid = seed.grid
-    symbol, _ = soliton_symbol_on_grid(cfg, grid)
-    shifted = symbol + cfg.omega ** (2 * params.sigma)
+    shifted = soliton_symbol_on_grid(cfg, grid)
     sym_min = float(np.min(shifted))
     if sym_min <= 0:
         raise CoercivityError(
@@ -164,7 +164,7 @@ def traveling_wave_check(result, cfg, t_end, dt):
 
     if not result.converged:
         raise ValueError("traveling check requires a converged profile")
-    _, v = soliton_symbol_on_grid(cfg, result.Q.grid)
+    v = round_velocity(result.Q.grid, cfg.v)
     sigma = cfg.params.sigma
 
     final = final_state(modulate(result.Q, v), cfg.params, t_end, dt)

@@ -117,7 +117,8 @@ class ErrorSymbol:
         v = axis_vector(self.v, grid.d)
         if np.linalg.norm(v) == 0 or self.sigma == 1.0:
             return np.zeros(grid.shape)
-        return SolitonSymbol(self.v, self.sigma).evaluate(grid) - grid.k_abs ** (2 * self.sigma)
+        p_v = SolitonSymbol(self.v, self.sigma).evaluate(grid)
+        return p_v - FractionalLaplacian(self.sigma).evaluate(grid)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class SolitonSymbol:
         vmag = float(np.linalg.norm(v))
         ts = 2 * self.sigma
         if vmag == 0:
-            return grid.k_squared**self.sigma
+            return FractionalLaplacian(self.sigma).evaluate(grid)
         m = (
             np.sqrt(squared_distance(grid, grid.k, v)) ** ts
             - vmag**ts

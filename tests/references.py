@@ -54,8 +54,7 @@ def petviashvili_two_pairs(cfg, seed):
     iterate. No coercivity or stagnation guard; the inputs it runs on converge.
     """
     grid = seed.grid
-    symbol, _ = soliton_symbol_on_grid(cfg, grid)
-    shifted = symbol + cfg.omega ** (2 * cfg.params.sigma)
+    shifted = soliton_symbol_on_grid(cfg, grid)
     vals = seed.values
     lin, nl = _profile_terms(vals, shifted, cfg.params.p)
     result = SolitonResult(seed, symbol_min=float(np.min(shifted)))

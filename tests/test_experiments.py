@@ -177,6 +177,7 @@ def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
     assert (steps - 1) * dt < t_end <= steps * dt + 1e-12
     # One report row per pair of consecutive snapshots.
     assert rep.inputs["snapshots"] == len(rep.series) + 1
+    assert rep.inputs["nu"] == params.nu
 
 
 # 512 points on 16 pi have criterion 11's spacing, so its default dt.

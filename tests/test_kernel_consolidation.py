@@ -27,7 +27,7 @@ from fnls.spectral import (
     round_velocity,
     spatial_shift,
 )
-from fnls.symbols import ErrorSymbol, Riesz, evaluate_symbol
+from fnls.symbols import ErrorSymbol, FractionalLaplacian, Riesz, SolitonSymbol, evaluate_symbol
 
 SIGMA = 0.75
 
@@ -227,6 +227,25 @@ def test_error_symbol_matches_closed_form(d, v, sigma):
     assert E.flat[0] == 0.0
     assert np.all(evaluate_symbol(ErrorSymbol(v, 1.0), grid) == 0.0)
     assert np.all(evaluate_symbol(ErrorSymbol((0.0,) * d, sigma), grid) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "grid, v",
+    [
+        (Grid(1, 64, 16 * np.pi), (0.5,)),
+        (Grid(2, (16, 32), (8.0, 12.0)), (0.5, 0.25)),
+        (Grid(3, (8, 16, 32), (6.0, 8.0, 10.0)), (0.5, 0.25, -0.3)),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+@pytest.mark.parametrize("sigma", [0.3, 0.75, 0.95])
+def test_error_symbol_is_soliton_symbol_minus_fractional_laplacian(grid, v, sigma):
+    # One |xi|^(2 sigma) kernel: E and p_v at v = 0 take it from FractionalLaplacian.
+    laplacian = evaluate_symbol(FractionalLaplacian(sigma), grid)
+    p_v = evaluate_symbol(SolitonSymbol(v, sigma), grid)
+    assert np.array_equal(evaluate_symbol(ErrorSymbol(v, sigma), grid), p_v - laplacian)
+    p_0 = evaluate_symbol(SolitonSymbol((0.0,) * grid.d, sigma), grid)
+    assert np.array_equal(p_0, laplacian)
 
 
 GRIDS = [Grid(1, 32, 8.0), Grid(2, (16, 32), (8.0, 12.0)), Grid(3, (8, 16, 32), (6.0, 8.0, 10.0))]

@@ -8,11 +8,10 @@ from fnls.grid import Grid
 from fnls.model import ModelParams
 from fnls.observables import (
     SpacetimeNormSpec,
-    duhamel_defect_increments,
     energy,
     lp_band_energy_fraction,
     mass,
-    scattering_defect,
+    scattering_defects,
     spacetime_norm,
 )
 from fnls.profiles import gaussian
@@ -113,11 +112,10 @@ def test_scattering_defect_forms_agree_at_moderate_amplitude():
     u0 = gaussian(GRID, amplitude=0.3)
     traj = evolve(u0, EvolveConfig(params, t_end=0.4, dt=5e-4, snapshot_stride=100))
     s_c = -0.25
-    direct = scattering_defect(traj, params.sigma, s_c)
-    duhamel = duhamel_defect_increments(traj, params.sigma, s_c, params.mu, params.p)
-    assert len(direct) == len(duhamel) == len(traj.times) - 1
-    total_direct = sum(direct)
-    total_duhamel = sum(duhamel)
+    rows = list(scattering_defects(traj, params, s_c))
+    assert len(rows) == len(traj.times) - 1
+    total_direct = sum(direct for _, _, direct, _ in rows)
+    total_duhamel = sum(duhamel for _, _, _, duhamel in rows)
     assert total_duhamel == pytest.approx(total_direct, rel=0.05)
 
 

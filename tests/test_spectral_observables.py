@@ -8,9 +8,12 @@ per snapshot and their norms by Plancherel, so results agree to roundoff,
 not bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import fnls.model as model
 import fnls.observables as observables
 from fnls.evolution import EvolveConfig, evolve
 from fnls.exponents import critical_exponents
@@ -20,8 +23,7 @@ from fnls.observables import (
     PLAIN,
     TILDE,
     SpacetimeNormSpec,
-    duhamel_defect_increments,
-    scattering_defect,
+    scattering_defects,
     spacetime_norm,
 )
 from fnls.profiles import gaussian
@@ -33,6 +35,7 @@ from fnls.spectral import (
 )
 from fnls.symbols import (
     Bessel,
+    FractionalLaplacian,
     LinearPropagator,
     LpCutoff,
     StrichartzWeight,
@@ -82,21 +85,24 @@ def _reference_spacetime_norm(traj, spec):
     return float(np.sqrt(total))
 
 
-def _backward(values, t, sigma, grid):
-    m = evaluate_symbol(LinearPropagator(-t, sigma), grid)
+def _backward(values, t, params, grid):
+    """The linear flow at nu, exp(i t nu^(2 sigma) |xi|^(2 sigma)), run back by t."""
+    sigma = params.sigma
+    m = evaluate_symbol(LinearPropagator(-t * params.nu ** (2 * sigma), sigma), grid)
     return np.fft.ifftn(m * np.fft.fftn(values))
 
 
-def _reference_scattering_defect(traj, sigma, s_c):
+def _reference_scattering_defect(traj, params, s_c):
     grid = traj.fields[0].grid
-    w = [ComplexField(grid, _backward(u.values, t, sigma, grid)) for t, u in zip(traj.times, traj.fields)]
+    w = [ComplexField(grid, _backward(u.values, t, params, grid)) for t, u in zip(traj.times, traj.fields)]
     return [_reference_sobolev(b - a, s_c, 2.0) for a, b in zip(w, w[1:])]
 
 
-def _reference_duhamel(traj, sigma, s_c, mu, p):
+def _reference_duhamel(traj, params, s_c):
     grid = traj.fields[0].grid
+    mu, p = params.mu, params.p
     integrands = [
-        _backward(np.abs(u.values) ** (p - 1) * u.values * (1j * mu), t, sigma, grid)
+        _backward(np.abs(u.values) ** (p - 1) * u.values * (1j * mu), t, params, grid)
         for t, u in zip(traj.times, traj.fields)
     ]
     out = []
@@ -208,44 +214,54 @@ def test_spacetime_norm_matches_physical_space_reference(case, variant):
 
 
 DEFECT_CASES = {"1d": (GRID_1D, PARAMS_1D), "2d": (GRID_2D, PARAMS_2D)}
+# The defects propagate back under the run's dispersion; at nu < 1 a nu-free
+# backward flow leaves the linear flow's own mismatch in the direct defect.
+# The nu = 1 cases keep their plain ids.
+DEFECT_NU_CASES = [
+    pytest.param(case, nu, id=case if nu == 1 else f"{case}-nu{nu:g}")
+    for nu in (1.0, 0.5, 0.0)
+    for case in DEFECT_CASES
+]
+
+
+def _defect_case(case, nu, amplitude):
+    """(params at nu, s_c, trajectory, direct, duhamel) for a DEFECT_CASES entry."""
+    grid, params = DEFECT_CASES[case]
+    params = dataclasses.replace(params, nu=nu)
+    s_c, _ = critical_exponents(params.d, params.p, params.sigma)
+    traj = _traj(grid, params, amplitude)
+    rows = list(scattering_defects(traj, params, s_c))
+    assert [(lo, hi) for lo, hi, _, _ in rows] == list(zip(traj.times, traj.times[1:]))
+    return params, s_c, traj, [r[2] for r in rows], [r[3] for r in rows]
 
 
 @pytest.mark.parametrize("amplitude", [0.5, 1e-3])
-@pytest.mark.parametrize("case", DEFECT_CASES, ids=list(DEFECT_CASES))
-def test_duhamel_increments_match_reference(case, amplitude):
-    grid, params = DEFECT_CASES[case]
-    s_c, _ = critical_exponents(params.d, params.p, params.sigma)
-    traj = _traj(grid, params, amplitude)
-    got = duhamel_defect_increments(traj, params.sigma, s_c, params.mu, params.p)
-    want = _reference_duhamel(traj, params.sigma, s_c, params.mu, params.p)
+@pytest.mark.parametrize("case, nu", DEFECT_NU_CASES)
+def test_duhamel_increments_match_reference(case, nu, amplitude):
+    params, s_c, traj, _, got = _defect_case(case, nu, amplitude)
+    want = _reference_duhamel(traj, params, s_c)
     assert len(got) == len(want) == len(traj.times) - 1
     assert _max_rel(got, want) <= DUHAMEL_TOL
 
 
-@pytest.mark.parametrize("case", DEFECT_CASES, ids=list(DEFECT_CASES))
-def test_direct_defect_matches_reference(case):
-    grid, params = DEFECT_CASES[case]
-    s_c, _ = critical_exponents(params.d, params.p, params.sigma)
-    traj = _traj(grid, params, amplitude=0.5)
-    got = scattering_defect(traj, params.sigma, s_c)
-    want = _reference_scattering_defect(traj, params.sigma, s_c)
+@pytest.mark.parametrize("case, nu", DEFECT_NU_CASES)
+def test_direct_defect_matches_reference(case, nu):
+    params, s_c, traj, got, _ = _defect_case(case, nu, amplitude=0.5)
+    want = _reference_scattering_defect(traj, params, s_c)
     assert len(got) == len(want) == len(traj.times) - 1
     assert _max_rel(got, want) <= DIRECT_TOL
 
 
-@pytest.mark.parametrize("case", DEFECT_CASES, ids=list(DEFECT_CASES))
-def test_direct_defect_of_tiny_data_stays_at_roundoff(case):
-    grid, params = DEFECT_CASES[case]
-    s_c, _ = critical_exponents(params.d, params.p, params.sigma)
-    traj = _traj(grid, params, amplitude=1e-3)
+@pytest.mark.parametrize("case, nu", DEFECT_NU_CASES)
+def test_direct_defect_of_tiny_data_stays_at_roundoff(case, nu):
+    params, s_c, traj, got, _ = _defect_case(case, nu, amplitude=1e-3)
     size = _reference_sobolev(traj.fields[0], s_c, 2.0)
-    got = scattering_defect(traj, params.sigma, s_c)
-    want = _reference_scattering_defect(traj, params.sigma, s_c)
+    want = _reference_scattering_defect(traj, params, s_c)
     assert np.max(np.abs(np.subtract(got, want))) <= DIRECT_FLOOR * size
 
 
 def _count_symbols(monkeypatch):
-    """Record every spec that observables passes to evaluate_symbol."""
+    """Record every spec that observables and ModelParams.dispersion pass to evaluate_symbol."""
     seen = []
 
     def counting(spec, grid):
@@ -253,6 +269,7 @@ def _count_symbols(monkeypatch):
         return evaluate_symbol(spec, grid)
 
     monkeypatch.setattr(observables, "evaluate_symbol", counting)
+    monkeypatch.setattr(model, "evaluate_symbol", counting)
     return seen
 
 
@@ -267,16 +284,15 @@ def test_tilde_norm_evaluates_each_band_cutoff_once(monkeypatch):
     assert sum(isinstance(spec, StrichartzWeight) for spec in seen) == 1
 
 
-@pytest.mark.parametrize("which", ["direct", "duhamel"])
-def test_defect_pass_evaluates_bessel_once(monkeypatch, which):
+def test_defect_pass_evaluates_bessel_and_dispersion_once(monkeypatch):
     params = PARAMS_1D
     s_c, _ = critical_exponents(params.d, params.p, params.sigma)
     traj = _traj(GRID_1D, params, amplitude=0.5)
     assert len(traj.fields) > 3
     seen = _count_symbols(monkeypatch)
-    if which == "direct":
-        scattering_defect(traj, params.sigma, s_c)
-    else:
-        duhamel_defect_increments(traj, params.sigma, s_c, params.mu, params.p)
-    assert [type(spec) for spec in seen].count(Bessel) == 1
-    assert len(seen) == 2  # Bessel(s_c) and |xi|^(2 sigma)
+    rows = list(scattering_defects(traj, params, s_c))
+    assert len(rows) == len(traj.fields) - 1
+    kinds = [type(spec) for spec in seen]
+    assert kinds.count(Bessel) == 1
+    assert kinds.count(FractionalLaplacian) == 1  # omega, by ModelParams.dispersion
+    assert len(seen) == 2
