@@ -8,6 +8,7 @@ plain text `key = value` files; see README for the documented keys.
 import argparse
 import csv
 import difflib
+import math
 import os
 
 from .config import load_config
@@ -22,39 +23,44 @@ from .soliton import SolitonConfig, petviashvili_solve, traveling_wave_check
 from . import experiments as exp
 
 
-# Strict parsers over fnls.config's values: each key has one type under
-# every subcommand, and a value of another type is an error, not a cast.
-def _int(v):
-    if type(v) is int or type(v) is float and v.is_integer():
-        return int(v)
-    raise ValueError(f"expected an integer, got {v!r}")
+# Parsers of fnls.config's value text: each key has one type under every
+# subcommand, and text of another type is an error.
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _float(v):
-    if type(v) in (int, float):
-        return float(v)
-    raise ValueError(f"expected a number, got {v!r}")
+def _float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):  # no number key has a use for nan
+        raise ValueError(f"expected a number, got {text!r}")
+    return value
 
 
-def _bool(v):
-    if type(v) is bool:
-        return v
-    raise ValueError(f"expected true or false, got {v!r}")
+def _bool(text):
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
-def _window(v):
-    parts = v.split(":") if isinstance(v, str) else ()
+def _window(text):
+    parts = text.split(":")
     if len(parts) != 2:
-        raise ValueError(f"expected a lo:hi window, got {v!r}")
-    return tuple(float(x) for x in parts)
+        raise ValueError(f"expected a lo:hi window, got {text!r}")
+    return tuple(_float(x) for x in parts)
 
 
 def _list_of(item):
-    return lambda v: tuple(item(x) for x in (v if isinstance(v, list) else [v]))
+    return lambda text: tuple(item(x.strip()) for x in text.split(","))
 
 
 def _per_axis(item):
-    return lambda v: tuple(item(x) for x in v) if isinstance(v, list) else item(v)
+    return lambda text: _list_of(item)(text) if "," in text else item(text)
 
 
 KEY_TYPES = {
@@ -114,6 +120,9 @@ def _load_config(path, command):
     for key, other in (("L", "n"), ("n", "L")):
         if key in cfg and other not in cfg and (key, command) != ("n", "dispersive"):
             raise ValueError(f"{path}: config key {key!r} for {command} needs {other!r}")
+    # Soliton's dt steps only the traveling check, which its t_end asks for.
+    if command == "soliton" and "dt" in cfg and "t_end" not in cfg:
+        raise ValueError(f"{path}: config key 'dt' for soliton needs 't_end'")
     return cfg
 
 
@@ -210,7 +219,7 @@ def cmd_soliton(args):
         f"final residual: {result.residual_history[-1]:.6e}",
         f"symbol min: {result.symbol_min:.6e}",
     ]
-    if result.converged and cfg.get("t_end"):
+    if result.converged and "t_end" in cfg:
         mismatch = traveling_wave_check(result, scfg, cfg["t_end"], cfg.get("dt", 1e-3))
         lines.append(f"traveling-wave mismatch at t={cfg['t_end']}: {mismatch:.6e}")
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:

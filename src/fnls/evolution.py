@@ -88,14 +88,18 @@ class EvolveConfig:
     mass_drift_guard: float = 1e-8
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # In the `not x > 0` form, so that NaN fails as well.
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and >= 0")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.t_end > 0 and self.dt is not None and self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot stride must be >= 1")
+        stride = self.snapshot_stride
+        if not (stride >= 1 and (stride == math.inf or stride % 1 == 0)):
+            raise ValueError("snapshot stride must be a whole number >= 1 or inf")
+        if not self.mass_drift_guard > 0:
+            raise ValueError("mass_drift_guard must be positive")
 
 
 @dataclass
@@ -118,7 +122,12 @@ class Trajectory:
 def snapshots(u0, cfg):
     """Yield (t, u, diagnostics) at t = 0, every stride steps and cfg.t_end.
 
-    A snapshot that trips the mass-drift or non-finite guard raises instead.
+    Every step, the remainder step that ends a run off the dt grid included,
+    takes one path: it applies the previous step's closing half-step, sets
+    `close` = exp(i (h/2) omega) for its own size h, applies `close`, and
+    rotates in space between one FFT pair. A snapshot closes with that same
+    `close`. A snapshot that trips the mass-drift or non-finite guard raises
+    instead.
     """
     params = cfg.params
     grid = u0.grid
@@ -139,28 +148,22 @@ def snapshots(u0, cfg):
         return u, {"time": float(t), **diagnostics, "boundary_amplitude": u.boundary_amplitude()}
 
     # The held state. After a step it is the spectrum still owing that step's
-    # closing half-step, which the next step's opening or a snapshot applies.
+    # closing half-step, which the next step or a snapshot applies.
     w = fft(u0)
     _, first = row(0.0, w, u0)
     yield 0.0, u0, first
-    if cfg.t_end == 0:
-        return
 
     mass0 = first["mass"]
     n_full, remainder, total_steps = step_plan(cfg.t_end, dt)
-    half = propagator(dt / 2)
+    step_dt, close = dt, propagator(dt / 2)
 
     t = 0.0
     for step in range(total_steps):
-        if step < n_full:
-            step_dt, opening = dt, half
-            if step > 0:
-                w *= half  # the previous step's closing half-step
-        else:
-            step_dt = remainder
-            owed = dt / 2 if step > 0 else 0.0
-            opening = propagator(owed + remainder / 2)
-        w *= opening
+        if step:
+            w *= close  # the previous step's closing half-step
+        if step == n_full:  # the shorter remainder step that ends the run at t_end
+            step_dt, close = remainder, propagator(remainder / 2)
+        w *= close
         np.fft.ifftn(w, out=w)
         peak = _rotate(w, step_dt, params.mu, params.p)
         np.fft.fftn(w, out=w)
@@ -170,7 +173,6 @@ def snapshots(u0, cfg):
 
         last = step == total_steps - 1
         if (step + 1) % cfg.snapshot_stride == 0 or last:
-            close = half if step < n_full else propagator(remainder / 2)
             u, diagnostics = row(t, close * w)
             drift = abs(diagnostics["mass"] - mass0) / max(mass0, 1e-300)
             if drift > cfg.mass_drift_guard:

@@ -16,7 +16,8 @@ from ..grid import Grid
 from ..model import ModelParams
 from ..io import write_field
 from ..observables import lp_band_energy_fraction
-from ..spectral import INHOMOGENEOUS, galilean_boost, rescale, round_velocity, sobolev_norm
+from ..spectral import INHOMOGENEOUS, round_velocity, sobolev_norm
+from .galilean import build_tilde
 from .report import ExperimentReport
 
 
@@ -69,13 +70,6 @@ def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
     target = 0.5 * seps.max()
     idx = int(np.argmax(seps >= target))
     return float(t_scan[idx]), float(seps[idx]), float(seps.max())
-
-
-def _build_tilde(phi_at_scaled_time, t, nu, lam, v, sigma, p, n_x):
-    """G_v(lambda^(-2 sigma/(p-1)) phi(lambda^(-2 sigma) ., lambda^(-1) nu .))(t)."""
-    flat = rescale(phi_at_scaled_time, nu / lam, n_x)
-    amp = lam ** (-2 * sigma / (p - 1))
-    return galilean_boost(amp * flat, v, t, sigma)
 
 
 def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=None):
@@ -145,10 +139,10 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         t_dec = lam ** (2 * sigma) * T
         fields = {}
         for label in ("a", "a_prime"):
-            fields[(label, 0.0)] = _build_tilde(
+            fields[(label, 0.0)] = build_tilde(
                 solved[label]["0"], 0.0, nu, lam, v, sigma, p, n_x
             )
-            fields[(label, t_dec)] = _build_tilde(
+            fields[(label, t_dec)] = build_tilde(
                 solved[label]["T"], t_dec, nu, lam, v, sigma, p, n_x
             )
 

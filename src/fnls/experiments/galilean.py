@@ -21,6 +21,17 @@ from ..io import write_field
 from .report import ExperimentReport, loglog_fit
 
 
+def build_tilde(phi_at_scaled_time, t, nu, lam, v, sigma, p, n_x):
+    """u_tilde = G_v(lambda^(-2 sigma/(p-1)) phi(lambda^(-2 sigma) ., lambda^(-1) nu .))(t).
+
+    phi_at_scaled_time is the nu-dispersion profile phi at lambda^(-2 sigma) t;
+    it is flattened onto the lambda/nu-times-wider box with n_x points an axis.
+    """
+    flat = rescale(phi_at_scaled_time, nu / lam, n_x)
+    amp = lam ** (-2 * sigma / (p - 1))
+    return galilean_boost(amp * flat, v, t, sigma)
+
+
 def run_galilean_error(
     profile,
     params,
@@ -35,7 +46,10 @@ def run_galilean_error(
     dt_y=None,
     save_dir=None,
 ):
-    """Sweep nu; report ||exp(i v.x)(u - u_tilde)||_{H^k} and its decay fit."""
+    """Sweep nu; report ||exp(i v.x)(u - u_tilde)||_{H^k} and its decay fit.
+
+    u_tilde is `build_tilde` at lambda = 1, the builder `run_decoherence` shares.
+    """
     d, sigma = params.d, params.sigma
     if sigma <= d / 4:
         raise RegimeError(f"sigma below d/4: sigma = {sigma}, d = {d}")
@@ -68,8 +82,7 @@ def run_galilean_error(
         phi0 = profile.realize(grid_y)
         phi_t = final_state(phi0, dataclasses.replace(params, nu=nu), t_eval, dt_y)
 
-        # G_v of the profile flattened onto the nu-times-wider box.
-        u_tilde = galilean_boost(rescale(phi_t, nu, grid_x.n), v, t_eval, sigma)
+        u_tilde = build_tilde(phi_t, t_eval, nu, 1.0, v, sigma, params.p, grid_x.n)
 
         u0 = modulate(rescale(phi0, nu, grid_x.n), v)
         full = ModelParams(d, sigma, params.p, params.mu, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 
 from ..errors import RegimeError
 from ..evolution import EvolveConfig, default_dt, evolve, step_plan
-from ..exponents import critical_exponents
+from ..exponents import CRITICAL_LWP, classify_regime, critical_exponents
 from ..grid import Grid
 from ..observables import scattering_defects
 from ..io import write_field
@@ -36,9 +36,9 @@ def run_scattering_probe(
     nu and the resolved dt, steps, snapshot_stride and snapshots.
     """
     d, sigma, p = params.d, params.sigma, params.p
-    if not ((d == 1 and p > 5) or (d >= 2 and p > 3)):
-        raise RegimeError(f"scattering probe needs d=1, p>5 or d>=2, p>3; got d={d}, p={p}")
     s_c, _ = critical_exponents(d, p, sigma)
+    if classify_regime(d, p, sigma, s_c).regime != CRITICAL_LWP:
+        raise RegimeError(f"scattering probe needs d=1, p>5 or d>=2, p>3; got d={d}, p={p}")
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
     if dt is None:

@@ -32,7 +32,7 @@ class SolitonConfig:
             raise ValueError("soliton profiles need the focusing sign mu = -1")
         if self.params.nu != 1:
             raise ValueError("soliton profiles need full dispersion nu = 1")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError("omega must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

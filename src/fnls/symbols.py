@@ -60,10 +60,7 @@ class StrichartzWeight:
         return -self.d * (1.0 - self.sigma) * (0.5 - inv_r)
 
     def evaluate(self, grid):
-        e = self.exponent
-        if e == 0:
-            return np.ones(grid.shape)
-        return Riesz(e).evaluate(grid)
+        return Riesz(self.exponent).evaluate(grid)
 
 
 def smooth_step(r):

@@ -61,6 +61,12 @@ def test_key_types_cover_exactly_the_listed_keys():
             "'L' for small-dispersion needs 'n'",
         ),
         ("scatter", "sigma = 0.75\np = 7\nL = 20\nt_end = 0.1\n", "'L' for scatter needs 'n'"),
+        # dt steps only the traveling check, which t_end turns on.
+        (
+            "soliton",
+            "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\ndt = 0.01\n",
+            "config key 'dt' for soliton needs 't_end'",
+        ),
     ],
 )
 def test_cli_rejects_missing_and_half_given_keys(tmp_path, command, text, match):
@@ -79,6 +85,8 @@ BASE = {
     "evolve": "sigma = 0.75\np = 3\nn = 64\nL = 20\nt_end = 0.1\n",
     "small-dispersion": "sigma = 0.75\np = 3\n",
     "decohere": "sigma = 0.75\np = 3\n",
+    "dispersive": "sigma = 0.75\n",
+    "scatter": "sigma = 0.75\np = 7\n",
 }
 
 
@@ -93,6 +101,16 @@ BASE = {
         ("evolve", "mu = -1.5"),
         ("decohere", "true_evolution = nope"),
         ("evolve", "sigma = yes"),
+        # Each value's text is parsed once, by its key's type: an integer is
+        # no float literal, only true and false are booleans, nan is no
+        # number, and a list has no empty item.
+        ("evolve", "n = 64.0"),
+        ("decohere", "true_evolution = yes"),
+        ("decohere", "true_evolution = True"),
+        ("evolve", "sigma = nan"),
+        ("evolve", "mass_drift_guard = nan"),
+        ("dispersive", "N_list = ,"),
+        ("scatter", "windows = 1:nan"),
     ],
 )
 def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
@@ -100,6 +118,14 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
     base = [row for row in BASE[command].splitlines() if not row.startswith(key + " ")]
     with pytest.raises(ValueError, match=f"config key '{key}' for {command}: expected"):
         _run(tmp_path, command, "\n".join(base + [line]) + "\n")
+
+
+def test_soliton_runs_the_traveling_check_at_t_end_zero(tmp_path):
+    text = "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\nt_end = 0\n"
+    assert _run(tmp_path, "soliton", text) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "converged: True" in summary
+    assert "traveling-wave mismatch at t=0.0: " in summary
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fnls.errors import NonFiniteFieldError
-from fnls.evolution import EvolveConfig, default_dt, evolve, scaling_transform
+from fnls.evolution import EvolveConfig, default_dt, evolve, scaling_transform, snapshots
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import gaussian
@@ -172,3 +172,35 @@ def test_scaling_transform_requires_power_of_two():
     u0 = gaussian(GRID, amplitude=1.0)
     with pytest.raises(ValueError):
         scaling_transform(u0, 3.0, PARAMS)
+
+
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_zero_t_end_yields_only_the_input_field(dt):
+    u0 = gaussian(GRID, amplitude=0.5)
+    rows = list(snapshots(u0, EvolveConfig(PARAMS, t_end=0.0, dt=dt)))
+    assert len(rows) == 1
+    t, u, diagnostics = rows[0]
+    assert t == 0.0 and u is u0 and diagnostics["time"] == 0.0
+
+
+# NaN has to fail each check, so the checks read `not x > 0`.
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"mass_drift_guard": float("nan")}, "mass_drift_guard must be positive"),
+        ({"mass_drift_guard": -1.0}, "mass_drift_guard must be positive"),
+        ({"mass_drift_guard": 0.0}, "mass_drift_guard must be positive"),
+        ({"snapshot_stride": 2.5}, "snapshot stride must be a whole number"),
+        ({"snapshot_stride": float("nan")}, "snapshot stride must be a whole number"),
+        ({"snapshot_stride": 0}, "snapshot stride must be a whole number"),
+        ({"t_end": float("nan")}, "t_end must be finite and >= 0"),
+        ({"t_end": float("inf")}, "t_end must be finite and >= 0"),
+        ({"t_end": -0.1}, "t_end must be finite and >= 0"),
+        ({"dt": float("nan")}, "dt must be positive"),
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": -0.01}, "dt must be positive"),
+    ],
+)
+def test_evolve_config_rejects_values_that_would_misbehave(kw, match):
+    with pytest.raises(ValueError, match=match):
+        EvolveConfig(PARAMS, **{"t_end": 0.1, **kw})

@@ -10,7 +10,7 @@ import pytest
 
 import fnls.cli as cli
 from fnls.cli import CONFIG_KEYS, main
-from fnls.config import load_config, parse_value
+from fnls.config import load_config
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
 from fnls.evolution import default_dt
 from fnls.experiments import (
@@ -68,14 +68,17 @@ def test_config_parsing(tmp_path):
         "flag = true\n"
         "nu_list = 0.1, 0.05\n"
         "name = run-a\n"
+        "t_end=inf\n"
     )
-    cfg = load_config(cfg_file)
-    assert cfg["sigma"] == 0.75
-    assert cfg["n"] == 256
-    assert cfg["flag"] is True
-    assert cfg["nu_list"] == [0.1, 0.05]
-    assert cfg["name"] == "run-a"
-    assert parse_value("inf") == np.inf
+    # Each value's text, stripped; the key's type in fnls.cli parses it.
+    assert load_config(cfg_file) == {
+        "sigma": "0.75",
+        "n": "256",
+        "flag": "true",
+        "nu_list": "0.1, 0.05",
+        "name": "run-a",
+        "t_end": "inf",
+    }
 
 
 def test_frequency_bump_is_unit_l1_and_centered():
@@ -144,6 +147,17 @@ def test_decoherence_requires_illposed_window():
     cfg = DecoherenceConfig(alpha=1.2, s=-0.3, epsilon=5.0)
     with pytest.raises(RegimeError):
         run_decoherence(cfg, ProfileSpec(width=1.0), params, nu_list=[0.1])
+
+
+def test_decoherence_true_evolution_keeps_the_distance_inflated():
+    # The full-dispersion solutions from the t = 0 u_tilde stay apart at t_dec too.
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    cfg = DecoherenceConfig(true_evolution=True, n_y=256)
+    rep = run_decoherence(cfg, ProfileSpec(width=1.0), params, nu_list=(0.1, 0.09))
+    assert len(rep.series) == 2
+    for row in rep.series:
+        assert np.isfinite(row["true_dist_tdec"])
+        assert row["true_dist_tdec"] >= 5 * row["dist_t0"]
 
 
 def test_decoherence_time_is_positive_and_finite():

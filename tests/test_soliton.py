@@ -84,6 +84,13 @@ def test_iteration_budget_and_tolerance_are_validated(kw, match):
     assert _config(max_iter=1).max_iter == 1
 
 
+@pytest.mark.parametrize("omega", [float("nan"), 0.0, -1.0])
+def test_config_rejects_an_omega_that_is_not_positive(omega):
+    # A NaN omega used to pass and fail later as a nonfinite field.
+    with pytest.raises(ValueError, match="omega must be positive"):
+        _config(omega=omega)
+
+
 def test_traveling_wave_closes_under_evolution():
     cfg = _config()
     res = petviashvili_solve(cfg, SEED)
