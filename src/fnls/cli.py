@@ -121,8 +121,11 @@ def _load_config(path, command):
         if key in cfg and other not in cfg and (key, command) != ("n", "dispersive"):
             raise ValueError(f"{path}: config key {key!r} for {command} needs {other!r}")
     # Soliton's dt steps only the traveling check, which its t_end asks for.
-    if command == "soliton" and "dt" in cfg and "t_end" not in cfg:
-        raise ValueError(f"{path}: config key 'dt' for soliton needs 't_end'")
+    if command == "soliton" and "dt" in cfg:
+        if "t_end" not in cfg:
+            raise ValueError(f"{path}: config key 'dt' for soliton needs 't_end'")
+        if cfg["dt"] > cfg["t_end"] > 0:
+            raise ValueError(f"{path}: config key 'dt' for soliton must not exceed 't_end'")
     return cfg
 
 
@@ -220,8 +223,10 @@ def cmd_soliton(args):
         f"symbol min: {result.symbol_min:.6e}",
     ]
     if result.converged and "t_end" in cfg:
-        mismatch = traveling_wave_check(result, scfg, cfg["t_end"], cfg.get("dt", 1e-3))
-        lines.append(f"traveling-wave mismatch at t={cfg['t_end']}: {mismatch:.6e}")
+        t_end = cfg["t_end"]
+        dt = cfg.get("dt", min(1e-3, t_end) if t_end > 0 else 1e-3)
+        mismatch = traveling_wave_check(result, scfg, t_end, dt)
+        lines.append(f"traveling-wave mismatch at t={t_end}: {mismatch:.6e}")
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))

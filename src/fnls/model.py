@@ -24,7 +24,7 @@ class ModelParams:
             raise ValueError("d must be 1, 2 or 3")
         if not 0 < self.sigma <= 1:
             raise ValueError("sigma must lie in (0, 1]")
-        if self.p <= 1:
+        if not self.p > 1:
             raise ValueError("p must exceed 1")
         if self.mu not in (1, -1):
             raise ValueError("mu must be +1 or -1")

@@ -7,7 +7,6 @@ import numpy as np
 from fnls.grid import ComplexField
 from fnls.soliton import (
     SolitonResult,
-    _inner,
     _profile_terms,
     _relative_residual,
     soliton_symbol_on_grid,
@@ -45,6 +44,10 @@ def physical_sobolev_norm(u, s, homogeneity=INHOMOGENEOUS):
     """H^s norm in physical space: the weight's multiplier round trip, then L^2 quadrature."""
     spec = Bessel(s) if homogeneity == INHOMOGENEOUS else Riesz(s)
     return lebesgue_norm(apply_multiplier(u, spec), 2.0)
+
+
+def _inner(grid, a, b):
+    return float(np.real(np.sum(a * np.conj(b)))) * grid.cell_volume
 
 
 def petviashvili_two_pairs(cfg, seed):

@@ -128,6 +128,26 @@ def test_soliton_runs_the_traveling_check_at_t_end_zero(tmp_path):
     assert "traveling-wave mismatch at t=0.0: " in summary
 
 
+
+def test_soliton_steps_a_short_traveling_check_in_one_step_by_default(tmp_path, monkeypatch):
+    # The default dt is 1e-3, cut to t_end when the check is shorter.
+    seen = []
+    check = cli.traveling_wave_check
+    monkeypatch.setattr(
+        cli, "traveling_wave_check", lambda *args: seen.append(args[2:]) or check(*args)
+    )
+    text = "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\nt_end = 0.0005\n"
+    assert _run(tmp_path, "soliton", text) == 0
+    assert seen == [(0.0005, 0.0005)]
+    assert "traveling-wave mismatch at t=0.0005: " in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_soliton_rejects_a_dt_beyond_t_end_before_writing(tmp_path):
+    text = "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\nt_end = 0.0005\ndt = 0.001\n"
+    with pytest.raises(ValueError, match="'dt' for soliton must not exceed 't_end'"):
+        _run(tmp_path, "soliton", text)
+    assert not (tmp_path / "out").exists()
+
 @pytest.mark.parametrize(
     "command, key",
     [

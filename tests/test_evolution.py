@@ -204,3 +204,10 @@ def test_zero_t_end_yields_only_the_input_field(dt):
 def test_evolve_config_rejects_values_that_would_misbehave(kw, match):
     with pytest.raises(ValueError, match=match):
         EvolveConfig(PARAMS, **{"t_end": 0.1, **kw})
+
+
+@pytest.mark.parametrize("p", [float("nan"), 1.0])
+def test_model_params_reject_a_power_that_is_not_above_one(p):
+    # NaN used to pass and fail only at the first step, as a nonfinite field.
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        ModelParams(1, 0.75, p)

@@ -154,10 +154,8 @@ def test_solve_evaluates_the_symbol_once_and_reports_the_public_residual(monkeyp
     assert len(res.residual_history) > 10
     assert len(calls) == 1
     monkeypatch.undo()
-    # The solver takes the linear term as M^gamma N rather than transforming
-    # Q again, so its residual is the public one only up to roundoff
-    # (6e-16 here, at most 2.6e-15 apart from the two-pair loop's on the 16
-    # soliton-2d benchmark inputs), far below tol.
+    # The solver takes its residual on the spectrum (Plancherel), so it is
+    # the public one only up to roundoff (5e-16 here), far below tol.
     assert abs(res.residual_history[-1] - soliton_residual(res.Q, cfg)) <= 1e-13
 
 
@@ -165,24 +163,70 @@ CRITERION_09_SEED = gaussian(Grid(1, 1024, 32 * np.pi), amplitude=1.0, width=1.0
 GRID_2D = Grid(2, 64, 8 * np.pi)
 
 
-@pytest.mark.parametrize(
-    "seed, v",
-    [
-        (CRITERION_09_SEED, (0.0,)),
-        (CRITERION_09_SEED, (0.5,)),
-        (gaussian(GRID_2D, width=1.1, center=(3 * GRID_2D.dx[0], -2 * GRID_2D.dx[0])), (0.5, 0.0)),
-    ],
-)
+REFERENCE_CASES = [
+    (CRITERION_09_SEED, (0.0,)),
+    (CRITERION_09_SEED, (0.5,)),
+    (gaussian(GRID_2D, width=1.1, center=(3 * GRID_2D.dx[0], -2 * GRID_2D.dx[0])), (0.5, 0.0)),
+]
+
+
+def _reference_config(seed, v):
+    return SolitonConfig(ModelParams(seed.grid.d, 0.75, 3, -1, 1.0), omega=1.0, v=v)
+
+
+@pytest.mark.parametrize("seed, v", REFERENCE_CASES)
 def test_one_pair_iteration_matches_the_two_pair_reference(seed, v):
-    cfg = SolitonConfig(ModelParams(seed.grid.d, 0.75, 3, -1, 1.0), omega=1.0, v=v)
+    # Anderson mixing reaches the reference's fixed point by another path, so
+    # the profiles agree at the tolerance scale (about 10 tol), not at roundoff.
+    cfg = _reference_config(seed, v)
     res = petviashvili_solve(cfg, seed)
     ref = petviashvili_two_pairs(cfg, seed)
     assert res.converged and ref.converged
-    assert len(res.residual_history) == len(ref.residual_history)
+    q, q_ref = res.Q.values, ref.Q.values
+    assert np.linalg.norm(q - q_ref) <= 1e-9 * np.linalg.norm(q_ref)
+    assert 2 * len(res.residual_history) <= len(ref.residual_history)
+
+
+@pytest.mark.parametrize("failure", ["raises", "nonfinite"])
+@pytest.mark.parametrize("seed, v", REFERENCE_CASES[:2])
+def test_failed_mixing_falls_back_to_the_plain_petviashvili_step(monkeypatch, seed, v, failure):
+    def solve(a, b):
+        if failure == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(np.shape(b), np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    cfg = _reference_config(seed, v)
+    res = petviashvili_solve(cfg, seed)
+    monkeypatch.undo()
+    ref = petviashvili_two_pairs(cfg, seed)
+    # With every mix refused, each step is x <- G(x): the reference loop,
+    # whose rows start after the seed's.
+    assert res.converged
+    assert len(res.residual_history) == len(ref.residual_history) + 1
     q, q_ref = res.Q.values, ref.Q.values
     assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
-    np.testing.assert_allclose(res.residual_history, ref.residual_history, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(res.stabilization_history, ref.stabilization_history, rtol=1e-12)
+    np.testing.assert_allclose(res.residual_history[1:], ref.residual_history, rtol=0, atol=1e-13)
+
+
+def test_solve_traced_peak_stays_within_one_and_a_half_fields_of_the_plain_loop():
+    # The bound is the traced peak of the plain one-pair Petviashvili loop on
+    # this input, 7.14 MiB (numpy 2.4; a complex field is 1 MiB), plus 1.5
+    # fields. The mixed solve holds x, two rings of three fields, the symbol
+    # and the |Q|^(p-1) temporaries: 8.50 MiB.
+    import tracemalloc
+
+    grid = Grid(2, 256, 16 * np.pi)
+    seed = gaussian(grid, width=1.0)
+    cfg = SolitonConfig(ModelParams(2, 0.75, 3, -1, 1.0), omega=1.0, v=(0.5, 0.0))
+    tracemalloc.start()
+    try:
+        res = petviashvili_solve(cfg, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= (7.14 + 1.5) * 2**20
 
 
 def test_solve_runs_one_fft_pair_per_iteration_after_the_seed(monkeypatch):
