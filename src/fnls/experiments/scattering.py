@@ -31,9 +31,12 @@ def run_scattering_probe(
     which sits at the double-precision noise floor for tiny amplitudes) and
     as the same increments evaluated through the Duhamel integrand, which
     resolves the nonlinear signal at any amplitude. Window comparisons use
-    the Duhamel form, each increment binned by its midpoint. Without a
-    snapshot_stride the run takes ~40 snapshots; the report inputs record
-    nu and the resolved dt, steps, snapshot_stride and snapshots.
+    the Duhamel form, each increment binned by its midpoint. The run takes
+    fourth-order "yoshida4" steps, of its default dt unless dt is given: on
+    criterion 11's grid they are at least as accurate as Strang steps of
+    a sixth of the size and take half the FFT pairs. Without a snapshot_stride the
+    run takes ~40 snapshots; the report inputs record nu, the scheme and the
+    resolved dt, steps, snapshot_stride and snapshots.
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
@@ -41,8 +44,9 @@ def run_scattering_probe(
         raise RegimeError(f"scattering probe needs d=1, p>5 or d>=2, p>3; got d={d}, p={p}")
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
+    scheme = "yoshida4"
     if dt is None:
-        dt = default_dt(grid, params, t_end)
+        dt = default_dt(grid, params, t_end, scheme)
     if snapshot_stride is None:
         # ~40 snapshots across the run.
         snapshot_stride = max(1, round(t_end / dt / 40))
@@ -58,6 +62,7 @@ def run_scattering_probe(
             "s_c": s_c,
             "amplitudes": list(amplitude_list),
             "t_end": t_end,
+            "scheme": scheme,
             "n": grid.n,
             "L": grid.L,
             "dt": dt,
@@ -70,7 +75,9 @@ def run_scattering_probe(
     for amp in amplitude_list:
         u0 = amp * profile.realize(grid)
         hc0 = sobolev_norm(u0, s_c, INHOMOGENEOUS)
-        cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=snapshot_stride)
+        cfg = EvolveConfig(
+            params, t_end=t_end, dt=dt, snapshot_stride=snapshot_stride, scheme=scheme
+        )
         traj = evolve(u0, cfg)
         report.inputs["snapshots"] = len(traj.times)
 

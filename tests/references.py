@@ -73,3 +73,33 @@ def petviashvili_two_pairs(cfg, seed):
             break
     result.Q = ComplexField(grid, vals)
     return result
+
+
+def rk4_reference(u0, params, t_end, dt):
+    """Integrating-factor RK4 reference integrator.
+
+    Independent discretization-error model for validating the splitting steps:
+    classical RK4 on the spectral variable w(t) = exp(-i t c |xi|^(2s)) u_hat(t),
+    where only the nonlinearity remains stiff-free.
+    """
+    grid = u0.grid
+    coeff = params.nu ** (2 * params.sigma)
+    phase = coeff * grid.k_squared**params.sigma
+
+    def nonlinear_hat(u_hat, t):
+        u = np.fft.ifftn(np.exp(1j * t * phase) * u_hat)
+        f = 1j * params.mu * np.abs(u) ** (params.p - 1) * u
+        return np.exp(-1j * t * phase) * np.fft.fftn(f)
+
+    w = np.fft.fftn(u0.values)
+    n_steps = int(round(t_end / dt))
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = nonlinear_hat(w, t)
+        k2 = nonlinear_hat(w + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = nonlinear_hat(w + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = nonlinear_hat(w + dt * k3, t + dt)
+        w = w + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+    u_hat = np.exp(1j * t * phase) * w
+    return ComplexField(grid, np.fft.ifftn(u_hat))

@@ -1,4 +1,4 @@
-"""Strang splitting: conservation, order, exact limits, and the RK4 oracle."""
+"""Strang and yoshida4 splitting: conservation, order, exact limits, and the RK4 oracle."""
 
 import numpy as np
 import pytest
@@ -9,38 +9,10 @@ from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import gaussian
 
+from references import rk4_reference
+
 GRID = Grid(1, 256, 16 * np.pi)
 PARAMS = ModelParams(d=1, sigma=0.75, p=3, mu=1, nu=1.0)
-
-
-def rk4_reference(u0, params, t_end, dt):
-    """Integrating-factor RK4 reference integrator.
-
-    Independent discretization-error model for validating the Strang solver:
-    classical RK4 on the spectral variable w(t) = exp(-i t c |xi|^(2s)) u_hat(t),
-    where only the nonlinearity remains stiff-free.
-    """
-    grid = u0.grid
-    coeff = params.nu ** (2 * params.sigma)
-    phase = coeff * grid.k_squared**params.sigma
-
-    def nonlinear_hat(u_hat, t):
-        u = np.fft.ifftn(np.exp(1j * t * phase) * u_hat)
-        f = 1j * params.mu * np.abs(u) ** (params.p - 1) * u
-        return np.exp(-1j * t * phase) * np.fft.fftn(f)
-
-    w = np.fft.fftn(u0.values)
-    n_steps = int(round(t_end / dt))
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = nonlinear_hat(w, t)
-        k2 = nonlinear_hat(w + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = nonlinear_hat(w + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = nonlinear_hat(w + dt * k3, t + dt)
-        w = w + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    u_hat = np.exp(1j * t * phase) * w
-    return ComplexField(grid, np.fft.ifftn(u_hat))
 
 
 def test_default_dt_is_capped_by_grid_and_horizon():
@@ -48,6 +20,8 @@ def test_default_dt_is_capped_by_grid_and_horizon():
     dx = GRID.L[0] / GRID.n[0]
     assert dt <= 0.1 * dx ** (2 * PARAMS.sigma) + 1e-15
     assert default_dt(GRID, PARAMS, t_end=1e-4) <= 1e-6 + 1e-15
+    assert default_dt(GRID, PARAMS, 10.0, "yoshida4") == pytest.approx(6 * dt, rel=1e-15)
+    assert default_dt(GRID, PARAMS, 1e-4, "yoshida4") == default_dt(GRID, PARAMS, 1e-4)
 
 
 # At nu < 1 the linear flow is exp(i t nu^(2 sigma) |xi|^(2 sigma)), so the
@@ -72,6 +46,15 @@ def test_mass_conserved_to_roundoff():
     traj = evolve(u0, EvolveConfig(PARAMS, t_end=1.0, dt=1e-3, snapshot_stride=100))
     masses = [d["mass"] for d in traj.diagnostics]
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-12
+
+
+def test_yoshida4_conserves_mass_to_roundoff():
+    # Its middle substep runs the flows backwards; both stay exact.
+    u0 = gaussian(GRID, amplitude=1.0)
+    cfg = EvolveConfig(PARAMS, t_end=1.0, dt=1e-2, snapshot_stride=10, scheme="yoshida4")
+    masses = np.array([d["mass"] for d in evolve(u0, cfg).diagnostics])
+    assert len(masses) == 11
+    assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-12
 
 
 def test_energy_drift_is_second_order_in_dt():
@@ -103,6 +86,21 @@ def test_strang_step_is_second_order_against_rk4():
         errs.append(np.max(np.abs(traj.final.values - ref.values)))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(1.8 < q < 2.2 for q in orders)
+
+
+# RK4 at dt 2.5e-3 sits ~1e-12 from its dt/5 run, far below the finest
+# yoshida4 error (~8e-9), so the measured orders are yoshida4's.
+@pytest.mark.parametrize("grid", [GRID, Grid(2, 32, 8 * np.pi)], ids=["1d", "2d"])
+def test_yoshida4_step_is_fourth_order_against_rk4(grid):
+    params = ModelParams(d=grid.d, sigma=0.75, p=3, mu=1, nu=1.0)
+    u0 = gaussian(grid, width=1.0, amplitude=1.0, center=(0.3,) * grid.d)
+    ref = rk4_reference(u0, params, 0.5, 2.5e-3)
+    errs = []
+    for dt in (0.1, 0.05, 0.025, 0.0125):
+        cfg = EvolveConfig(params, t_end=0.5, dt=dt, snapshot_stride=10**9, scheme="yoshida4")
+        errs.append(np.max(np.abs(evolve(u0, cfg).final.values - ref.values)))
+    orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(3.7 <= q <= 4.3 for q in orders)
 
 
 def test_zero_dispersion_reproduces_explicit_phase_solution():
@@ -199,6 +197,7 @@ def test_zero_t_end_yields_only_the_input_field(dt):
         ({"dt": float("nan")}, "dt must be positive"),
         ({"dt": 0.0}, "dt must be positive"),
         ({"dt": -0.01}, "dt must be positive"),
+        ({"scheme": "rk4"}, "scheme must be one of strang, yoshida4; got 'rk4'"),
     ],
 )
 def test_evolve_config_rejects_values_that_would_misbehave(kw, match):

@@ -186,7 +186,7 @@ def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
         grid=grid, windows=((0.1, 0.2), (0.2, 0.4)),
     )
     dt = rep.inputs["dt"]
-    assert dt == default_dt(grid, params, t_end)
+    assert dt == default_dt(grid, params, t_end, "yoshida4")
     steps = rep.inputs["steps"]
     assert (steps - 1) * dt < t_end <= steps * dt + 1e-12
     # One report row per pair of consecutive snapshots.
@@ -200,15 +200,16 @@ SCATTER_PARAMS = ModelParams(1, 0.75, 7, 1, 1.0)
 
 
 # A uniform stride cannot give 40 +- 2 snapshots at every step count: at
-# 100 steps, stride 2 gives 51 and stride 3 gives 35. From about 800 steps
-# on, round(steps / 40) does.
+# 100 steps, stride 2 gives 51 and stride 3 gives 35, and the probe's 136
+# and 217 yoshida4 steps at t_end 2.5 and 4 take 47 and 45. From about 800
+# steps on, round(steps / 40) does.
 @pytest.mark.parametrize(
     "grid, t_end, snapshots",
     [
         (Grid(1, 512, 128 * np.pi), 2.0, 51),
-        (SCATTER_GRID, 2.5, 42),
-        (SCATTER_GRID, 4.0, 41),
-        (SCATTER_GRID, 10.0, 42),
+        (SCATTER_GRID, 2.5, 47),
+        (SCATTER_GRID, 4.0, 45),
+        (SCATTER_GRID, 10.0, 40),
     ],
 )
 def test_scattering_probe_default_stride_takes_about_40_snapshots(grid, t_end, snapshots):
@@ -218,7 +219,8 @@ def test_scattering_probe_default_stride_takes_about_40_snapshots(grid, t_end, s
     )
     dt, steps = rep.inputs["dt"], rep.inputs["steps"]
     stride = rep.inputs["snapshot_stride"]
-    assert dt == default_dt(grid, SCATTER_PARAMS, t_end)
+    assert rep.inputs["scheme"] == "yoshida4"
+    assert dt == default_dt(grid, SCATTER_PARAMS, t_end, "yoshida4")
     assert stride == max(1, round(t_end / dt / 40))
     # The initial snapshot, one per whole stride and the final step's.
     assert rep.inputs["snapshots"] == 1 + steps // stride + (steps % stride > 0)

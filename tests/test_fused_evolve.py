@@ -231,6 +231,43 @@ def test_final_state_trips_the_mass_drift_guard_as_evolve_does(monkeypatch):
     assert _guard_message(lambda: final_state(u0, params, 0.2, 2e-3)) == want
 
 
+def test_yoshida4_trips_the_mass_drift_guard_at_its_first_snapshot():
+    # yoshida4's mass drift is roundoff, like Strang's, and the guard reads
+    # it at each snapshot in the same message format.
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    u0 = gaussian(grid, width=1.0, amplitude=1.0)
+    cfg = EvolveConfig(
+        params, t_end=0.2, dt=2e-3, snapshot_stride=25, mass_drift_guard=1e-30, scheme="yoshida4"
+    )
+    with pytest.raises(MassDriftError, match=r"^mass drift guard tripped: .* at t = 0.05$"):
+        evolve(u0, cfg)
+
+
+def test_nonfinite_guard_checks_every_yoshida4_substep(monkeypatch):
+    # The data of test_nonfinite_guard_trips_within_a_step_under_large_stride,
+    # refocusing at t = 7.5: the midpoint of the second step of 5, where
+    # yoshida4's middle substep rotates. Its outer substeps rotate 0.88 away
+    # from the focus, where max |u| = 0.90 and |u|^1000 is negligible.
+    grid = Grid(1, 1024, 64.0)
+    params = ModelParams(d=1, sigma=1.0, p=1001, mu=1, nu=1.0)
+    u0 = linear_propagate(gaussian(grid, width=0.5, amplitude=2.4), -7.5, params.sigma)
+    peaks = []
+    rotate = fnls.evolution._rotate
+
+    def recording_rotate(w, t, mu, p):
+        peaks.append(rotate(w, t, mu, p))
+        return peaks[-1]
+
+    monkeypatch.setattr(fnls.evolution, "_rotate", recording_rotate)
+    cfg = EvolveConfig(params, t_end=10.0, dt=5.0, snapshot_stride=10**9, scheme="yoshida4")
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteFieldError, match=r"at t = 10$"):
+        evolve(u0, cfg)
+    # It raises at the step's middle substep, with the step's end time.
+    assert len(peaks) == 5
+    assert np.all(np.isfinite(peaks[:4])) and not np.isfinite(peaks[4])
+
+
 def test_final_state_trips_the_nonfinite_guard_as_evolve_does():
     # The data of test_nonfinite_guard_trips_within_a_step_under_large_stride.
     grid = Grid(1, 1024, 64.0)
