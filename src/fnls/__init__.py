@@ -7,7 +7,6 @@ from .evolution import (
     final_state,
     linear_propagate,
     nonlinear_phase,
-    scaling_transform,
     snapshots,
 )
 from .exponents import (
@@ -68,7 +67,6 @@ __all__ = [
     "rescale",
     "resolvable_scales",
     "round_velocity",
-    "scaling_transform",
     "scattering_defects",
     "snapshots",
     "sobolev_norm",

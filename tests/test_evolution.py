@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fnls.errors import NonFiniteFieldError
-from fnls.evolution import EvolveConfig, default_dt, evolve, scaling_transform, snapshots
+from fnls.evolution import EvolveConfig, default_dt, evolve, snapshots
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import gaussian
 
-from references import rk4_reference
+from references import rk4_reference, scaling_transform
 
 GRID = Grid(1, 256, 16 * np.pi)
 PARAMS = ModelParams(d=1, sigma=0.75, p=3, mu=1, nu=1.0)

@@ -36,10 +36,10 @@ from fnls.spectral import (
 from fnls.symbols import (
     Bessel,
     FractionalLaplacian,
-    LinearPropagator,
     LpCutoff,
     StrichartzWeight,
     evaluate_symbol,
+    linear_flow,
 )
 
 NORM_TOL = 1e-12
@@ -86,10 +86,8 @@ def _reference_spacetime_norm(traj, spec):
 
 
 def _backward(values, t, params, grid):
-    """The linear flow at nu, exp(i t nu^(2 sigma) |xi|^(2 sigma)), run back by t."""
-    sigma = params.sigma
-    m = evaluate_symbol(LinearPropagator(-t * params.nu ** (2 * sigma), sigma), grid)
-    return np.fft.ifftn(m * np.fft.fftn(values))
+    """The run's linear flow exp(i t omega), omega = params.dispersion(grid), run back by t."""
+    return np.fft.ifftn(linear_flow(params.dispersion(grid), -t) * np.fft.fftn(values))
 
 
 def _reference_scattering_defect(traj, params, s_c):

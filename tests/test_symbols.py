@@ -5,6 +5,7 @@ import pytest
 
 from fnls.errors import SingularSymbolError
 from fnls.grid import Grid
+from fnls.model import ModelParams
 from fnls.symbols import (
     Bessel,
     ErrorSymbol,
@@ -15,6 +16,7 @@ from fnls.symbols import (
     SolitonSymbol,
     StrichartzWeight,
     evaluate_symbol,
+    linear_flow,
     lp_bump,
     smooth_step,
 )
@@ -91,8 +93,9 @@ def test_strichartz_weight_trivial_at_sigma_one():
     assert np.allclose(m[nz], 1.0)
 
 
-# The small-dispersion flow exp(i t nu^(2 sigma) |xi|^(2 sigma)) is the
-# propagator at the nu-scaled time nu^(2 sigma) t; nu = 0 is time 0.
+# The small-dispersion flow exp(i t nu^(2 sigma) |xi|^(2 sigma)) is
+# linear_flow of the run's dispersion, and the nu = 1 LinearPropagator at the
+# nu-scaled time nu^(2 sigma) t; nu = 0 is time 0.
 def test_linear_propagator_is_unimodular():
     m = evaluate_symbol(LinearPropagator(0.37, 0.75), GRID)
     assert np.allclose(np.abs(m), 1.0)
@@ -104,6 +107,14 @@ def test_linear_propagator_scales_the_dispersion_by_nu_to_the_two_sigma():
     for nu in (0.0, 0.5, 1.0):
         m = evaluate_symbol(LinearPropagator(nu**1.5 * 0.37, 0.75), GRID)
         assert np.allclose(m, np.exp(0.37j * nu**1.5 * GRID.k_abs**1.5), rtol=0, atol=1e-14)
+        omega = ModelParams(1, 0.75, 3, 1, nu).dispersion(GRID)
+        for t in (0.37, -0.37):
+            exact = np.exp(1j * t * nu**1.5 * GRID.k_abs**1.5)
+            assert np.allclose(linear_flow(omega, t), exact, rtol=0, atol=1e-14)
+    unit = ModelParams(1, 0.75, 3, 1, 1.0).dispersion(GRID)
+    for t in (0.37, -0.37):
+        m = evaluate_symbol(LinearPropagator(t, 0.75), GRID)
+        assert np.array_equal(m, linear_flow(unit, t))
 
 
 def test_error_symbol_identities():
