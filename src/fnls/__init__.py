@@ -20,13 +20,12 @@ from .io import read_field, write_field
 from .model import ModelParams
 from .observables import SpacetimeNormSpec, energy, mass, scattering_defects, spacetime_norm
 from .profiles import ProfileSpec, gaussian
-from .soliton import SolitonConfig, petviashvili_solve, soliton_residual, traveling_wave_check
+from .soliton import SolitonConfig, petviashvili_solve, traveling_wave_check
 from .spectral import (
     HOMOGENEOUS,
     INHOMOGENEOUS,
     apply_multiplier,
     lebesgue_norm,
-    littlewood_paley_project,
     modulate,
     rescale,
     resolvable_scales,
@@ -58,7 +57,6 @@ __all__ = [
     "is_admissible",
     "lebesgue_norm",
     "linear_propagate",
-    "littlewood_paley_project",
     "mass",
     "modulate",
     "nonlinear_phase",
@@ -70,7 +68,6 @@ __all__ = [
     "scattering_defects",
     "snapshots",
     "sobolev_norm",
-    "soliton_residual",
     "spacetime_norm",
     "spatial_shift",
     "traveling_wave_check",

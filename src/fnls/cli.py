@@ -158,11 +158,11 @@ def cmd_exponents(args):
 
 def cmd_evolve(args):
     cfg = _load_config(args.config, args.command)
-    os.makedirs(args.out, exist_ok=True)
     u0 = _profile_from(cfg).realize(_grid_from(cfg))
     run = EvolveConfig(
         _params_from(cfg), **_pick(cfg, "t_end dt snapshot_stride mass_drift_guard")
     )
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "diagnostics.csv"), "w", newline="") as fh:
         for i, (_, field, diagnostics) in enumerate(snapshots(u0, run)):
             if i == 0:  # the diagnostics' keys name the columns
@@ -260,8 +260,10 @@ EXPERIMENTS = {
 
 def cmd_experiment(args):
     cfg = _load_config(args.config, args.command)
-    os.makedirs(args.out, exist_ok=True)
-    save_dir = args.out if args.save_fields else None
+    save_dir = None
+    if args.save_fields:  # fields are written during the run
+        os.makedirs(args.out, exist_ok=True)
+        save_dir = args.out
     report = EXPERIMENTS[args.command](cfg, save_dir)
     report.write(args.out)
     print("\n".join(report.summary_lines()))

@@ -9,10 +9,6 @@ class SingularSymbolError(FnlsError):
     """A symbol is not finite somewhere on the wavenumber lattice."""
 
 
-class DyadicScaleError(FnlsError):
-    """Littlewood-Paley scale outside the grid-resolvable range."""
-
-
 class OffLatticeError(FnlsError):
     """Requested modulation velocity is not commensurate with the lattice."""
 

@@ -70,8 +70,8 @@ def step_plan(t_end, dt):
 def linear_propagate(u, t, sigma):
     """The exact nu = 1 linear flow: spectrum times `LinearPropagator(t, sigma)`.
 
-    Kept for the nu = 1 callers `experiments/dispersive.py` and
-    `bench/probes.py`.
+    Kept only for `bench/probes.py`; the package's runs take
+    `symbols.linear_flow` of their dispersion array.
     """
     return apply_multiplier(u, LinearPropagator(t, sigma))
 

@@ -132,19 +132,13 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         vmag = float(np.linalg.norm(v))
 
         run = ModelParams(d, sigma, p, mu, nu)
-        solved = {}
-        for label, amp in (("a", cfg.a), ("a_prime", cfg.a_prime)):
-            solved[label] = {"0": (amp * w), "T": final_state(amp * w, run, T, cfg.dt_y)}
-
         t_dec = lam ** (2 * sigma) * T
         fields = {}
-        for label in ("a", "a_prime"):
-            fields[(label, 0.0)] = build_tilde(
-                solved[label]["0"], 0.0, nu, lam, v, sigma, p, n_x
-            )
-            fields[(label, t_dec)] = build_tilde(
-                solved[label]["T"], t_dec, nu, lam, v, sigma, p, n_x
-            )
+        for label, amp in (("a", cfg.a), ("a_prime", cfg.a_prime)):
+            phi0 = amp * w
+            phi_T = final_state(phi0, run, T, cfg.dt_y)
+            fields[(label, 0.0)] = build_tilde(phi0, 0.0, nu, lam, v, sigma, p, n_x)
+            fields[(label, t_dec)] = build_tilde(phi_T, t_dec, nu, lam, v, sigma, p, n_x)
 
         if save_dir is not None:
             write_field(f"{save_dir}/decohere_a_t0_nu{nu:g}.fnls", fields[("a", 0.0)])

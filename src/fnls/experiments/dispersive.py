@@ -16,8 +16,8 @@ import numpy as np
 
 from ..errors import WrapAroundError
 from ..grid import Grid
-from ..evolution import linear_propagate
-from ..spectral import field_from_spectrum, lebesgue_norm
+from ..spectral import fft, field_from_spectrum, lebesgue_norm
+from ..symbols import FractionalLaplacian, evaluate_symbol, linear_flow
 from ..io import write_field
 from .report import ExperimentReport, loglog_fit
 
@@ -79,12 +79,13 @@ def run_dispersive_decay(
             "L": grid.L,
         },
     )
+    omega = evaluate_symbol(FractionalLaplacian(sigma), grid)
     prefactors = []
     for N in N_list:
-        u0 = frequency_bump(grid, N)
+        spectrum = fft(frequency_bump(grid, N))
         sup_norms = []
         for t in t_grid:
-            ut = linear_propagate(u0, t, sigma)
+            ut = field_from_spectrum(grid, linear_flow(omega, t) * spectrum)
             linf = lebesgue_norm(ut, np.inf)
             sup_norms.append(linf)
             report.add_row(N=N, t=t, linf=linf)

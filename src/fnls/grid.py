@@ -163,9 +163,6 @@ class ComplexField:
         if not np.all(np.isfinite(self.values.view(np.float64))):
             raise NonFiniteFieldError("nonfinite field")
 
-    def copy(self):
-        return ComplexField(self.grid, self.values.copy())
-
     def boundary_amplitude(self):
         """Max |u| over the faces of the box (first sample along each axis)."""
         amp = 0.0

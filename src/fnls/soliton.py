@@ -68,30 +68,6 @@ def soliton_symbol_on_grid(cfg, grid):
     return evaluate_symbol(SolitonSymbol(v, sigma), grid) + cfg.omega ** (2 * sigma)
 
 
-def _profile_terms(vals, shifted, p):
-    """(p_v + omega^(2 sigma)) Q and |Q|^(p-1) Q, given the shifted symbol.
-
-    Both terms at one iterate, in physical space and out of place: the
-    direct form that `soliton_residual` checks a profile with, independent
-    of the solver's spectral bookkeeping.
-    """
-    lin = np.fft.ifftn(shifted * np.fft.fftn(vals))
-    return lin, abs_power(vals, p - 1) * vals
-
-
-def _relative_residual(vals, lin, nl):
-    denom = np.linalg.norm(vals)
-    if denom == 0:
-        return 0.0
-    return float(np.linalg.norm(lin - nl) / denom)
-
-
-def soliton_residual(Q, cfg):
-    """Relative L^2 residual of the profile equation, both terms taken directly."""
-    shifted = soliton_symbol_on_grid(cfg, Q.grid)
-    return _relative_residual(Q.values, *_profile_terms(Q.values, shifted, cfg.params.p))
-
-
 def _real_inner(a, b):
     """Re <a, b> over the flattened arrays: the real dot product of their (re, im) parts."""
     return float(np.vdot(a, b).real)

@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 
-from .errors import DyadicScaleError, OffLatticeError, RescaleAliasingError
+from .errors import OffLatticeError, RescaleAliasingError
 from .grid import ComplexField, Grid, abs_power, axis_dot, axis_vector, mode_indices
-from .symbols import Bessel, LpCutoff, Riesz, evaluate_symbol
+from .symbols import Bessel, Riesz, evaluate_symbol
 
 HOMOGENEOUS = "HOMOGENEOUS"
 INHOMOGENEOUS = "INHOMOGENEOUS"
@@ -48,19 +48,6 @@ def resolvable_scales(grid):
     j_lo = int(np.ceil(np.log2(grid.k_min) - 1e-9))
     j_hi = int(np.floor(np.log2(grid.k_nyquist) + 1e-9))
     return [2.0**j for j in range(j_lo, j_hi + 1)]
-
-
-def littlewood_paley_project(u, N):
-    """Project u onto the dyadic annulus |xi| ~ N."""
-    j = np.log2(N)
-    if abs(j - round(j)) > 1e-12:
-        raise DyadicScaleError(f"dyadic scale unresolved: N = {N} is not a power of two")
-    grid = u.grid
-    if not grid.k_min <= N <= grid.k_nyquist:
-        raise DyadicScaleError(
-            f"dyadic scale unresolved: N = {N} outside [{grid.k_min:.4g}, {grid.k_nyquist:.4g}]"
-        )
-    return apply_multiplier(u, LpCutoff(N))
 
 
 def lebesgue_norm(u, r):
@@ -184,7 +171,7 @@ def galilean_boost(u, v, t, sigma):
     return ComplexField(out.grid, np.exp(1j * phase) * out.values)
 
 
-def rescale(u, beta, n_target=None):
+def rescale(u, beta, n_target):
     """Return the field x -> u(beta x) on the box with extents L/beta.
 
     Spectral content moves rigidly: mode m of the source becomes mode m of
@@ -196,8 +183,6 @@ def rescale(u, beta, n_target=None):
     grid = u.grid
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if n_target is None:
-        n_target = grid.n
     target = Grid(grid.d, n_target, tuple(Lj / beta for Lj in grid.L))
 
     # The modes both axes resolve, m in (-min(ns, nt)/2, min(ns, nt)/2].

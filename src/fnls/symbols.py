@@ -101,9 +101,8 @@ def linear_flow(omega, t):
 class LinearPropagator:
     """The nu = 1 flow's symbol linear_flow(|xi|^(2 sigma), t).
 
-    Kept for the nu = 1 callers `experiments/dispersive.py` and
-    `bench/probes.py`; a run at nu takes `linear_flow` of its
-    `ModelParams.dispersion`.
+    Kept only for `bench/probes.py` (and so `linear_propagate`); the
+    package's runs take `linear_flow` of their dispersion array.
     """
 
     t: float
@@ -126,8 +125,7 @@ class ErrorSymbol:
     sigma: float
 
     def evaluate(self, grid):
-        v = axis_vector(self.v, grid.d)
-        if np.linalg.norm(v) == 0 or self.sigma == 1.0:
+        if self.sigma == 1.0:
             return np.zeros(grid.shape)
         p_v = SolitonSymbol(self.v, self.sigma).evaluate(grid)
         return p_v - FractionalLaplacian(self.sigma).evaluate(grid)

@@ -4,13 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fnls.grid import ComplexField
-from fnls.soliton import (
-    SolitonResult,
-    _profile_terms,
-    _relative_residual,
-    soliton_symbol_on_grid,
-)
+from fnls.grid import ComplexField, abs_power
+from fnls.soliton import SolitonResult, soliton_symbol_on_grid
 from fnls.spectral import (
     INHOMOGENEOUS,
     apply_multiplier,
@@ -19,7 +14,7 @@ from fnls.spectral import (
     plancherel,
     rescale,
 )
-from fnls.symbols import Bessel, Riesz
+from fnls.symbols import Bessel, LpCutoff, Riesz
 
 
 @dataclass(frozen=True)
@@ -45,6 +40,35 @@ def physical_sobolev_norm(u, s, homogeneity=INHOMOGENEOUS):
     """H^s norm in physical space: the weight's multiplier round trip, then L^2 quadrature."""
     spec = Bessel(s) if homogeneity == INHOMOGENEOUS else Riesz(s)
     return lebesgue_norm(apply_multiplier(u, spec), 2.0)
+
+
+def littlewood_paley_project(u, N):
+    """Project u onto the dyadic annulus |xi| ~ N: the LpCutoff(N) multiplier round trip."""
+    return apply_multiplier(u, LpCutoff(N))
+
+
+def _profile_terms(vals, shifted, p):
+    """(p_v + omega^(2 sigma)) Q and |Q|^(p-1) Q, given the shifted symbol.
+
+    Both terms at one iterate, in physical space and out of place: the
+    direct form that `soliton_residual` checks a profile with, independent
+    of the solver's spectral bookkeeping.
+    """
+    lin = np.fft.ifftn(shifted * np.fft.fftn(vals))
+    return lin, abs_power(vals, p - 1) * vals
+
+
+def _relative_residual(vals, lin, nl):
+    denom = np.linalg.norm(vals)
+    if denom == 0:
+        return 0.0
+    return float(np.linalg.norm(lin - nl) / denom)
+
+
+def soliton_residual(Q, cfg):
+    """Relative L^2 residual of the profile equation, both terms taken directly."""
+    shifted = soliton_symbol_on_grid(cfg, Q.grid)
+    return _relative_residual(Q.values, *_profile_terms(Q.values, shifted, cfg.params.p))
 
 
 def _inner(grid, a, b):

@@ -8,6 +8,7 @@ import fnls.cli as cli
 import fnls.experiments as exp
 from fnls.cli import CONFIG_KEYS, KEY_TYPES, _load_config, main
 from fnls.config import load_config
+from fnls.errors import RegimeError
 from fnls.grid import ComplexField, Grid
 from fnls.soliton import SolitonResult
 
@@ -90,6 +91,13 @@ BASE = {
 }
 
 
+def _base_with(command, line):
+    """(key, config text): BASE[command] with line in place of its key's own line."""
+    key = line.split(" = ")[0]
+    base = [row for row in BASE[command].splitlines() if not row.startswith(key + " ")]
+    return key, "\n".join(base + [line]) + "\n"
+
+
 # Casting would turn these into n = 64, stride 2, k = 2, mu = -1,
 # true_evolution = True and sigma = 1.0.
 @pytest.mark.parametrize(
@@ -111,13 +119,31 @@ BASE = {
         ("evolve", "mass_drift_guard = nan"),
         ("dispersive", "N_list = ,"),
         ("scatter", "windows = 1:nan"),
+        ("scatter", "windows = 1:2:3"),
     ],
 )
 def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
-    key = line.split(" = ")[0]
-    base = [row for row in BASE[command].splitlines() if not row.startswith(key + " ")]
+    key, text = _base_with(command, line)
     with pytest.raises(ValueError, match=f"config key '{key}' for {command}: expected"):
-        _run(tmp_path, command, "\n".join(base + [line]) + "\n")
+        _run(tmp_path, command, text)
+
+
+# Each is rejected by the library, after the config parses; without
+# --save-fields the run writes nothing before its report.
+@pytest.mark.parametrize(
+    "command, line, error, match",
+    [
+        ("evolve", "snapshot_stride = 0", ValueError, "snapshot stride must be a whole number"),
+        ("evolve", "dt = 1.0", ValueError, "dt must not exceed t_end"),
+        ("scatter", "p = 3", RegimeError, "scattering probe needs"),
+        ("decohere", "a = 2", ValueError, "a, a' must lie in"),
+    ],
+    ids=["evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "decohere-a-2"],
+)
+def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
+    with pytest.raises(error, match=match):
+        _run(tmp_path, command, _base_with(command, line)[1])
+    assert not (tmp_path / "out").exists()
 
 
 def test_soliton_runs_the_traveling_check_at_t_end_zero(tmp_path):

@@ -198,6 +198,7 @@ def test_zero_t_end_yields_only_the_input_field(dt):
         ({"dt": 0.0}, "dt must be positive"),
         ({"dt": -0.01}, "dt must be positive"),
         ({"scheme": "rk4"}, "scheme must be one of strang, yoshida4; got 'rk4'"),
+        ({"dt": 0.2}, "dt must not exceed t_end"),
     ],
 )
 def test_evolve_config_rejects_values_that_would_misbehave(kw, match):
@@ -210,3 +211,24 @@ def test_model_params_reject_a_power_that_is_not_above_one(p):
     # NaN used to pass and fail only at the first step, as a nonfinite field.
     with pytest.raises(ValueError, match="p must exceed 1"):
         ModelParams(1, 0.75, p)
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"d": 0}, "d must be 1, 2 or 3"),
+        ({"d": 4}, "d must be 1, 2 or 3"),
+        ({"d": float("nan")}, "d must be 1, 2 or 3"),
+        ({"sigma": 0.0}, r"sigma must lie in \(0, 1\]"),
+        ({"sigma": 1.5}, r"sigma must lie in \(0, 1\]"),
+        ({"sigma": float("nan")}, r"sigma must lie in \(0, 1\]"),
+        ({"mu": 0}, r"mu must be \+1 or -1"),
+        ({"mu": float("nan")}, r"mu must be \+1 or -1"),
+        ({"nu": -0.1}, r"nu must lie in \[0, 1\]"),
+        ({"nu": 1.5}, r"nu must lie in \[0, 1\]"),
+        ({"nu": float("nan")}, r"nu must lie in \[0, 1\]"),
+    ],
+)
+def test_model_params_reject_coefficients_out_of_range(kw, match):
+    with pytest.raises(ValueError, match=match):
+        ModelParams(**{"d": 1, "sigma": 0.75, "p": 3, **kw})

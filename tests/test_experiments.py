@@ -376,6 +376,41 @@ def test_cli_norms_rejects_a_run_with_no_snapshots(tmp_path):
         main(argv)
 
 
+# Tiny runs: what is pinned is the files, not the experiments' verdicts.
+SAVED_FIELDS = {
+    "small-dispersion": (
+        "sigma = 0.75\np = 3\nn = 64\nL = 20\nnu_list = 0.5, 0.4, 0.3\nt_eval = 0.1\n",
+        [f"smalldisp_nu{nu}.fnls" for nu in ("0.5", "0.4", "0.3")],
+    ),
+    "galilean": (
+        "sigma = 0.75\np = 3\nnu_list = 0.5, 0.4, 0.3\nt_eval = 0.05\nn_x = 256\nL_x = 40\n"
+        "n_y = 64\nv = 4\n",
+        [f"galilean_{u}_nu{nu}.fnls" for u in ("u", "utilde") for nu in ("0.5", "0.4", "0.3")],
+    ),
+    "decohere": (
+        "sigma = 0.75\np = 3\nnu_list = 0.1, 0.09\nn_y = 64\nL_y = 20\nt_scan_max = 10\n"
+        "max_n_x = 1024\n",
+        [f"decohere_a_{t}_nu{nu}.fnls" for t in ("t0", "tdec") for nu in ("0.1", "0.09")],
+    ),
+    "scatter": (
+        "sigma = 0.75\np = 7\nn = 256\nL = 40\nt_end = 1\nwindows = 0.2:0.5, 0.5:1\n",
+        ["scatter_final_amp0.001.fnls"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAVED_FIELDS))
+def test_cli_save_fields_writes_fnls1_files_that_read_back(tmp_path, command):
+    text, names = SAVED_FIELDS[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    main([command, "--config", str(cfg), "--out", str(out_dir), "--save-fields"])
+    assert sorted(path.name for path in out_dir.glob("*.fnls")) == sorted(names)
+    for name in names:
+        read_field(out_dir / name)
+
+
 def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):
     seen = {}
 

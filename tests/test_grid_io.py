@@ -147,8 +147,9 @@ def test_grid_rejects_fractional_sizes_and_nonfinite_extents(n, L):
         Grid(d, n, L)
 
 
-def _header(d, axes):
-    return b"FNLS" + struct.pack("<II", 1, d) + b"".join(struct.pack("<Qd", *a) for a in axes)
+def _header(d, axes, version=1):
+    records = b"".join(struct.pack("<Qd", *a) for a in axes)
+    return b"FNLS" + struct.pack("<II", version, d) + records
 
 
 SAMPLES = bytes(8 * 16)
@@ -163,8 +164,16 @@ SAMPLES = bytes(8 * 16)
         (_header(1, [(8, 2.5)]) + SAMPLES[:-1], "truncated sample data"),
         (_header(1, [(8, float("nan"))]) + SAMPLES, "extents must be positive and finite"),
         (_header(1, [(8, float("inf"))]) + SAMPLES, "extents must be positive and finite"),
+        (_header(1, [(8, 2.5)], version=2) + SAMPLES, "unsupported FNLS version 2"),
+        (
+            _header(1, [(8, 2.5)]) + np.array([np.nan] + [0.0] * 7, "<c16").tobytes(),
+            "nonfinite field",
+        ),
     ],
-    ids=["truncated-header", "short-d5", "trailing-bytes", "short-samples", "nan-L", "inf-L"],
+    ids=[
+        "truncated-header", "short-d5", "trailing-bytes", "short-samples", "nan-L", "inf-L",
+        "version-2", "nan-sample",
+    ],
 )
 def test_fnls1_rejects_malformed_files(tmp_path, data, match):
     path = tmp_path / "bad.fnls"

@@ -15,7 +15,9 @@ from fnls.observables import (
     spacetime_norm,
 )
 from fnls.profiles import gaussian
-from fnls.spectral import littlewood_paley_project, resolvable_scales
+from fnls.spectral import resolvable_scales
+
+from references import littlewood_paley_project
 
 GRID = Grid(1, 256, 16 * np.pi)
 PARAMS = ModelParams(d=1, sigma=0.75, p=3, mu=1, nu=1.0)

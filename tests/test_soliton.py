@@ -7,15 +7,10 @@ from fnls.errors import CoercivityError, StagnationError
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import gaussian
-from fnls.soliton import (
-    SolitonConfig,
-    petviashvili_solve,
-    soliton_residual,
-    traveling_wave_check,
-)
+from fnls.soliton import SolitonConfig, petviashvili_solve, traveling_wave_check
 from fnls.spectral import round_velocity
 
-from references import petviashvili_two_pairs
+from references import petviashvili_two_pairs, soliton_residual
 
 GRID = Grid(1, 512, 32 * np.pi)
 SEED = gaussian(GRID, amplitude=1.0, width=1.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fnls.errors import DyadicScaleError, OffLatticeError, RescaleAliasingError
+from fnls.errors import OffLatticeError, RescaleAliasingError
 from fnls.grid import ComplexField, Grid
 from fnls.profiles import gaussian
 from fnls.spectral import (
@@ -17,7 +17,6 @@ from fnls.spectral import (
     fft,
     fft_values,
     lebesgue_norm,
-    littlewood_paley_project,
     modulate,
     rescale,
     resolvable_scales,
@@ -207,12 +206,6 @@ def test_resolvable_scales_are_dyadic_and_within_range():
     assert all(b / a == 2.0 for a, b in zip(scales, scales[1:]))
     assert scales[0] >= g.k_min
     assert scales[-1] <= g.k_nyquist
-
-
-def test_littlewood_paley_rejects_unresolvable_scale():
-    g = Grid(1, 64, 16 * np.pi)
-    with pytest.raises(DyadicScaleError):
-        littlewood_paley_project(_random_field(g), 1e6)
 
 
 def reconstruct_from_bands(u):

@@ -27,12 +27,7 @@ from fnls.observables import (
     spacetime_norm,
 )
 from fnls.profiles import gaussian
-from fnls.spectral import (
-    BandMultiplier,
-    apply_multiplier,
-    littlewood_paley_project,
-    resolvable_scales,
-)
+from fnls.spectral import BandMultiplier, apply_multiplier, resolvable_scales
 from fnls.symbols import (
     Bessel,
     FractionalLaplacian,
@@ -41,6 +36,8 @@ from fnls.symbols import (
     evaluate_symbol,
     linear_flow,
 )
+
+from references import littlewood_paley_project
 
 NORM_TOL = 1e-12
 DUHAMEL_TOL = 1e-12
