@@ -260,10 +260,9 @@ EXPERIMENTS = {
 
 def cmd_experiment(args):
     cfg = _load_config(args.config, args.command)
-    save_dir = None
-    if args.save_fields:  # fields are written during the run
-        os.makedirs(args.out, exist_ok=True)
-        save_dir = args.out
+    # Fields are written during the run; the first write makes --out, so a
+    # config the runner rejects leaves none.
+    save_dir = args.out if args.save_fields else None
     report = EXPERIMENTS[args.command](cfg, save_dir)
     report.write(args.out)
     print("\n".join(report.summary_lines()))

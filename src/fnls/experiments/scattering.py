@@ -32,11 +32,11 @@ def run_scattering_probe(
     as the same increments evaluated through the Duhamel integrand, which
     resolves the nonlinear signal at any amplitude. Window comparisons use
     the Duhamel form, each increment binned by its midpoint. The run takes
-    fourth-order "yoshida4" steps, of its default dt unless dt is given: on
-    criterion 11's grid they are at least as accurate as Strang steps of
-    a sixth of the size and take half the FFT pairs. Without a snapshot_stride the
-    run takes ~40 snapshots; the report inputs record nu, the scheme and the
-    resolved dt, steps, snapshot_stride and snapshots.
+    fourth-order "blanes_moan4" steps, of its default dt unless dt is given:
+    on criterion 11's grid they are at least as accurate as Strang steps of
+    a twentieth of the size and take under a third of the FFT pairs. Without
+    a snapshot_stride the run takes ~40 snapshots; the report inputs record
+    nu, the scheme and the resolved dt, steps, snapshot_stride and snapshots.
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
@@ -44,7 +44,7 @@ def run_scattering_probe(
         raise RegimeError(f"scattering probe needs d=1, p>5 or d>=2, p>3; got d={d}, p={p}")
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
-    scheme = "yoshida4"
+    scheme = "blanes_moan4"
     if dt is None:
         dt = default_dt(grid, params, t_end, scheme)
     if snapshot_stride is None:

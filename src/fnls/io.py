@@ -6,6 +6,7 @@ complex samples as interleaved (f64 re, f64 im), row-major, last axis
 fastest.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -18,8 +19,9 @@ VERSION = 1
 
 
 def write_field(path, field):
-    """Write a ComplexField to an FNLS1 file."""
+    """Write a ComplexField to an FNLS1 file, making its directory if need be."""
     grid = field.grid
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, grid.d))

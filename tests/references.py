@@ -117,7 +117,9 @@ def rk4_reference(u0, params, t_end, dt):
         return np.exp(-1j * t * phase) * np.fft.fftn(f)
 
     w = np.fft.fftn(u0.values)
-    n_steps = int(round(t_end / dt))
+    # The step nearest dt that divides t_end, so the run ends at t_end.
+    n_steps = max(1, round(t_end / dt))
+    dt = t_end / n_steps
     t = 0.0
     for _ in range(n_steps):
         k1 = nonlinear_hat(w, t)

@@ -8,7 +8,7 @@ import fnls.cli as cli
 import fnls.experiments as exp
 from fnls.cli import CONFIG_KEYS, KEY_TYPES, _load_config, main
 from fnls.config import load_config
-from fnls.errors import RegimeError
+from fnls.errors import RegimeError, WrapAroundError
 from fnls.grid import ComplexField, Grid
 from fnls.soliton import SolitonResult
 
@@ -143,6 +143,30 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
 def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
     with pytest.raises(error, match=match):
         _run(tmp_path, command, _base_with(command, line)[1])
+    assert not (tmp_path / "out").exists()
+
+
+# With --save-fields the runners write fields as they go; --out is made at
+# the first write, so a config the runner rejects before then leaves none.
+@pytest.mark.parametrize(
+    "command, text, error, match",
+    [
+        ("dispersive", "sigma = 0.75\nn = 64\nL = 20\n", WrapAroundError, "wrap-around horizon"),
+        ("small-dispersion", "sigma = 0.75\np = 3\ndt = 2\n", ValueError, "dt must not exceed"),
+        ("galilean", "sigma = 0.2\np = 3\n", RegimeError, "sigma below d/4"),
+        ("decohere", "sigma = 0.75\np = 3\na = 2\n", ValueError, "a, a' must lie in"),
+        ("scatter", "sigma = 0.75\np = 3\n", RegimeError, "scattering probe needs"),
+    ],
+    ids=["dispersive", "small-dispersion", "galilean", "decohere", "scatter"],
+)
+def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
+    tmp_path, command, text, error, match
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--save-fields"]
+    with pytest.raises(error, match=match):
+        main(argv)
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,4 @@
-"""Strang and yoshida4 splitting: conservation, order, exact limits, and the RK4 oracle."""
+"""Strang and Blanes–Moan splitting: conservation, order, exact limits, and the RK4 oracle."""
 
 import numpy as np
 import pytest
@@ -20,8 +20,10 @@ def test_default_dt_is_capped_by_grid_and_horizon():
     dx = GRID.L[0] / GRID.n[0]
     assert dt <= 0.1 * dx ** (2 * PARAMS.sigma) + 1e-15
     assert default_dt(GRID, PARAMS, t_end=1e-4) <= 1e-6 + 1e-15
-    assert default_dt(GRID, PARAMS, 10.0, "yoshida4") == pytest.approx(6 * dt, rel=1e-15)
-    assert default_dt(GRID, PARAMS, 1e-4, "yoshida4") == default_dt(GRID, PARAMS, 1e-4)
+    assert default_dt(GRID, PARAMS, 10.0, "blanes_moan4") == pytest.approx(20 * dt, rel=1e-15)
+    # The cap counts FFT pairs, six per blanes_moan4 step.
+    short = default_dt(GRID, PARAMS, 1e-4, "blanes_moan4")
+    assert short == pytest.approx(6 * default_dt(GRID, PARAMS, 1e-4), rel=1e-15)
 
 
 # At nu < 1 the linear flow is exp(i t nu^(2 sigma) |xi|^(2 sigma)), so the
@@ -48,10 +50,10 @@ def test_mass_conserved_to_roundoff():
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-12
 
 
-def test_yoshida4_conserves_mass_to_roundoff():
-    # Its middle substep runs the flows backwards; both stay exact.
+def test_blanes_moan4_conserves_mass_to_roundoff():
+    # Three of its stages run a flow backwards; both flows stay exact.
     u0 = gaussian(GRID, amplitude=1.0)
-    cfg = EvolveConfig(PARAMS, t_end=1.0, dt=1e-2, snapshot_stride=10, scheme="yoshida4")
+    cfg = EvolveConfig(PARAMS, t_end=1.0, dt=1e-2, snapshot_stride=10, scheme="blanes_moan4")
     masses = np.array([d["mass"] for d in evolve(u0, cfg).diagnostics])
     assert len(masses) == 11
     assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-12
@@ -88,16 +90,16 @@ def test_strang_step_is_second_order_against_rk4():
     assert all(1.8 < q < 2.2 for q in orders)
 
 
-# RK4 at dt 2.5e-3 sits ~1e-12 from its dt/5 run, far below the finest
-# yoshida4 error (~8e-9), so the measured orders are yoshida4's.
+# RK4 at dt 1.25e-3 sits < 1e-13 from its dt/5 run, far below the finest
+# blanes_moan4 error (~1.5e-11), so the measured orders are blanes_moan4's.
 @pytest.mark.parametrize("grid", [GRID, Grid(2, 32, 8 * np.pi)], ids=["1d", "2d"])
-def test_yoshida4_step_is_fourth_order_against_rk4(grid):
+def test_blanes_moan4_step_is_fourth_order_against_rk4(grid):
     params = ModelParams(d=grid.d, sigma=0.75, p=3, mu=1, nu=1.0)
     u0 = gaussian(grid, width=1.0, amplitude=1.0, center=(0.3,) * grid.d)
-    ref = rk4_reference(u0, params, 0.5, 2.5e-3)
+    ref = rk4_reference(u0, params, 0.5, 1.25e-3)
     errs = []
     for dt in (0.1, 0.05, 0.025, 0.0125):
-        cfg = EvolveConfig(params, t_end=0.5, dt=dt, snapshot_stride=10**9, scheme="yoshida4")
+        cfg = EvolveConfig(params, t_end=0.5, dt=dt, snapshot_stride=10**9, scheme="blanes_moan4")
         errs.append(np.max(np.abs(evolve(u0, cfg).final.values - ref.values)))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(3.7 <= q <= 4.3 for q in orders)
@@ -197,7 +199,7 @@ def test_zero_t_end_yields_only_the_input_field(dt):
         ({"dt": float("nan")}, "dt must be positive"),
         ({"dt": 0.0}, "dt must be positive"),
         ({"dt": -0.01}, "dt must be positive"),
-        ({"scheme": "rk4"}, "scheme must be one of strang, yoshida4; got 'rk4'"),
+        ({"scheme": "rk4"}, "scheme must be one of strang, blanes_moan4; got 'rk4'"),
         ({"dt": 0.2}, "dt must not exceed t_end"),
     ],
 )

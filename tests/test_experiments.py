@@ -12,7 +12,7 @@ import fnls.cli as cli
 from fnls.cli import CONFIG_KEYS, main
 from fnls.config import load_config
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
-from fnls.evolution import default_dt
+from fnls.evolution import EvolveConfig, default_dt, evolve
 from fnls.experiments import (
     run_decoherence,
     run_dispersive_decay,
@@ -28,6 +28,8 @@ from fnls.io import read_field
 from fnls.model import ModelParams
 from fnls.profiles import ProfileSpec
 from fnls.spectral import lebesgue_norm
+
+from references import rk4_reference
 
 
 def test_loglog_fit_recovers_power_law():
@@ -186,7 +188,7 @@ def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
         grid=grid, windows=((0.1, 0.2), (0.2, 0.4)),
     )
     dt = rep.inputs["dt"]
-    assert dt == default_dt(grid, params, t_end, "yoshida4")
+    assert dt == default_dt(grid, params, t_end, "blanes_moan4")
     steps = rep.inputs["steps"]
     assert (steps - 1) * dt < t_end <= steps * dt + 1e-12
     # One report row per pair of consecutive snapshots.
@@ -199,17 +201,18 @@ SCATTER_GRID = Grid(1, 512, 16 * np.pi)
 SCATTER_PARAMS = ModelParams(1, 0.75, 7, 1, 1.0)
 
 
-# A uniform stride cannot give 40 +- 2 snapshots at every step count: at
-# 100 steps, stride 2 gives 51 and stride 3 gives 35, and the probe's 136
-# and 217 yoshida4 steps at t_end 2.5 and 4 take 47 and 45. From about 800
-# steps on, round(steps / 40) does.
+# A uniform stride cannot give 40 +- 2 snapshots at every step count. Under
+# 60 steps it is 1: the probe's 17 blanes_moan4 steps at t_end 2 on the
+# coarse grid (its dt is the cap, 6 t_end/100) take 18 snapshots, and its 41
+# at t_end 2.5 take 42. At 66 steps (t_end 4) stride 2 gives 34, where
+# stride 1 would give 67. From about 800 steps on, round(steps / 40) does.
 @pytest.mark.parametrize(
     "grid, t_end, snapshots",
     [
-        (Grid(1, 512, 128 * np.pi), 2.0, 51),
-        (SCATTER_GRID, 2.5, 47),
-        (SCATTER_GRID, 4.0, 45),
-        (SCATTER_GRID, 10.0, 40),
+        (Grid(1, 512, 128 * np.pi), 2.0, 18),
+        (SCATTER_GRID, 2.5, 42),
+        (SCATTER_GRID, 4.0, 34),
+        (SCATTER_GRID, 10.0, 42),
     ],
 )
 def test_scattering_probe_default_stride_takes_about_40_snapshots(grid, t_end, snapshots):
@@ -219,12 +222,30 @@ def test_scattering_probe_default_stride_takes_about_40_snapshots(grid, t_end, s
     )
     dt, steps = rep.inputs["dt"], rep.inputs["steps"]
     stride = rep.inputs["snapshot_stride"]
-    assert rep.inputs["scheme"] == "yoshida4"
-    assert dt == default_dt(grid, SCATTER_PARAMS, t_end, "yoshida4")
+    assert rep.inputs["scheme"] == "blanes_moan4"
+    assert dt == default_dt(grid, SCATTER_PARAMS, t_end, "blanes_moan4")
     assert stride == max(1, round(t_end / dt / 40))
     # The initial snapshot, one per whole stride and the final step's.
     assert rep.inputs["snapshots"] == 1 + steps // stride + (steps % stride > 0)
     assert rep.inputs["snapshots"] == snapshots
+
+
+# The probe's scheme takes 20x Strang's default dt, a multiple set on
+# criterion 11's spacing, which SCATTER_GRID has. There it must stay at least
+# as close to the RK4 oracle as Strang at Strang's default dt, so that a
+# larger multiple fails here. Measured: 4.6e-8 against 6.1e-7 at amplitude 1,
+# and 3.4e-10 against 2.7e-9 at amplitude 0.5; the oracle's own error is
+# about 1e-10.
+@pytest.mark.parametrize("amplitude", [1.0, 0.5])
+def test_probe_scheme_at_its_default_dt_is_as_accurate_as_strang(amplitude):
+    u0 = amplitude * ProfileSpec(width=1.0).realize(SCATTER_GRID)
+    t_end = 2.5
+    ref = rk4_reference(u0, SCATTER_PARAMS, t_end, t_end / 500)
+    errors = {}
+    for scheme in ("strang", "blanes_moan4"):
+        cfg = EvolveConfig(SCATTER_PARAMS, t_end=t_end, snapshot_stride=10**9, scheme=scheme)
+        errors[scheme] = np.max(np.abs(evolve(u0, cfg).final.values - ref.values))
+    assert errors["blanes_moan4"] <= errors["strang"]
 
 
 @pytest.mark.parametrize("width, center", [(1.0, 0.0), (1.2, -4.0)])

@@ -10,6 +10,7 @@ reorders the arithmetic, so results agree to roundoff, not bit for bit.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import fnls.evolution
 from fnls.errors import MassDriftError, NonFiniteFieldError
 from fnls.evolution import (
+    SCHEMES,
     EvolveConfig,
     default_dt,
     evolve,
@@ -231,27 +233,32 @@ def test_final_state_trips_the_mass_drift_guard_as_evolve_does(monkeypatch):
     assert _guard_message(lambda: final_state(u0, params, 0.2, 2e-3)) == want
 
 
-def test_yoshida4_trips_the_mass_drift_guard_at_its_first_snapshot():
-    # yoshida4's mass drift is roundoff, like Strang's, and the guard reads
-    # it at each snapshot in the same message format.
+def test_blanes_moan4_trips_the_mass_drift_guard_at_its_first_snapshot():
+    # blanes_moan4's mass drift is roundoff, like Strang's, and the guard
+    # reads it at each snapshot in the same message format.
     grid = Grid(1, 256, 16 * np.pi)
     params = ModelParams(1, 0.75, 3, 1, 1.0)
     u0 = gaussian(grid, width=1.0, amplitude=1.0)
     cfg = EvolveConfig(
-        params, t_end=0.2, dt=2e-3, snapshot_stride=25, mass_drift_guard=1e-30, scheme="yoshida4"
+        params, t_end=0.2, dt=2e-3, snapshot_stride=25, mass_drift_guard=1e-30,
+        scheme="blanes_moan4",
     )
     with pytest.raises(MassDriftError, match=r"^mass drift guard tripped: .* at t = 0.05$"):
         evolve(u0, cfg)
 
 
-def test_nonfinite_guard_checks_every_yoshida4_substep(monkeypatch):
+def test_nonfinite_guard_checks_every_blanes_moan4_stage(monkeypatch):
     # The data of test_nonfinite_guard_trips_within_a_step_under_large_stride,
-    # refocusing at t = 7.5: the midpoint of the second step of 5, where
-    # yoshida4's middle substep rotates. Its outer substeps rotate 0.88 away
-    # from the focus, where max |u| = 0.90 and |u|^1000 is negligible.
+    # refocusing where the second step of 5 rotates its second stage, the
+    # first that runs the rotation backwards: at 5 + (a_0 + a_1) 5 = 7.16.
+    # The stages before it rotate 1.77 or more away from the focus, where
+    # |u|^1000 is negligible.
     grid = Grid(1, 1024, 64.0)
     params = ModelParams(d=1, sigma=1.0, p=1001, mu=1, nu=1.0)
-    u0 = linear_propagate(gaussian(grid, width=0.5, amplitude=2.4), -7.5, params.sigma)
+    linear, nonlinear, _ = SCHEMES["blanes_moan4"]
+    assert nonlinear[1] < 0
+    focus = 5.0 + (linear[0] + linear[1]) * 5.0
+    u0 = linear_propagate(gaussian(grid, width=0.5, amplitude=2.4), -focus, params.sigma)
     peaks = []
     rotate = fnls.evolution._rotate
 
@@ -260,12 +267,46 @@ def test_nonfinite_guard_checks_every_yoshida4_substep(monkeypatch):
         return peaks[-1]
 
     monkeypatch.setattr(fnls.evolution, "_rotate", recording_rotate)
-    cfg = EvolveConfig(params, t_end=10.0, dt=5.0, snapshot_stride=10**9, scheme="yoshida4")
+    cfg = EvolveConfig(params, t_end=10.0, dt=5.0, snapshot_stride=10**9, scheme="blanes_moan4")
     with np.errstate(all="ignore"), pytest.raises(NonFiniteFieldError, match=r"at t = 10$"):
         evolve(u0, cfg)
-    # It raises at the step's middle substep, with the step's end time.
-    assert len(peaks) == 5
-    assert np.all(np.isfinite(peaks[:4])) and not np.isfinite(peaks[4])
+    # It raises at the step's second stage, with the step's end time.
+    assert len(peaks) == 6 + 2
+    assert np.all(np.isfinite(peaks[:-1])) and not np.isfinite(peaks[-1])
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_schemes_are_symmetric_splittings_of_one_step(scheme):
+    linear, nonlinear, multiple = SCHEMES[scheme]
+    assert linear == linear[::-1] and nonlinear == nonlinear[::-1]
+    assert len(linear) == len(nonlinear) + 1
+    assert math.fsum(linear) == pytest.approx(1, abs=1e-15)
+    assert math.fsum(nonlinear) == pytest.approx(1, abs=1e-15)
+    assert multiple >= 1
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_each_stage_takes_one_fft_pair(monkeypatch, scheme):
+    # 7 steps with a remainder step, snapshots after steps 3, 6 and 7: the
+    # input's forward transform, one pair per stage, and one inverse
+    # transform per snapshot after the first.
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    u0 = gaussian(grid, width=1.0, amplitude=1.0)
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        transform = getattr(np.fft, name)
+
+        def counting(*args, _transform=transform, _name=name, **kw):
+            calls[_name] += 1
+            return _transform(*args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    cfg = EvolveConfig(params, t_end=0.065, dt=0.01, snapshot_stride=3, scheme=scheme)
+    traj = evolve(u0, cfg)
+    stages = len(SCHEMES[scheme][1])
+    assert len(traj.times) == 4
+    assert calls == {"fftn": 1 + 7 * stages, "ifftn": 7 * stages + 3}
 
 
 def test_final_state_trips_the_nonfinite_guard_as_evolve_does():
