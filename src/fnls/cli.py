@@ -230,6 +230,7 @@ def cmd_soliton(args):
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
+    return 0 if result.converged else 1
 
 
 # Each experiment subcommand's runner, called with (cfg, save_dir).

@@ -112,7 +112,8 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         },
     )
 
-    ratios, corrections = [], []
+    # Every nu is checked before the first run, so none leaves fields behind.
+    runs = []
     for nu in nu_list:
         lam = cfg.lam(nu)
         if not nu <= lam:
@@ -120,6 +121,10 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         vmag_req = cfg.velocity_magnitude(nu, d, sigma, p)
         if vmag_req < 1:
             raise ValueError(f"derived |v| = {vmag_req:.3g} < 1; adjust epsilon/alpha")
+        runs.append((nu, lam, vmag_req, ModelParams(d, sigma, p, mu, nu)))
+
+    ratios, corrections = [], []
+    for nu, lam, vmag_req, run in runs:
         beta = nu / lam
         L_x = tuple(Lj / beta for Lj in grid_y.L)
         # Nyquist must clear the boost frequency with headroom for the
@@ -131,7 +136,6 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         v = round_velocity(grid_x, np.array([vmag_req] + [0.0] * (d - 1)))
         vmag = float(np.linalg.norm(v))
 
-        run = ModelParams(d, sigma, p, mu, nu)
         t_dec = lam ** (2 * sigma) * T
         fields = {}
         for label, amp in (("a", cfg.a), ("a_prime", cfg.a_prime)):

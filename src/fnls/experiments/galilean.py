@@ -76,11 +76,13 @@ def run_galilean_error(
         },
     )
 
+    # Every nu is checked before the first run, so none leaves fields behind.
+    runs = [dataclasses.replace(params, nu=nu) for nu in nu_list]
     errors = []
-    for nu in nu_list:
+    for nu, run in zip(nu_list, runs):
         grid_y = Grid(d, n_y, tuple(nu * Lj for Lj in grid_x.L))
         phi0 = profile.realize(grid_y)
-        phi_t = final_state(phi0, dataclasses.replace(params, nu=nu), t_eval, dt_y)
+        phi_t = final_state(phi0, run, t_eval, dt_y)
 
         u_tilde = build_tilde(phi_t, t_eval, nu, 1.0, v, sigma, params.p, grid_x.n)
 

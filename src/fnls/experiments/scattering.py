@@ -3,12 +3,12 @@
 import numpy as np
 
 from ..errors import RegimeError
-from ..evolution import EvolveConfig, default_dt, evolve, step_plan
+from ..evolution import EvolveConfig, default_dt, evolve, free_amplitude, phase_bound, step_plan
 from ..exponents import CRITICAL_LWP, classify_regime, critical_exponents
 from ..grid import Grid
 from ..observables import scattering_defects
 from ..io import write_field
-from ..spectral import INHOMOGENEOUS, sobolev_norm
+from ..spectral import INHOMOGENEOUS, fft, sobolev_norm
 from .report import ExperimentReport
 
 
@@ -36,7 +36,10 @@ def run_scattering_probe(
     on criterion 11's grid they are at least as accurate as Strang steps of
     a twentieth of the size and take under a third of the FFT pairs. Without
     a snapshot_stride the run takes ~40 snapshots; the report inputs record
-    nu, the scheme and the resolved dt, steps, snapshot_stride and snapshots.
+    nu, the scheme and the resolved dt, steps, snapshot_stride and snapshots,
+    and each amplitude's `evolution.phase_bound` as phase_bound: a run whose
+    bound is at most `evolution.ROUNDOFF` (2^-53) takes its linear flow and
+    skips its rotations.
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
@@ -69,12 +72,16 @@ def run_scattering_probe(
             "steps": step_plan(t_end, dt)[2],
             "snapshot_stride": snapshot_stride,
             "windows": list(windows),
+            "phase_bound": [],
         },
     )
 
     for amp in amplitude_list:
         u0 = amp * profile.realize(grid)
         hc0 = sobolev_norm(u0, s_c, INHOMOGENEOUS)
+        report.inputs["phase_bound"].append(
+            phase_bound(free_amplitude(fft(u0)), params, t_end, scheme)
+        )
         cfg = EvolveConfig(
             params, t_end=t_end, dt=dt, snapshot_stride=snapshot_stride, scheme=scheme
         )

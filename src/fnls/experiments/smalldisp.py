@@ -51,11 +51,13 @@ def run_small_dispersion(
         },
     )
 
+    # Every nu is checked before the first run, so none leaves fields behind.
+    runs = [dataclasses.replace(params, nu=nu) for nu in nu_list]
     phi_ode = nonlinear_phase(phi0, t_eval, params.mu, params.p)
     errors = []
     hs_raw = []
-    for nu in nu_list:
-        phi_nu = final_state(phi0, dataclasses.replace(params, nu=nu), t_eval, dt)
+    for nu, run in zip(nu_list, runs):
+        phi_nu = final_state(phi0, run, t_eval, dt)
         if save_dir is not None:
             write_field(f"{save_dir}/smalldisp_nu{nu:g}.fnls", phi_nu)
         err = sobolev_norm(phi_nu - phi_ode, k, INHOMOGENEOUS)

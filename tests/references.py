@@ -14,7 +14,7 @@ from fnls.spectral import (
     plancherel,
     rescale,
 )
-from fnls.symbols import Bessel, LpCutoff, Riesz
+from fnls.symbols import Bessel, LpCutoff, Riesz, linear_flow
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,15 @@ def rk4_reference(u0, params, t_end, dt):
         t += dt
     u_hat = np.exp(1j * t * phase) * w
     return ComplexField(grid, np.fft.ifftn(u_hat))
+
+
+def free_flow(u0, params, t):
+    """F^-1[linear_flow(omega, t) F[u0]], omega the run's dispersion: u0 under the linear flow alone.
+
+    The oracle of a run whose rotations round to the identity.
+    """
+    spectrum = linear_flow(params.dispersion(u0.grid), t) * fft(u0)
+    return ComplexField(u0.grid, np.fft.ifftn(spectrum))
 
 
 def scaling_transform(u, lam, params):

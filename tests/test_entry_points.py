@@ -4,12 +4,18 @@ Every test calls `cli.main` as the `fnls` console script would, writes its
 outputs under `tmp_path`, and reads back the files the subcommand wrote.
 """
 
+import ast
 import csv
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fnls.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(tmp_path, command, text, out="out"):
@@ -56,6 +62,28 @@ def test_soliton_converges_within_25_iterations(tmp_path):
     assert "converged: True" in lines
     (iterations,) = [int(line.split(": ")[1]) for line in lines if line.startswith("iterations: ")]
     assert iterations <= 25
+
+
+def test_soliton_that_does_not_converge_exits_nonzero_after_writing(tmp_path):
+    cfg = tmp_path / "sol.cfg"
+    cfg.write_text("sigma = 0.75\np = 3\nmu = -1\nn = 256\nL = 32\nmax_iter = 2\n")
+    out = tmp_path / "out"
+    assert main(["soliton", "--config", str(cfg), "--out", str(out)]) == 1
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "converged: False" in lines
+    rows = len(_column(out / "residuals.csv", "residual"))
+    assert f"iterations: {rows}" in lines and rows >= 2
+
+
+def test_readme_scatter_example_prints_its_phase_bound(tmp_path, capsys):
+    (text,) = re.findall(r"Example \(`sc\.cfg`\):\n\n```ini\n(.*?)```", README.read_text(), re.S)
+    out = _run(tmp_path, "scatter", text)
+    printed = capsys.readouterr().out.splitlines()
+    (line,) = [line for line in printed if line.startswith("input phase_bound = ")]
+    assert line in (out / "summary.txt").read_text().splitlines()
+    # Amplitude 1e-3 at p = 7 turns no sample by more than 2^-53.
+    (theta,) = ast.literal_eval(line.split(" = ")[1])
+    assert 0 < theta <= np.finfo(float).eps / 2
 
 
 def test_small_dispersion_evolve_conserves_the_energy(tmp_path):

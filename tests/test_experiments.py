@@ -12,7 +12,7 @@ import fnls.cli as cli
 from fnls.cli import CONFIG_KEYS, main
 from fnls.config import load_config
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
-from fnls.evolution import EvolveConfig, default_dt, evolve
+from fnls.evolution import ROUNDOFF, EvolveConfig, default_dt, evolve
 from fnls.experiments import (
     run_decoherence,
     run_dispersive_decay,
@@ -29,7 +29,7 @@ from fnls.model import ModelParams
 from fnls.profiles import ProfileSpec
 from fnls.spectral import lebesgue_norm
 
-from references import rk4_reference
+from references import free_flow, rk4_reference
 
 
 def test_loglog_fit_recovers_power_law():
@@ -199,6 +199,25 @@ def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
 # 512 points on 16 pi have criterion 11's spacing, so its default dt.
 SCATTER_GRID = Grid(1, 512, 16 * np.pi)
 SCATTER_PARAMS = ModelParams(1, 0.75, 7, 1, 1.0)
+
+
+def test_scattering_probe_small_data_takes_the_free_flow(tmp_path):
+    # At amplitude 1e-3 and p = 7 the run's rotations are below roundoff, so
+    # its final field is the linear flow's; at 0.3 they are not.
+    profile = ProfileSpec(width=1.0, center=(0.3,))
+    t_end = 2.5
+    rep = run_scattering_probe(
+        profile, SCATTER_PARAMS, amplitude_list=[1e-3, 0.3], t_end=t_end, grid=SCATTER_GRID,
+        windows=((0.5, 1.0), (1.0, 2.5)), save_dir=str(tmp_path),
+    )
+    small, large = rep.inputs["phase_bound"]
+    assert small <= ROUNDOFF < large
+    for amp in (1e-3, 0.3):
+        u0 = amp * profile.realize(SCATTER_GRID)
+        final = read_field(tmp_path / f"scatter_final_amp{amp:g}.fnls")
+        want = free_flow(u0, SCATTER_PARAMS, t_end).values
+        error = np.max(np.abs(final.values - want)) / np.max(np.abs(want))
+        assert error <= 1e-12 if amp == 1e-3 else error > 1e-6
 
 
 # A uniform stride cannot give 40 +- 2 snapshots at every step count. Under
@@ -430,6 +449,26 @@ def test_cli_save_fields_writes_fnls1_files_that_read_back(tmp_path, command):
     assert sorted(path.name for path in out_dir.glob("*.fnls")) == sorted(names)
     for name in names:
         read_field(out_dir / name)
+
+
+@pytest.mark.parametrize(
+    "command, match",
+    [
+        ("small-dispersion", "nu must lie in"),
+        ("galilean", "nu must lie in"),
+        ("decohere", "require nu <= lambda"),
+    ],
+)
+def test_cli_save_fields_checks_every_nu_before_the_first_run(tmp_path, command, match):
+    # The sweep's second nu is out of range: it must raise before the first
+    # nu's fields are written, so no --out is left behind.
+    text = re.sub(r"nu_list = [^\n]*", "nu_list = 0.1, 1.5", SAVED_FIELDS[command][0])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        main([command, "--config", str(cfg), "--out", str(out_dir), "--save-fields"])
+    assert not out_dir.exists()
 
 
 def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):

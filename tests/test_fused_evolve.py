@@ -18,21 +18,26 @@ import pytest
 import fnls.evolution
 from fnls.errors import MassDriftError, NonFiniteFieldError
 from fnls.evolution import (
+    ROUNDOFF,
     SCHEMES,
     EvolveConfig,
     default_dt,
     evolve,
     final_state,
+    free_amplitude,
     linear_propagate,
     nonlinear_phase,
+    phase_bound,
     snapshots,
 )
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.observables import energy, mass
 from fnls.profiles import gaussian
-from fnls.spectral import lebesgue_norm
+from fnls.spectral import fft, lebesgue_norm
 from fnls.symbols import LinearPropagator, evaluate_symbol
+
+from references import free_flow
 
 FIELD_TOL = 1e-12
 DIAGNOSTIC_TOL = 1e-11
@@ -285,14 +290,8 @@ def test_schemes_are_symmetric_splittings_of_one_step(scheme):
     assert multiple >= 1
 
 
-@pytest.mark.parametrize("scheme", list(SCHEMES))
-def test_each_stage_takes_one_fft_pair(monkeypatch, scheme):
-    # 7 steps with a remainder step, snapshots after steps 3, 6 and 7: the
-    # input's forward transform, one pair per stage, and one inverse
-    # transform per snapshot after the first.
-    grid = Grid(1, 256, 16 * np.pi)
-    params = ModelParams(1, 0.75, 3, 1, 1.0)
-    u0 = gaussian(grid, width=1.0, amplitude=1.0)
+def _count_transforms(monkeypatch):
+    """{"fftn": calls, "ifftn": calls} of numpy's n-dimensional FFTs from here on."""
     calls = {"fftn": 0, "ifftn": 0}
     for name in calls:
         transform = getattr(np.fft, name)
@@ -302,11 +301,113 @@ def test_each_stage_takes_one_fft_pair(monkeypatch, scheme):
             return _transform(*args, **kw)
 
         monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_each_stage_takes_one_fft_pair(monkeypatch, scheme):
+    # 7 steps with a remainder step, snapshots after steps 3, 6 and 7: the
+    # input's forward transform, one pair per stage, and one inverse
+    # transform per snapshot after the first.
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    u0 = gaussian(grid, width=1.0, amplitude=1.0)
+    calls = _count_transforms(monkeypatch)
     cfg = EvolveConfig(params, t_end=0.065, dt=0.01, snapshot_stride=3, scheme=scheme)
     traj = evolve(u0, cfg)
     stages = len(SCHEMES[scheme][1])
     assert len(traj.times) == 4
     assert calls == {"fftn": 1 + 7 * stages, "ifftn": 7 * stages + 3}
+
+
+# (grid, params, dt, t_end, stride, amplitude) of runs whose phase bound is
+# below roundoff; both leave a remainder step.
+LINEAR_ONLY_CASES = {
+    "1d-p7": (
+        Grid(1, 256, 16 * np.pi), ModelParams(1, 0.75, 7, -1, 1.0), 1e-2, 0.405, 7, 1e-3
+    ),
+    "2d-p3-nu0.5": (
+        Grid(2, (32, 64), (8 * np.pi, 12 * np.pi)), ModelParams(2, 0.8, 3, 1, 0.5),
+        1e-2, 0.205, 7, 1e-9,
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("case", LINEAR_ONLY_CASES, ids=list(LINEAR_ONLY_CASES))
+def test_linear_only_run_matches_the_unfused_loop_and_the_free_flow(case, scheme):
+    grid, params, dt, t_end, stride, amplitude = LINEAR_ONLY_CASES[case]
+    u0 = gaussian(grid, width=1.5, amplitude=amplitude, center=(0.3,) * grid.d)
+    assert phase_bound(free_amplitude(fft(u0)), params, t_end, scheme) <= ROUNDOFF
+    cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=stride, scheme=scheme)
+    traj = evolve(u0, cfg)
+    times, fields, _ = _unfused_evolve(u0, cfg)
+    assert traj.times == pytest.approx(times, rel=0, abs=1e-12)
+    for t, got, want in zip(traj.times, traj.fields, fields):
+        assert _rel(got.values, want.values) <= FIELD_TOL
+        assert _rel(got.values, free_flow(u0, params, t).values) <= FIELD_TOL
+
+
+def _scaled_to_bound(u0, params, t_end, scheme, theta):
+    """u0 scaled so that its phase bound is theta: the bound goes as A^(p-1)."""
+    bound = phase_bound(free_amplitude(fft(u0)), params, t_end, scheme)
+    return ComplexField(u0.grid, (theta / bound) ** (1 / (params.p - 1)) * u0.values)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_a_run_below_the_bound_takes_only_its_snapshots_transforms(monkeypatch, scheme):
+    # The runs of test_each_stage_takes_one_fft_pair, at p = 7 and scaled to
+    # just below and just above the bound. Off its grid point, the Gaussian
+    # has max |u| below ||w||_1 / n, so just above the bound the t = 0 L^inf
+    # still passes and the L^1 test alone makes the run rotate.
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 7, 1, 1.0)
+    t_end = 0.065
+    stages = len(SCHEMES[scheme][1])
+    want = {
+        0.99: {"fftn": 1, "ifftn": 3},
+        1.01: {"fftn": 1 + 7 * stages, "ifftn": 7 * stages + 3},
+    }
+    cfg = EvolveConfig(params, t_end=t_end, dt=0.01, snapshot_stride=3, scheme=scheme)
+    for factor, transforms in want.items():
+        u0 = _scaled_to_bound(
+            gaussian(grid, width=1.0, center=(0.3,)), params, t_end, scheme, factor * ROUNDOFF
+        )
+        linf = lebesgue_norm(u0, np.inf)
+        assert phase_bound(linf, params, t_end, scheme) < ROUNDOFF
+        calls = _count_transforms(monkeypatch)
+        assert len(evolve(u0, cfg).times) == 4
+        assert calls == transforms, factor
+
+
+def test_degenerate_runs_take_the_linear_flow(monkeypatch):
+    grid = Grid(1, 64, 8 * np.pi)
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    zero = ComplexField(grid, np.zeros(grid.shape, dtype=complex))
+    assert phase_bound(0.0, params, 1.0) == 0.0
+    assert phase_bound(1e300, params, 0.0) == 0.0
+    calls = _count_transforms(monkeypatch)
+    traj = evolve(zero, EvolveConfig(params, t_end=0.05, dt=0.01))
+    assert calls == {"fftn": 1, "ifftn": 5}
+    assert all(not np.any(u.values) for u in traj.fields)
+    u0 = gaussian(grid, width=1.0, amplitude=1e3)
+    traj = evolve(u0, EvolveConfig(params, t_end=0.0))
+    assert traj.times == [0.0] and traj.final is u0
+    assert calls == {"fftn": 2, "ifftn": 5}
+
+
+def test_phase_bound_at_p_1001_neither_overflows_nor_warns():
+    # The data of test_nonfinite_guard_trips_within_a_step_under_large_stride:
+    # its t = 0 L^inf gives a bound far below roundoff, but it refocuses to
+    # |u| = 2.4, and ||w||_1 / n, which bounds every linear flow's max |u|,
+    # gives inf, so the run rotates and the guard trips.
+    grid = Grid(1, 1024, 64.0)
+    params = ModelParams(d=1, sigma=1.0, p=1001, mu=1, nu=1.0)
+    u0 = linear_propagate(gaussian(grid, width=0.5, amplitude=2.4), -4.5, params.sigma)
+    assert phase_bound(lebesgue_norm(u0, np.inf), params, 10.0) < ROUNDOFF
+    assert free_amplitude(fft(u0)) >= 2.4 * (1 - 1e-12)
+    assert phase_bound(free_amplitude(fft(u0)), params, 10.0) == math.inf
+    assert phase_bound(1e300, params, 10.0, "blanes_moan4") == math.inf
 
 
 def test_final_state_trips_the_nonfinite_guard_as_evolve_does():
