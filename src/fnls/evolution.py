@@ -14,10 +14,17 @@ Math. 142 (2002) 313, whose error per FFT pair is far below that of
 Yoshida's triple jump. `snapshots` holds the spectrum of the solution and
 runs one in-place FFT pair per stage: the pending linear flows in spectrum,
 the rotation in space, and back. A step's closing flow waits for the next
-step or a snapshot. A snapshot applies it to a copy, whose diagnostics
-`observables.field_diagnostics` takes with omega (so its energy is the
-conserved one) before inverting it in place; the held spectrum is unchanged.
-Every propagator is `symbols.linear_flow` of omega.
+step or a snapshot. A snapshot before the last applies it to a copy, whose
+diagnostics `observables.field_diagnostics` takes with omega (so its energy
+is the conserved one) before inverting it in place; the held spectrum is
+unchanged. The run's last snapshot applies it to the held spectrum itself,
+in place, after every propagator is dropped, and the inverted spectrum is
+the field it yields. Every propagator is `symbols.linear_flow` of omega.
+So between snapshots a run's working set is the spectrum, omega, one
+propagator per distinct linear fraction (the remainder step's replace the
+full step's) and one block (`grid.BLOCK` samples) of the rotation's
+temporaries; a snapshot adds a real |u|^2 array, and a copy of the spectrum
+unless it is the last.
 
 A run whose rotations cannot change the field skips them. All the rotations
 of a run together turn a sample by at most Theta = |mu| (sum_i |b_i|)
@@ -37,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MassDriftError, NonFiniteFieldError
-from .grid import ComplexField, abs_power
+from .grid import ComplexField, abs_power, blocks
 from .model import ModelParams
 from .observables import field_diagnostics
 from .spectral import apply_multiplier, fft
@@ -128,17 +135,25 @@ def linear_propagate(u, t, sigma):
 def _rotate(w, t, mu, p):
     """In place: w <- w exp(i t mu |w|^(p-1)), with 0 -> 0 for any p > 1.
 
-    Returns max |w|^(p-1) before the rotation, which is not finite exactly
-    when w or the rotation is not.
+    Returns the largest angle, max |w|^(p-1) |t mu|, which is not finite
+    exactly when w or the rotation is not: a finite |w|^(p-1) whose angle
+    overflows turns its sample into NaN. Works over the flattened C-contiguous
+    w block by block (`grid.blocks`), so its temporaries take one block; the
+    peak is taken with np.maximum, which keeps a NaN of any block.
     """
-    a = abs_power(w, p - 1)
-    peak = a.max()
-    a *= t * mu
-    phase = np.empty_like(w)
-    np.cos(a, out=phase.real)
-    np.sin(a, out=phase.imag)
-    w *= phase
-    return peak
+    flat = w.reshape(-1)
+    angle = t * mu
+    peak = 0.0
+    for s in blocks(flat.size):
+        v = flat[s]
+        a = abs_power(v, p - 1)
+        peak = np.maximum(peak, a.max())
+        a *= angle
+        phase = np.empty_like(v)
+        np.cos(a, out=phase.real)
+        np.sin(a, out=phase.imag)
+        v *= phase
+    return peak * abs(angle)
 
 
 def nonlinear_phase(u, t, mu, p):
@@ -202,7 +217,10 @@ def snapshots(u0, cfg):
     a run off the dt grid included, takes this one path, and leaves its
     closing flow exp(i a_s h omega) as `close`, which the next step applies
     first. Each distinct fraction gets its propagator once per run, and the
-    remainder step gets its own. A snapshot closes with `close`. A stage
+    remainder step gets its own. A snapshot closes a copy of the spectrum
+    with `close`; the run's last one drops the plan and every propagator
+    and closes the held spectrum in place, as np.multiply(close, w, out=w)
+    in close * w's operand order, and yields it inverted. A stage
     whose rotation is not finite raises at its step's end time, and a
     snapshot that trips the mass-drift or non-finite guard raises instead.
     A run whose `phase_bound` is at most `ROUNDOFF` skips every stage's
@@ -262,15 +280,23 @@ def snapshots(u0, cfg):
                 raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}")
         close = step_close
 
-        last = step == total_steps - 1
-        if (step + 1) % cfg.snapshot_stride == 0 or last:
-            u, diagnostics = row(t, close * w)
-            drift = abs(diagnostics["mass"] - mass0) / max(mass0, 1e-300)
-            if drift > cfg.mass_drift_guard:
-                raise MassDriftError(
-                    f"mass drift guard tripped: relative drift {drift:.3e} at t = {t:.6g}"
-                )
-            yield t, u, diagnostics
+        if step == total_steps - 1:
+            # The run's last row closes the held spectrum in place, in
+            # close * w's operand order, with no propagator left alive.
+            np.multiply(close, w, out=w)
+            del plan, step_close, close, flow
+            spectrum = w
+        elif (step + 1) % cfg.snapshot_stride == 0:
+            spectrum = close * w
+        else:
+            continue
+        u, diagnostics = row(t, spectrum)
+        drift = abs(diagnostics["mass"] - mass0) / max(mass0, 1e-300)
+        if drift > cfg.mass_drift_guard:
+            raise MassDriftError(
+                f"mass drift guard tripped: relative drift {drift:.3e} at t = {t:.6g}"
+            )
+        yield t, u, diagnostics
 
 
 def evolve(u0, cfg):

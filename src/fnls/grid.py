@@ -11,6 +11,16 @@ from .errors import NonFiniteFieldError
 #: Hard cap on the total number of grid points.
 MAX_POINTS = 2**24
 
+#: Samples per block of the blocked pointwise kernels (`evolution._rotate`,
+#: `symbols.linear_flow`): their temporaries take one block, not one field.
+BLOCK = 2**15
+
+
+def blocks(size):
+    """Contiguous slices of range(size) in order, BLOCK long but the last."""
+    for start in range(0, size, BLOCK):
+        yield slice(start, start + BLOCK)
+
 
 def mode_indices(n):
     """Integer mode numbers of an n-point axis in FFT order, Nyquist positive."""

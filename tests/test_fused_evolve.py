@@ -11,11 +11,13 @@ reorders the arithmetic, so results agree to roundoff, not bit for bit.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fnls.evolution
+import fnls.grid
 from fnls.errors import MassDriftError, NonFiniteFieldError
 from fnls.evolution import (
     ROUNDOFF,
@@ -29,6 +31,7 @@ from fnls.evolution import (
     nonlinear_phase,
     phase_bound,
     snapshots,
+    _rotate,
 )
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
@@ -217,6 +220,73 @@ def test_snapshot_stream_is_evolve_bit_for_bit(case):
     endpoints = evolve(u0, EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=10**9))
     assert np.array_equal(final.values, endpoints.final.values)
     assert np.array_equal(final.values, traj.final.values)
+
+
+# A block size that divides none of the CASES grids, so each of them spans
+# two or more blocks of the blocked kernels and ends in a short one.
+RAGGED_BLOCK = 100
+
+
+@pytest.fixture
+def ragged_blocks(monkeypatch):
+    monkeypatch.setattr(fnls.grid, "BLOCK", RAGGED_BLOCK)
+
+
+@pytest.mark.parametrize("case", CASES, ids=list(CASES))
+def test_fused_evolve_matches_unfused_loop_in_ragged_blocks(ragged_blocks, case):
+    assert CASES[case][0].total_points % RAGGED_BLOCK > 0
+    test_fused_evolve_matches_unfused_loop(case)
+
+
+@pytest.mark.parametrize("case", CASES, ids=list(CASES))
+def test_snapshot_stream_is_evolve_bit_for_bit_in_ragged_blocks(ragged_blocks, case):
+    test_snapshot_stream_is_evolve_bit_for_bit(case)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rotate_peak_keeps_a_nonfinite_sample_of_a_later_block(bad):
+    # Python's max(0.0, nan) is 0.0: a peak taken that way would drop the
+    # NaN of any block after the first.
+    w = np.full(2 * fnls.grid.BLOCK + 5, 0.5 + 0.5j)
+    w[-3] = bad
+    with np.errstate(invalid="ignore"):
+        peak = _rotate(w, 0.1, 1, 3)
+    assert np.isnan(peak) if np.isnan(bad) else peak == np.inf
+
+
+def test_nonfinite_guard_trips_at_the_step_whose_rotation_overflows(ragged_blocks):
+    # At nu = 0 the field keeps |u| = 1e154 at its centre, in a later block
+    # of the 41: |u|^2 is finite there, but the first step's angle dt |u|^2
+    # = 2e308 is not, so that rotation turns the centre into NaN.
+    grid = Grid(1, 4096, 64.0)
+    params = ModelParams(1, 0.75, 3, 1, 0.0)
+    u0 = gaussian(grid, width=1.0, amplitude=1e154)
+    assert np.argmax(np.abs(u0.values)) >= RAGGED_BLOCK
+    cfg = EvolveConfig(params, t_end=10.0, dt=2.0, snapshot_stride=10**9)
+    assert _guard_message(lambda: evolve(u0, cfg)) == (
+        NonFiniteFieldError,
+        "nonfinite field at t = 2",
+    )
+
+
+def test_final_state_peaks_below_three_fields_above_its_input():
+    # A 3D 64^3 Strang run holds its spectrum, omega (half a field) and one
+    # propagator; the rotation and the flow kernels take one block of
+    # temporaries, and the last row closes the spectrum in place once the
+    # propagator is dropped. The grid's wavenumber cache, built on first use
+    # and kept by the grid, counts as input.
+    grid = Grid(3, 64, 8 * np.pi)
+    params = ModelParams(3, 0.75, 3, 1, 1.0)
+    u0 = gaussian(grid, width=1.5, amplitude=1.0)
+    grid.k_squared
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        final_state(u0, params, 0.03, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * u0.values.nbytes
 
 
 def _guard_message(run):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fnls.grid
 from fnls.errors import SingularSymbolError
 from fnls.grid import Grid
 from fnls.model import ModelParams
@@ -115,6 +116,22 @@ def test_linear_propagator_scales_the_dispersion_by_nu_to_the_two_sigma():
     for t in (0.37, -0.37):
         m = evaluate_symbol(LinearPropagator(t, 0.75), GRID)
         assert np.array_equal(m, linear_flow(unit, t))
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["default-blocks", "ragged-blocks"])
+def test_linear_flow_is_exp_i_t_omega_to_one_ulp(monkeypatch, block):
+    # linear_flow writes cos and sin block by block; a 2D 256^2 grid spans
+    # several blocks, and 1000 samples divide no grid.
+    if block is not None:
+        monkeypatch.setattr(fnls.grid, "BLOCK", block)
+    grid = Grid(2, 256, 16 * np.pi)
+    assert grid.total_points > fnls.grid.BLOCK
+    for nu in (1.0, 0.5, 0.0):
+        omega = ModelParams(2, 0.75, 3, 1, nu).dispersion(grid)
+        for t in (0.005, -0.37, 17.3):
+            got = linear_flow(omega, t).view(float)
+            want = np.exp(1j * (t * omega)).view(float)
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 def test_error_symbol_identities():
