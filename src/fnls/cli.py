@@ -205,8 +205,8 @@ def cmd_norms(args):
 def cmd_soliton(args):
     cfg = _load_config(args.config, args.command)
     scfg = SolitonConfig(_params_from(cfg), **_pick(cfg, "omega v gamma max_iter tol"))
-    os.makedirs(args.out, exist_ok=True)
     seed = ProfileSpec(width=cfg.get("seed_width", 1.0 / scfg.omega)).realize(_grid_from(cfg))
+    os.makedirs(args.out, exist_ok=True)
     result = petviashvili_solve(scfg, seed)
     write_field(os.path.join(args.out, "Q.fnls"), result.Q)
     with open(os.path.join(args.out, "residuals.csv"), "w", newline="") as fh:

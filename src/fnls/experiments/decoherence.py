@@ -5,7 +5,7 @@ spread, boosted to frequency v and compared in a negative-regularity
 Sobolev norm at time 0 and at the decoherence time lambda^(2 sigma) T.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from ..errors import RegimeError
 from ..evolution import final_state, nonlinear_phase
 from ..exponents import ILLPOSED_RANGE, classify_regime, smallest_integer_above
 from ..grid import Grid
-from ..model import ModelParams
 from ..io import write_field
 from ..observables import lp_band_energy_fraction
 from ..spectral import INHOMOGENEOUS, round_velocity, sobolev_norm
@@ -121,7 +120,7 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         vmag_req = cfg.velocity_magnitude(nu, d, sigma, p)
         if vmag_req < 1:
             raise ValueError(f"derived |v| = {vmag_req:.3g} < 1; adjust epsilon/alpha")
-        runs.append((nu, lam, vmag_req, ModelParams(d, sigma, p, mu, nu)))
+        runs.append((nu, lam, vmag_req, replace(params, nu=nu)))
 
     ratios, corrections = [], []
     for nu, lam, vmag_req, run in runs:
@@ -179,7 +178,7 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         }
 
         if cfg.true_evolution:
-            full = ModelParams(d, sigma, p, mu, 1.0)
+            full = replace(params, nu=1.0)
             evolved = {}
             for label in ("a", "a_prime"):
                 evolved[label] = final_state(fields[(label, 0.0)], full, t_dec)

@@ -7,7 +7,6 @@ import numpy as np
 from ..errors import RegimeError
 from ..evolution import final_state
 from ..grid import Grid
-from ..model import ModelParams
 from ..observables import mass
 from ..spectral import (
     INHOMOGENEOUS,
@@ -48,7 +47,8 @@ def run_galilean_error(
 ):
     """Sweep nu; report ||exp(i v.x)(u - u_tilde)||_{H^k} and its decay fit.
 
-    u_tilde is `build_tilde` at lambda = 1, the builder `run_decoherence` shares.
+    The datum u(0) and u_tilde are `build_tilde` at lambda = 1, at t = 0 and
+    t_eval: the builder `run_decoherence` shares.
     """
     d, sigma = params.d, params.sigma
     if sigma <= d / 4:
@@ -78,6 +78,7 @@ def run_galilean_error(
 
     # Every nu is checked before the first run, so none leaves fields behind.
     runs = [dataclasses.replace(params, nu=nu) for nu in nu_list]
+    full = dataclasses.replace(params, nu=1.0)
     errors = []
     for nu, run in zip(nu_list, runs):
         grid_y = Grid(d, n_y, tuple(nu * Lj for Lj in grid_x.L))
@@ -86,8 +87,7 @@ def run_galilean_error(
 
         u_tilde = build_tilde(phi_t, t_eval, nu, 1.0, v, sigma, params.p, grid_x.n)
 
-        u0 = modulate(rescale(phi0, nu, grid_x.n), v)
-        full = ModelParams(d, sigma, params.p, params.mu, 1.0)
+        u0 = build_tilde(phi0, 0.0, nu, 1.0, v, sigma, params.p, grid_x.n)
         u_t = final_state(u0, full, t_eval, dt_x)
 
         if save_dir is not None:

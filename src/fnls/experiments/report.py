@@ -19,10 +19,8 @@ def loglog_fit(x, y):
         raise ValueError("log-log fit needs at least 3 points")
     lx, ly = np.log(x), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    rms = float(np.sqrt(res[0] / x.size)) if res.size else float(
-        np.sqrt(np.mean((A @ [slope, intercept] - ly) ** 2))
-    )
+    (slope, intercept), *_ = np.linalg.lstsq(A, ly, rcond=None)
+    rms = float(np.sqrt(np.mean((A @ [slope, intercept] - ly) ** 2)))
     return float(slope), float(intercept), rms
 
 

@@ -44,7 +44,10 @@ def run_scattering_probe(
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
     if classify_regime(d, p, sigma, s_c).regime != CRITICAL_LWP:
-        raise RegimeError(f"scattering probe needs d=1, p>5 or d>=2, p>3; got d={d}, p={p}")
+        raise RegimeError(
+            f"scattering probe needs d=1, p>5 or d>=2, p>3 and sigma != 1/2; "
+            f"got d={d}, p={p}, sigma={sigma}"
+        )
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
     scheme = "blanes_moan4"

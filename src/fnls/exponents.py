@@ -59,9 +59,13 @@ def classify_regime(d, p, sigma, s):
     """Match (d, p, sigma, s) against the known well- and ill-posedness windows.
 
     All matching hypothesis sets are recorded; overlaps are resolved with
-    priority subcritical > critical > ill-posed.
+    priority subcritical > critical > ill-posed. At sigma = 1/2 no window
+    applies: the paper's results are for sigma in (0, 1), sigma != 1/2.
     """
     s_c, s_g = critical_exponents(d, p, sigma)
+    if abs(sigma - 0.5) <= _TOL:
+        note = "sigma = 1/2 is outside the paper: the 1D half-wave flow does not disperse"
+        return RegimeReport(s_c, s_g, OUTSIDE_THEORY, [note])
     notes = []
     if d == 1 and 2 <= p < 5 and s >= s_g - _TOL:
         notes.append("subcritical LWP: d=1, 2<=p<5, s>=s_g")
@@ -100,9 +104,7 @@ def is_admissible(q, r, d):
     """Exponent pair check: 2/q + d/r = d/2, 2 <= q,r <= inf, not (2,inf,2)."""
     if not (2 - _TOL <= q) or not (2 - _TOL <= r):
         return False
-    inv_q = 0.0 if np.isinf(q) else 1.0 / q
-    inv_r = 0.0 if np.isinf(r) else 1.0 / r
-    if abs(2 * inv_q + d * inv_r - d / 2) > _TOL:
+    if abs(2 / q + d / r - d / 2) > _TOL:
         return False
     if d == 2 and abs(q - 2) < _TOL and np.isinf(r):
         return False

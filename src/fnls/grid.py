@@ -88,9 +88,13 @@ class Grid:
         for nj in n:
             if nj < 8 or nj & (nj - 1) != 0:
                 raise ValueError("each n_j must be a power of two >= 8")
-        for Lj in L:
+        for nj, Lj in zip(n, L):
             if not 0 < Lj < np.inf:
                 raise ValueError("extents must be positive and finite")
+            # |x|^2 and |xi|^2 sum d squares of at most L/2 and pi n/L.
+            h = max(Lj / 2, math.pi * nj / Lj)
+            if not d * h * h < math.inf:
+                raise ValueError(f"extent L = {Lj!r} is out of range: |x|^2 or |xi|^2 overflows")
         if math.prod(n) > MAX_POINTS:
             raise ValueError(f"total point count exceeds the maximum of {MAX_POINTS}")
         object.__setattr__(self, "d", d)

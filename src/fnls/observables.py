@@ -7,7 +7,7 @@ import numpy as np
 
 from .exponents import is_admissible
 from .grid import ComplexField, abs_power
-from .spectral import BandMultiplier, fft, fft_values, lebesgue_norm, plancherel, resolvable_scales
+from .spectral import BandMultiplier, fft, lebesgue_norm, plancherel, resolvable_scales
 from .symbols import (
     Bessel,
     FractionalLaplacian,
@@ -95,7 +95,7 @@ def spacetime_norm(snapshots, spec):
             vals = [[] for _ in bands]
             uh = np.empty(grid.shape, dtype=np.complex128)
             work = np.empty_like(uh)
-        fft_values(u.values, out=uh)
+        fft(u, out=uh)
         for b, band in enumerate(bands):
             band.inverse(uh, work)
             vals[b].append(lebesgue_norm(ComplexField(grid, work), spec.r))
@@ -138,8 +138,9 @@ def scattering_defects(snapshots, params, s_c):
     mu, p = params.mu, params.p
     prev = phase_dt = None
     for t, u in snapshots:
-        a = fft_values(u.values)
-        n = fft_values(abs_power(u.values, p - 1) * u.values * (1j * mu))
+        a = fft(u)
+        n = abs_power(u.values, p - 1) * u.values * (1j * mu)
+        np.fft.fftn(n, out=n)
         if prev is None:
             grid = u.grid
             bessel2 = evaluate_symbol(Bessel(s_c), grid) ** 2

@@ -18,6 +18,14 @@ class ProfileSpec:
     def __post_init__(self):
         # A tuple keeps the spec hashable and its truth test unambiguous.
         object.__setattr__(self, "center", tuple(self.center))
+        # realize divides by 2 width^2, which must be finite and nonzero.
+        w = float(self.width)
+        if not (w > 0 and 0 < 2 * w * w < np.inf):
+            raise ValueError(
+                f"width must be positive with 2 width^2 finite and nonzero; got {self.width!r}"
+            )
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite; got {self.amplitude!r}")
 
     def realize(self, grid):
         center = self.center if self.center else (0.0,) * grid.d

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CoercivityError, StagnationError
 from .grid import ComplexField, abs_power, axis_vector
 from .model import ModelParams
-from .spectral import fft_values, galilean_boost, modulate, round_velocity
+from .spectral import fft, galilean_boost, modulate, round_velocity
 from .symbols import SolitonSymbol, evaluate_symbol
 
 # Anderson mixing depth: the number of earlier (G, f) pairs each step combines.
@@ -127,7 +127,7 @@ def petviashvili_solve(cfg, seed):
         )
 
     slots = ANDERSON_DEPTH + 1
-    x = fft_values(seed.values)
+    x = fft(seed)
     # Rings of the last ANDERSON_DEPTH + 1 values of G(x) and f = G(x) - x,
     # and no other full-size buffer: an iterate's N and F[N] are formed in
     # its G slot, its linear term and residual in its f slot.

@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import OffLatticeError, RescaleAliasingError
 from .grid import ComplexField, Grid, abs_power, axis_dot, axis_vector, mode_indices
-from .symbols import Bessel, Riesz, evaluate_symbol
+from .symbols import Bessel, Riesz, evaluate_symbol, linear_flow
 
 HOMOGENEOUS = "HOMOGENEOUS"
 INHOMOGENEOUS = "INHOMOGENEOUS"
@@ -16,20 +16,15 @@ INHOMOGENEOUS = "INHOMOGENEOUS"
 RESCALE_ALIAS_TOL = 1e-12
 
 
-def fft_values(values, out=None):
-    """Forward transform of an array (unnormalized), into out or a new array.
+def fft(field, out=None):
+    """Forward transform of a field's samples (unnormalized), into out or a new array.
 
     numpy's fftn given no output array allocates one for every axis it
     transforms; with one, the values are bitwise the same.
     """
     if out is None:
-        out = np.empty(np.shape(values), dtype=np.complex128)
-    return np.fft.fftn(values, out=out)
-
-
-def fft(field):
-    """Forward transform of the sample array (unnormalized)."""
-    return fft_values(field.values)
+        out = np.empty(field.grid.shape, dtype=np.complex128)
+    return np.fft.fftn(field.values, out=out)
 
 
 def field_from_spectrum(grid, spectrum):
@@ -145,14 +140,14 @@ def modulate(u, v):
         raise OffLatticeError(
             f"modulation off-lattice: v = {v.tolist()}, nearest lattice vector {rounded.tolist()}"
         )
-    return ComplexField(grid, u.values * np.exp(-1j * axis_dot(grid, grid.x, rounded)))
+    return ComplexField(grid, u.values * linear_flow(axis_dot(grid, grid.x, rounded), -1.0))
 
 
 def spatial_shift(u, a):
     """Translate u by a (result(x) = u(x - a)) via a spectral phase shift."""
     grid = u.grid
     a = axis_vector(a, grid.d, "shift")
-    return field_from_spectrum(grid, np.exp(-1j * axis_dot(grid, grid.k, a)) * fft(u))
+    return field_from_spectrum(grid, linear_flow(axis_dot(grid, grid.k, a), -1.0) * fft(u))
 
 
 def galilean_boost(u, v, t, sigma):

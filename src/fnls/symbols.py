@@ -56,8 +56,7 @@ class StrichartzWeight:
 
     @property
     def exponent(self):
-        inv_r = 0.0 if np.isinf(self.r) else 1.0 / self.r
-        return -self.d * (1.0 - self.sigma) * (0.5 - inv_r)
+        return -self.d * (1.0 - self.sigma) * (0.5 - 1.0 / self.r)
 
     def evaluate(self, grid):
         return Riesz(self.exponent).evaluate(grid)
@@ -88,8 +87,11 @@ class LpCutoff:
 
 
 def linear_flow(omega, t):
-    """The linear flow's multiplier exp(i t omega) for a dispersion array omega.
+    """The unit phase exp(i t omega) for any real array omega.
 
+    With a dispersion array it is the linear flow's multiplier; with
+    t = -1 and omega = v.x or xi.a it is the modulation and the shift
+    phase of `spectral.modulate` and `spectral.spatial_shift`.
     cos(t omega) and sin(t omega) are written block by block (`grid.blocks`)
     into the real and imaginary parts of the result, so the only temporary
     is one block of t omega: the result is the one field-sized array built.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fnls.cli as cli
 import fnls.experiments as exp
@@ -40,6 +40,13 @@ def test_load_config_rejects_a_repeated_key(tmp_path):
         load_config(path)
     with pytest.raises(ValueError, match="'sigma' is already set on line 1"):
         _load_config(path, "dispersive")
+
+
+def test_property_tests_draw_the_same_examples_on_every_run():
+    # tests/conftest.py loads this profile for every module.
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.deadline is None
 
 
 def test_key_types_cover_exactly_the_listed_keys():
@@ -137,8 +144,15 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("evolve", "dt = 1.0", ValueError, "dt must not exceed t_end"),
         ("scatter", "p = 3", RegimeError, "scattering probe needs"),
         ("decohere", "a = 2", ValueError, "a, a' must lie in"),
+        ("evolve", "profile_width = 0", ValueError, "width must be positive"),
+        ("evolve", "profile_width = 1e300", ValueError, "width must be positive"),
+        ("evolve", "profile_amplitude = inf", ValueError, "amplitude must be finite"),
+        ("evolve", "L = 1e-300", ValueError, "extent L = 1e-300 is out of range"),
     ],
-    ids=["evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "decohere-a-2"],
+    ids=[
+        "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "decohere-a-2",
+        "evolve-width-0", "evolve-width-1e300", "evolve-amplitude-inf", "evolve-L-1e-300",
+    ],
 )
 def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
     with pytest.raises(error, match=match):
@@ -190,6 +204,13 @@ def test_soliton_steps_a_short_traveling_check_in_one_step_by_default(tmp_path, 
     assert _run(tmp_path, "soliton", text) == 0
     assert seen == [(0.0005, 0.0005)]
     assert "traveling-wave mismatch at t=0.0005: " in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_soliton_rejects_a_zero_seed_width_before_writing(tmp_path):
+    text = "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\nseed_width = 0\n"
+    with pytest.raises(ValueError, match="width must be positive"):
+        _run(tmp_path, "soliton", text)
+    assert not (tmp_path / "out").exists()
 
 
 def test_soliton_rejects_a_dt_beyond_t_end_before_writing(tmp_path):

@@ -41,6 +41,17 @@ def test_loglog_fit_recovers_power_law():
     assert resid < 1e-12
 
 
+def test_loglog_fit_residual_is_the_rms_of_the_log_misfit():
+    x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    assert loglog_fit(x, np.ones_like(x)) == (0.0, 0.0, 0.0)  # log y = 0 exactly
+    assert loglog_fit(x, 5.0 * x**2)[2] < 1e-14
+    y = 3.0 * x**-1.7 * np.exp([0.01, -0.02, 0.015, 0.0, -0.005])
+    slope, intercept, resid = loglog_fit(x, y)
+    misfit = slope * np.log(x) + intercept - np.log(y)
+    assert resid == pytest.approx(np.sqrt(np.sum(misfit**2) / x.size), rel=1e-12)
+    assert 0 < resid < 0.02
+
+
 def test_loglog_fit_needs_three_points():
     with pytest.raises(ValueError):
         loglog_fit([1.0, 2.0], [1.0, 2.0])
@@ -151,6 +162,15 @@ def test_decoherence_requires_illposed_window():
         run_decoherence(cfg, ProfileSpec(width=1.0), params, nu_list=[0.1])
 
 
+def test_decoherence_rejects_sigma_one_half():
+    # At sigma = 1/2, p = 2.5, s = -0.1 sits in (s_c, 0) = (-1/6, 0), the
+    # window's range, but the paper's results exclude sigma = 1/2.
+    params = ModelParams(1, 0.5, 2.5, 1, 1.0)
+    cfg = DecoherenceConfig(alpha=1.2, s=-0.1, epsilon=5.0, n_y=64)
+    with pytest.raises(RegimeError, match="requires the ill-posed range, got OUTSIDE_THEORY"):
+        run_decoherence(cfg, ProfileSpec(width=1.0), params, nu_list=[0.1])
+
+
 def test_decoherence_true_evolution_keeps_the_distance_inflated():
     # The full-dispersion solutions from the t = 0 u_tilde stay apart at t_dec too.
     params = ModelParams(1, 0.75, 3, 1, 1.0)
@@ -176,6 +196,16 @@ def test_scattering_probe_requires_supercritical_power():
     with pytest.raises(RegimeError):
         run_scattering_probe(
             ProfileSpec(width=1.0), params, amplitude_list=[1e-3], t_end=1.0,
+        )
+
+
+def test_scattering_probe_rejects_sigma_one_half():
+    # p = 7 is supercritical in 1D, but at sigma = 1/2 the flow does not disperse.
+    params = ModelParams(1, 0.5, 7, 1, 1.0)
+    with pytest.raises(RegimeError, match="sigma != 1/2; got d=1, p=7, sigma=0.5"):
+        run_scattering_probe(
+            ProfileSpec(width=1.0), params, amplitude_list=[1e-3], t_end=1.0,
+            grid=Grid(1, 256, 40.0),
         )
 
 

@@ -69,6 +69,35 @@ def test_regime_priority_records_all_matches():
     assert len(rep.hypothesis_notes) >= 1
 
 
+@pytest.mark.parametrize(
+    "d, p, s, regime_elsewhere",
+    [(1, 3, 0.3, SUBCRITICAL_LWP), (1, 7, None, CRITICAL_LWP), (1, 2.5, -0.1, ILLPOSED_RANGE)],
+    ids=["subcritical", "critical", "ill-posed"],
+)
+def test_sigma_one_half_leaves_the_windows_its_neighbours_match(d, p, s, regime_elsewhere):
+    for sigma in (0.5 - 1e-6, 0.5 + 1e-6):
+        s_at = critical_exponents(d, p, sigma)[0] if s is None else s
+        assert classify_regime(d, p, sigma, s_at).regime == regime_elsewhere
+    s_at = critical_exponents(d, p, 0.5)[0] if s is None else s
+    rep = classify_regime(d, p, 0.5, s_at)
+    assert rep.regime == OUTSIDE_THEORY
+    assert rep.hypothesis_notes == [
+        "sigma = 1/2 is outside the paper: the 1D half-wave flow does not disperse"
+    ]
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.5 - 1e-13, 0.5 + 1e-13])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.5, 2, 2.5, 3, 4, 5, 7, 9])
+def test_no_regime_at_sigma_one_half(d, p, sigma):
+    # The paper's results are for sigma in (0, 1), sigma != 1/2.
+    s_c, s_g = critical_exponents(d, p, sigma)
+    for s in (s_c - 0.2, s_c - 1e-13, s_c, s_c + 0.05, s_g, -0.1, 0.0, 0.3, 2.0):
+        rep = classify_regime(d, p, sigma, s)
+        assert rep.regime == OUTSIDE_THEORY
+        assert len(rep.hypothesis_notes) == 1 and "sigma = 1/2" in rep.hypothesis_notes[0]
+
+
 def test_admissible_pairs():
     assert is_admissible(6.0, 6.0, 1)
     assert is_admissible(np.inf, 2.0, 1)
@@ -76,12 +105,15 @@ def test_admissible_pairs():
     assert is_admissible(4.0, 4.0, 2)
     assert not is_admissible(2.0, np.inf, 2)  # excluded endpoint
     assert not is_admissible(1.5, 6.0, 1)
+    assert is_admissible(4, np.inf, 1)  # 2/4 + 1/inf = 1/2
 
 
 def test_strichartz_weight_exponent_formula():
     got = StrichartzWeight(r=6.0, d=1, sigma=0.75).exponent
     assert got == pytest.approx(-1 * (1 - 0.75) * (0.5 - 1 / 6))
     assert StrichartzWeight(r=6.0, d=1, sigma=1.0).exponent == 0.0
+    for d in (1, 2, 3):
+        assert StrichartzWeight(r=np.inf, d=d, sigma=0.75).exponent == -d * (1 - 0.75) / 2
 
 
 def test_error_symbol_bound_finite_and_grid_stable():

@@ -88,6 +88,51 @@ def test_profile_spec_takes_an_array_center(d):
     assert np.array_equal(spec.realize(g).values, gaussian(g, 1.5, center=center).values)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"width": 0.0}, "width must be positive"),
+        ({"width": -1.0}, "width must be positive"),
+        ({"width": np.nan}, "width must be positive"),
+        ({"width": np.inf}, "width must be positive"),
+        ({"width": 1e300}, "width must be positive with 2 width\\^2 finite"),
+        ({"width": np.float64(1e300)}, "width must be positive with 2 width\\^2 finite"),
+        ({"width": 1e-200}, "width must be positive with 2 width\\^2 finite"),
+        ({"amplitude": np.inf}, "amplitude must be finite"),
+        ({"amplitude": -np.inf}, "amplitude must be finite"),
+        ({"amplitude": np.nan}, "amplitude must be finite"),
+    ],
+    ids=[
+        "width-0", "width-negative", "width-nan", "width-inf", "width-1e300",
+        "width-np-1e300", "width-1e-200", "amplitude-inf", "amplitude-minus-inf",
+        "amplitude-nan",
+    ],
+)
+def test_profile_spec_rejects_widths_and_amplitudes_it_cannot_realize(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ProfileSpec(**kwargs)
+
+
+def test_profile_spec_keeps_the_widths_it_can_realize():
+    g = Grid(1, 16, 8.0)
+    for width in (1e-150, 1e150):
+        assert np.all(np.isfinite(ProfileSpec(width=width).realize(g).values))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1e-300, 1e300, 1e-155])
+def test_grid_rejects_extents_whose_squares_overflow(d, L):
+    with pytest.raises(ValueError, match=re.escape(f"extent L = {L!r} is out of range")):
+        Grid(d, 8, L)
+
+
+def test_grid_keeps_extents_whose_squares_are_finite():
+    for L in (1e-150, 1e150):
+        g = Grid(3, 8, L)
+        assert np.all(np.isfinite(g.k_squared))
+        assert np.all(np.isfinite(sum(xj**2 for xj in g.x)))
+
+
 def test_complex_field_requires_finite_values():
     g = Grid(1, 8, 1.0)
     bad = np.full(8, np.nan, dtype=complex)

@@ -1,21 +1,25 @@
 """One kernel per operation, pinned to the copies it replaced.
 
-The references below are the code paths that `galilean_boost`, the
-`mode_indices`-based `rescale`, the `SolitonSymbol`-based `ErrorSymbol`,
-`grid.squared_distance` and the Plancherel `energy` replaced: the
-pseudo-Galilean transform G_v as the galilean experiment, the decoherence
-experiment and the soliton traveling-wave check each built it, the
-argsort-and-slice `rescale`, the closed form of the error symbol, the
-per-axis loop that `Grid.k_squared`, the soliton symbol's |xi - v| and
-`ProfileSpec.realize` each ran, and the energy density in physical space
-from an FFT pair.
+The references below are the code paths that `galilean_boost`, the unit
+phase `linear_flow` of `modulate` and `spatial_shift`, `build_tilde` at
+t = 0, the `mode_indices`-based `rescale`, the `SolitonSymbol`-based
+`ErrorSymbol`, `grid.squared_distance` and the Plancherel `energy`
+replaced: the pseudo-Galilean transform G_v as the galilean experiment,
+the decoherence experiment and the soliton traveling-wave check each built
+it, the np.exp phases, the galilean experiment's own modulated and
+rescaled datum, the argsort-and-slice `rescale`, the closed form of the
+error symbol, the per-axis loop that `Grid.k_squared`, the soliton
+symbol's |xi - v| and `ProfileSpec.realize` each ran, and the energy
+density in physical space from an FFT pair.
 """
 
 import numpy as np
 import pytest
 
+import fnls.grid
 from fnls.errors import RescaleAliasingError
-from fnls.grid import ComplexField, Grid, squared_distance
+from fnls.experiments.galilean import build_tilde
+from fnls.grid import ComplexField, Grid, axis_dot, squared_distance
 from fnls.observables import energy
 from fnls.spectral import (
     apply_multiplier,
@@ -184,6 +188,39 @@ def test_galilean_boost_matches_soliton_form(d, t, v):
     new = np.exp(-1j * t * omega ** (2 * SIGMA)) * galilean_boost(u, v, t, SIGMA).values
     old = _soliton_form(u, v, t, SIGMA, omega).values
     assert np.linalg.norm(new - old) <= 1e-14 * np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["default-blocks", "ragged-blocks"])
+def test_modulate_and_shift_phases_are_exp_minus_i_theta_to_one_ulp(monkeypatch, block):
+    # Both phases are linear_flow(theta, -1), written block by block; a 2D
+    # 256^2 grid spans several blocks, and 1000 samples divide no grid.
+    if block is not None:
+        monkeypatch.setattr(fnls.grid, "BLOCK", block)
+    grid = Grid(2, 256, (30.0, 40.0))
+    assert grid.total_points > fnls.grid.BLOCK
+    v, a = round_velocity(grid, (4.0, -2.5)), (0.7, -1.3)
+    # A unit field modulates to the phase itself: 1 x (c + is) is exact.
+    got = modulate(ComplexField(grid, np.ones(grid.shape)), v).values.view(float)
+    want = np.exp(-1j * axis_dot(grid, grid.x, v)).view(float)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    # The shift's phase multiplies the spectrum between one FFT pair.
+    u = _smooth_field(grid, 2)
+    got = spatial_shift(u, a).values
+    want = np.fft.ifftn(np.exp(-1j * axis_dot(grid, grid.k, a)) * np.fft.fftn(u.values))
+    assert np.max(np.abs(got - want)) <= np.spacing(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d, v", [(1, (8.0,)), (2, (4.0, -2.0))])
+@pytest.mark.parametrize("nu", [0.2, 0.05])
+def test_build_tilde_at_time_zero_is_the_modulated_rescaled_datum(d, v, nu):
+    # u(0) of the galilean experiment, as it was built beside build_tilde.
+    grid_x = Grid(d, 256 if d == 1 else 64, 16 * np.pi)
+    phi0 = _smooth_field(Grid(d, 32, tuple(nu * Lj for Lj in grid_x.L)), d)
+    v = round_velocity(grid_x, v)
+    got = build_tilde(phi0, 0.0, nu, 1.0, v, SIGMA, 3, grid_x.n)
+    want = modulate(rescale(phi0, nu, grid_x.n), v)
+    assert got.grid == want.grid
+    assert np.array_equal(got.values, want.values)
 
 
 RESCALE_CASES = [
