@@ -247,10 +247,10 @@ EXPERIMENTS = {
         **_pick(cfg, "nu_list v k t_eval n_x L_x n_y dt_x dt_y"),
     ),
     "decohere": lambda cfg, save_dir: exp.run_decoherence(
-        exp.DecoherenceConfig(**_pick(
-            cfg, "a a_prime alpha s epsilon k t_scan_max n_y L_y dt_y max_n_x true_evolution"
-        )),
-        _profile_from(cfg), _params_from(cfg), save_dir=save_dir, **_pick(cfg, "nu_list"),
+        _profile_from(cfg), _params_from(cfg), save_dir=save_dir, **_pick(
+            cfg, "nu_list a a_prime alpha s epsilon k t_scan_max n_y L_y dt_y max_n_x "
+            "true_evolution"
+        ),
     ),
     "scatter": lambda cfg, save_dir: exp.run_scattering_probe(
         _profile_from(cfg), _params_from(cfg), grid=_grid_from(cfg), save_dir=save_dir,

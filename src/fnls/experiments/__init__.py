@@ -1,4 +1,4 @@
-from .decoherence import DecoherenceConfig, decoherence_time, run_decoherence
+from .decoherence import decoherence_time, run_decoherence
 from .dispersive import frequency_bump, run_dispersive_decay
 from .galilean import run_galilean_error
 from .report import ExperimentReport, loglog_fit
@@ -6,7 +6,6 @@ from .scattering import run_scattering_probe
 from .smalldisp import run_small_dispersion
 
 __all__ = [
-    "DecoherenceConfig",
     "ExperimentReport",
     "decoherence_time",
     "loglog_fit",

@@ -5,53 +5,18 @@ spread, boosted to frequency v and compared in a negative-regularity
 Sobolev norm at time 0 and at the decoherence time lambda^(2 sigma) T.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from ..errors import RegimeError
 from ..evolution import final_state, nonlinear_phase
-from ..exponents import ILLPOSED_RANGE, classify_regime, smallest_integer_above
+from ..exponents import ILLPOSED_RANGE, require_regime, smallest_integer_above
 from ..grid import Grid
 from ..io import write_field
 from ..observables import lp_band_energy_fraction
 from ..spectral import INHOMOGENEOUS, round_velocity, sobolev_norm
 from .galilean import build_tilde
 from .report import ExperimentReport
-
-
-@dataclass
-class DecoherenceConfig:
-    a: float = 1.0
-    a_prime: float = 0.9
-    alpha: float = 1.2
-    s: float = -0.1
-    epsilon: float = 5.0
-    k: int | None = None
-    t_scan_max: float = 60.0
-    n_y: int = 512
-    L_y: float = 16 * np.pi
-    dt_y: float | None = None
-    max_n_x: int = 2**15
-    true_evolution: bool = False
-
-    def __post_init__(self):
-        if not (0.5 <= self.a_prime <= 1 and 0.5 <= self.a <= 1):
-            raise ValueError("a, a' must lie in [1/2, 1]")
-        if self.alpha < 1:
-            # nu = lambda^alpha with alpha < 1 would violate nu <= lambda.
-            raise ValueError("alpha must be >= 1 so that nu <= lambda")
-        if not self.s < 0:
-            raise ValueError("s must be negative")
-
-    def lam(self, nu):
-        return nu ** (1.0 / self.alpha)
-
-    def velocity_magnitude(self, nu, d, sigma, p):
-        expo = (1.0 / self.s) * (
-            d * (1 - self.alpha) / 2 + 2 * self.alpha * sigma / (p - 1)
-        )
-        return nu**expo * self.epsilon ** (1.0 / self.s)
 
 
 def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
@@ -71,21 +36,28 @@ def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
     return float(t_scan[idx]), float(seps[idx]), float(seps.max())
 
 
-def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=None):
-    """Sweep nu; report sizes, distances and the inflation ratio per nu."""
-    d, sigma, p, mu = params.d, params.sigma, params.p, params.mu
-    regime = classify_regime(d, p, sigma, cfg.s)
-    if regime.regime != ILLPOSED_RANGE:
-        raise RegimeError(
-            f"decoherence requires the ill-posed range, got {regime.regime} "
-            f"(s = {cfg.s}, s_c = {regime.s_c:.4g})"
-        )
-    k = cfg.k if cfg.k is not None else smallest_integer_above(d / 2)
+def run_decoherence(
+    profile, params, nu_list=(0.1, 0.09, 0.08), a=1.0, a_prime=0.9, alpha=1.2, s=-0.1,
+    epsilon=5.0, k=None, t_scan_max=60.0, n_y=512, L_y=16 * np.pi, dt_y=None,
+    max_n_x=2**15, true_evolution=False, save_dir=None,
+):
+    """Sweep nu; report sizes, distances and the inflation ratio per nu.
 
-    grid_y = Grid(d, cfg.n_y, cfg.L_y)
+    Each nu takes lambda = nu^(1/alpha); s must lie in the ill-posed range.
+    """
+    if not (0.5 <= a_prime <= 1 and 0.5 <= a <= 1):
+        raise ValueError("a, a' must lie in [1/2, 1]")
+    if alpha < 1:
+        # nu = lambda^alpha with alpha < 1 would violate nu <= lambda.
+        raise ValueError("alpha must be >= 1 so that nu <= lambda")
+    d, sigma, p, mu = params.d, params.sigma, params.p, params.mu
+    regime = require_regime(ILLPOSED_RANGE, d, p, sigma, s, "decoherence")
+    k = k if k is not None else smallest_integer_above(d / 2)
+
+    grid_y = Grid(d, n_y, L_y)
     w = profile.realize(grid_y)
-    t_scan = np.linspace(0.0, cfg.t_scan_max, 601)[1:]
-    T, sep_at_T, sep_max = decoherence_time(w, cfg.a, cfg.a_prime, mu, p, t_scan)
+    t_scan = np.linspace(0.0, t_scan_max, 601)[1:]
+    T, sep_at_T, sep_max = decoherence_time(w, a, a_prime, mu, p, t_scan)
 
     report = ExperimentReport(
         "decoherence",
@@ -94,19 +66,19 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
             "sigma": sigma,
             "p": p,
             "mu": mu,
-            "s": cfg.s,
+            "s": s,
             "s_c": regime.s_c,
-            "a": cfg.a,
-            "a_prime": cfg.a_prime,
-            "alpha": cfg.alpha,
-            "epsilon": cfg.epsilon,
+            "a": a,
+            "a_prime": a_prime,
+            "alpha": alpha,
+            "epsilon": epsilon,
             "k": k,
             "T": T,
             "ode_sep_at_T": sep_at_T,
             "ode_sep_max": sep_max,
             "nu_list": list(nu_list),
-            "n_y": cfg.n_y,
-            "L_y": cfg.L_y,
+            "n_y": n_y,
+            "L_y": L_y,
             "boundary_amplitude": w.boundary_amplitude(),
         },
     )
@@ -114,10 +86,11 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
     # Every nu is checked before the first run, so none leaves fields behind.
     runs = []
     for nu in nu_list:
-        lam = cfg.lam(nu)
+        lam = nu ** (1.0 / alpha)
         if not nu <= lam:
             raise ValueError("require nu <= lambda")
-        vmag_req = cfg.velocity_magnitude(nu, d, sigma, p)
+        expo = (1.0 / s) * (d * (1 - alpha) / 2 + 2 * alpha * sigma / (p - 1))
+        vmag_req = nu**expo * epsilon ** (1.0 / s)
         if vmag_req < 1:
             raise ValueError(f"derived |v| = {vmag_req:.3g} < 1; adjust epsilon/alpha")
         runs.append((nu, lam, vmag_req, replace(params, nu=nu)))
@@ -128,8 +101,8 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
         L_x = tuple(Lj / beta for Lj in grid_y.L)
         # Nyquist must clear the boost frequency with headroom for the
         # profile bandwidth.
-        n_x = cfg.n_y
-        while np.pi * n_x / max(L_x) < 2.0 * (vmag_req + 8.0) and n_x < cfg.max_n_x:
+        n_x = n_y
+        while np.pi * n_x / max(L_x) < 2.0 * (vmag_req + 8.0) and n_x < max_n_x:
             n_x *= 2
         grid_x = Grid(d, n_x, L_x)
         v = round_velocity(grid_x, np.array([vmag_req] + [0.0] * (d - 1)))
@@ -137,26 +110,26 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
 
         t_dec = lam ** (2 * sigma) * T
         fields = {}
-        for label, amp in (("a", cfg.a), ("a_prime", cfg.a_prime)):
+        for label, amp in (("a", a), ("a_prime", a_prime)):
             phi0 = amp * w
-            phi_T = final_state(phi0, run, T, cfg.dt_y)
+            phi_T = final_state(phi0, run, T, dt_y)
             fields[(label, 0.0)] = build_tilde(phi0, 0.0, nu, lam, v, sigma, p, n_x)
             fields[(label, t_dec)] = build_tilde(phi_T, t_dec, nu, lam, v, sigma, p, n_x)
 
         if save_dir is not None:
             write_field(f"{save_dir}/decohere_a_t0_nu{nu:g}.fnls", fields[("a", 0.0)])
             write_field(f"{save_dir}/decohere_a_tdec_nu{nu:g}.fnls", fields[("a", t_dec)])
-        size_a = sobolev_norm(fields[("a", 0.0)], cfg.s, INHOMOGENEOUS)
-        size_ap = sobolev_norm(fields[("a_prime", 0.0)], cfg.s, INHOMOGENEOUS)
+        size_a = sobolev_norm(fields[("a", 0.0)], s, INHOMOGENEOUS)
+        size_ap = sobolev_norm(fields[("a_prime", 0.0)], s, INHOMOGENEOUS)
         dist0 = sobolev_norm(
-            fields[("a", 0.0)] - fields[("a_prime", 0.0)], cfg.s, INHOMOGENEOUS
+            fields[("a", 0.0)] - fields[("a_prime", 0.0)], s, INHOMOGENEOUS
         )
         distT = sobolev_norm(
-            fields[("a", t_dec)] - fields[("a_prime", t_dec)], cfg.s, INHOMOGENEOUS
+            fields[("a", t_dec)] - fields[("a_prime", t_dec)], s, INHOMOGENEOUS
         )
         inflation = distT / dist0 if dist0 > 0 else np.inf
         correction = (
-            abs(np.log(nu)) * (lam / nu) ** (-k) * vmag ** (-cfg.s - k)
+            abs(np.log(nu)) * (lam / nu) ** (-k) * vmag ** (-s - k)
         )
         alias = lp_band_energy_fraction(
             fields[("a", t_dec)], 0.9 * grid_x.k_nyquist
@@ -177,29 +150,28 @@ def run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=No
             "t_dec": t_dec,
         }
 
-        if cfg.true_evolution:
+        if true_evolution:
             full = replace(params, nu=1.0)
             evolved = {}
             for label in ("a", "a_prime"):
                 evolved[label] = final_state(fields[(label, 0.0)], full, t_dec)
             row["true_dist_tdec"] = sobolev_norm(
-                evolved["a"] - evolved["a_prime"], cfg.s, INHOMOGENEOUS
+                evolved["a"] - evolved["a_prime"], s, INHOMOGENEOUS
             )
 
         report.add_row(**row)
         ratios.append(inflation)
         corrections.append(correction)
 
-    eps = cfg.epsilon
-    gap = abs(cfg.a - cfg.a_prime)
+    gap = abs(a - a_prime)
     sizes_ok = all(
-        0.2 * eps <= row[kk] <= 5 * eps
+        0.2 * epsilon <= row[kk] <= 5 * epsilon
         for row in report.series
         for kk in ("size_a", "size_a_prime")
     )
     report.checks["initial_sizes_near_epsilon"] = sizes_ok
     report.checks["initial_distance_band"] = all(
-        0.2 * eps * gap <= row["dist_t0"] <= 5 * eps * gap for row in report.series
+        0.2 * epsilon * gap <= row["dist_t0"] <= 5 * epsilon * gap for row in report.series
     )
     report.checks["inflation_at_smallest_nu"] = ratios[int(np.argmin(nu_list))] >= 5
     order = np.argsort(nu_list)[::-1]  # decreasing nu

@@ -34,7 +34,7 @@ class ExperimentReport:
 
     @property
     def passed(self):
-        return all(self.checks.values()) if self.checks else True
+        return all(self.checks.values())
 
     def add_row(self, **row):
         self.series.append(row)

@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from ..errors import RegimeError
 from ..evolution import EvolveConfig, default_dt, evolve, free_amplitude, phase_bound, step_plan
-from ..exponents import CRITICAL_LWP, classify_regime, critical_exponents
+from ..exponents import CRITICAL_LWP, critical_exponents, require_regime
 from ..grid import Grid
 from ..observables import scattering_defects
 from ..io import write_field
@@ -43,11 +42,7 @@ def run_scattering_probe(
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
-    if classify_regime(d, p, sigma, s_c).regime != CRITICAL_LWP:
-        raise RegimeError(
-            f"scattering probe needs d=1, p>5 or d>=2, p>3 and sigma != 1/2; "
-            f"got d={d}, p={p}, sigma={sigma}"
-        )
+    require_regime(CRITICAL_LWP, d, p, sigma, s_c, "scattering probe")
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
     scheme = "blanes_moan4"

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import RegimeError
 from .grid import axis_vector
 from .symbols import ErrorSymbol, FractionalLaplacian, evaluate_symbol
 
@@ -13,6 +14,9 @@ ILLPOSED_RANGE = "ILLPOSED_RANGE"
 OUTSIDE_THEORY = "OUTSIDE_THEORY"
 
 _TOL = 1e-12
+
+# Each window's note opens with its name; every other note is a remark.
+_WINDOWS = ("subcritical LWP:", "critical LWP:", "ill-posedness:")
 
 
 def critical_exponents(d, p, sigma):
@@ -47,7 +51,8 @@ class RegimeReport:
             f"regime : {self.regime}",
         ]
         for note in self.hypothesis_notes:
-            out.append(f"match  : {note}")
+            label = "match" if note.startswith(_WINDOWS) else "note"
+            out.append(f"{label:<7}: {note}")
         return out
 
     def csv_row(self):
@@ -60,7 +65,9 @@ def classify_regime(d, p, sigma, s):
 
     All matching hypothesis sets are recorded; overlaps are resolved with
     priority subcritical > critical > ill-posed. At sigma = 1/2 no window
-    applies: the paper's results are for sigma in (0, 1), sigma != 1/2.
+    applies: the paper's results are for sigma in (0, 1), sigma != 1/2. At
+    sigma = 1, the classical NLS, the windows still apply and a note says
+    the paper does not treat it: acceptance nulls run there on purpose.
     """
     s_c, s_g = critical_exponents(d, p, sigma)
     if abs(sigma - 0.5) <= _TOL:
@@ -97,7 +104,20 @@ def classify_regime(d, p, sigma, s):
         regime = ILLPOSED_RANGE
     else:
         regime = OUTSIDE_THEORY
+    if abs(sigma - 1) <= _TOL:
+        notes.append("sigma = 1 is the classical NLS, which the paper does not treat")
     return RegimeReport(s_c, s_g, regime, notes)
+
+
+def require_regime(regime, d, p, sigma, s, what):
+    """The `classify_regime` report of (d, p, sigma, s); RegimeError unless it is regime."""
+    report = classify_regime(d, p, sigma, s)
+    if report.regime != regime:
+        raise RegimeError(
+            f"{what} requires {regime}, got {report.regime} "
+            f"(d = {d}, p = {p}, sigma = {sigma}, s = {s}, s_c = {report.s_c:.4g})"
+        )
+    return report
 
 
 def is_admissible(q, r, d):

@@ -32,7 +32,10 @@ class ProfileSpec:
         if len(center) != grid.d:
             raise ValueError(f"center must have {grid.d} components")
         r2 = squared_distance(grid, grid.x, center)
-        vals = self.amplitude * np.exp(-r2 / (2 * self.width**2))
+        # A box ~1e154 widths across overflows the quotient to inf, and
+        # exp(-inf) = 0 is the exact sample there.
+        with np.errstate(over="ignore"):
+            vals = self.amplitude * np.exp(-r2 / (2 * self.width**2))
         return ComplexField(grid, vals.astype(np.complex128))
 
 

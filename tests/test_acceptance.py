@@ -16,7 +16,6 @@ from fnls.experiments import (
     run_scattering_probe,
     run_small_dispersion,
 )
-from fnls.experiments.decoherence import DecoherenceConfig
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import ProfileSpec, gaussian
@@ -177,9 +176,9 @@ def test_criterion_07_pseudo_galilean_almost_invariance():
 
 def test_criterion_08_decoherence():
     params = ModelParams(1, 0.75, 3, 1, 1.0)
-    cfg = DecoherenceConfig(a=1.0, a_prime=0.9, alpha=1.2, s=-0.1, epsilon=5.0)
-    rep = run_decoherence(cfg, ProfileSpec(width=1.0, amplitude=1.0), params,
-                          nu_list=[0.1, 0.09, 0.08])
+    rep = run_decoherence(ProfileSpec(width=1.0, amplitude=1.0), params,
+                          nu_list=[0.1, 0.09, 0.08], a=1.0, a_prime=0.9, alpha=1.2,
+                          s=-0.1, epsilon=5.0)
     inflation = rep.fits["min_inflation_ratio"]
     ok = (
         rep.checks["initial_distance_band"]

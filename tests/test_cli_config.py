@@ -1,5 +1,7 @@
 """The CLI's config table: strict typing, required keys, and what each subcommand reads."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,11 @@ import fnls.experiments as exp
 from fnls.cli import CONFIG_KEYS, KEY_TYPES, _load_config, main
 from fnls.config import load_config
 from fnls.errors import RegimeError, WrapAroundError
+from fnls.evolution import EvolveConfig
 from fnls.grid import ComplexField, Grid
-from fnls.soliton import SolitonResult
+from fnls.model import ModelParams
+from fnls.profiles import ProfileSpec
+from fnls.soliton import SolitonConfig, SolitonResult
 
 # A valid value for every key, as config text; soliton takes only mu = -1.
 VALID = {
@@ -142,7 +147,7 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
     [
         ("evolve", "snapshot_stride = 0", ValueError, "snapshot stride must be a whole number"),
         ("evolve", "dt = 1.0", ValueError, "dt must not exceed t_end"),
-        ("scatter", "p = 3", RegimeError, "scattering probe needs"),
+        ("scatter", "p = 3", RegimeError, "scattering probe requires CRITICAL_LWP"),
         ("decohere", "a = 2", ValueError, "a, a' must lie in"),
         ("evolve", "profile_width = 0", ValueError, "width must be positive"),
         ("evolve", "profile_width = 1e300", ValueError, "width must be positive"),
@@ -169,7 +174,7 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         ("small-dispersion", "sigma = 0.75\np = 3\ndt = 2\n", ValueError, "dt must not exceed"),
         ("galilean", "sigma = 0.2\np = 3\n", RegimeError, "sigma below d/4"),
         ("decohere", "sigma = 0.75\np = 3\na = 2\n", ValueError, "a, a' must lie in"),
-        ("scatter", "sigma = 0.75\np = 3\n", RegimeError, "scattering probe needs"),
+        ("scatter", "sigma = 0.75\np = 3\n", RegimeError, "scattering probe requires"),
     ],
     ids=["dispersive", "small-dispersion", "galilean", "decohere", "scatter"],
 )
@@ -308,6 +313,97 @@ def test_cli_passes_on_every_listed_key(tmp_path, monkeypatch, command):
     with pytest.raises(_Reached):
         main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert cfg.read == set(required + optional)
+
+
+# A valid value for every key that differs from its consumer's default, so
+# that a key the CLI drops arrives as that default and fails the test below.
+NONDEFAULT = {
+    "d": "2", "sigma": "0.7", "p": "5", "mu": "-1", "nu": "0.5", "n": "32", "L": "24",
+    "t_end": "0.2", "dt": "0.02", "profile_width": "1.5", "profile_amplitude": "0.5",
+    "snapshot_stride": "3", "mass_drift_guard": "1e-7", "omega": "1.5", "v": "0.5, 0.25",
+    "gamma": "1.8", "max_iter": "50", "tol": "1e-9", "seed_width": "0.8", "N_list": "2, 8",
+    "t_grid": "4, 8, 16", "nu_list": "0.2, 0.15, 0.1", "t_eval": "0.3", "k": "2",
+    "hs_track": "0.4", "n_x": "128", "L_x": "50", "n_y": "64", "dt_x": "0.005",
+    "dt_y": "0.004", "a": "0.8", "a_prime": "0.7", "alpha": "1.5", "s": "-0.05",
+    "epsilon": "4", "t_scan_max": "30", "L_y": "30", "max_n_x": "4096",
+    "true_evolution": "true", "amplitude_list": "1e-3, 2e-3", "windows": "1:2, 2:3",
+}
+
+# The library callable that takes each subcommand's keyword keys.
+CONSUMERS = {
+    "evolve": EvolveConfig,
+    "soliton": SolitonConfig,
+    "dispersive": exp.run_dispersive_decay,
+    "small-dispersion": exp.run_small_dispersion,
+    "galilean": exp.run_galilean_error,
+    "decohere": exp.run_decoherence,
+    "scatter": exp.run_scattering_probe,
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_every_config_key_reaches_its_consumer(tmp_path, monkeypatch, command):
+    required, optional = CONFIG_KEYS[command]
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {NONDEFAULT[key]}\n" for key in required + optional))
+    cfg = _load_config(path, command)
+    calls = {}
+
+    def record(name, result=None):
+        def call(*args, **kwargs):
+            calls[name] = args, kwargs
+            if result is None:
+                raise _Reached
+            return result
+
+        return call
+
+    Q = ComplexField(Grid(1, 64, 20.0), np.zeros(64))
+    monkeypatch.setattr(cli, "snapshots", record("run"))
+    solved = SolitonResult(Q, [0.0], [1.0], converged=True)
+    monkeypatch.setattr(cli, "petviashvili_solve", record("run", solved))
+    monkeypatch.setattr(cli, "traveling_wave_check", record("check"))
+    for name in exp.__all__:
+        if name.startswith("run_"):
+            monkeypatch.setattr(exp, name, record("run"))
+    with pytest.raises(_Reached):
+        main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+    args, named = calls["run"]
+    profile = ProfileSpec(cfg.get("profile_width", 1.0), cfg.get("profile_amplitude", 1.0))
+    if command == "evolve":
+        u0, run = args
+        named = vars(run)
+        params, grid = run.params, u0.grid
+        assert np.array_equal(u0.values, profile.realize(grid).values)
+    elif command == "soliton":
+        scfg, seed = args
+        named = {**vars(scfg), **dict(zip(("t_end", "dt"), calls["check"][0][2:]))}
+        params, grid = scfg.params, seed.grid
+        seeded = ProfileSpec(width=cfg["seed_width"]).realize(grid)
+        assert np.array_equal(seed.values, seeded.values)
+    elif command == "dispersive":
+        params, grid = None, named["grid"]  # d and sigma are keywords here
+    else:
+        (given_profile, params), grid = args, named.get("grid")
+        assert given_profile == profile
+    for key in required + optional:
+        if key in ("n", "L"):
+            assert getattr(grid, key) == getattr(Grid(cfg["d"], cfg["n"], cfg["L"]), key)
+        elif key in ("d", "sigma", "p", "mu", "nu") and params is not None:
+            assert getattr(params, key) == cfg[key], key
+        elif key not in ("profile_width", "profile_amplitude", "seed_width"):
+            assert named[key] == cfg[key], key
+    # Every value differs from the default its consumer would take instead.
+    defaults = inspect.signature(CONSUMERS[command]).parameters
+    for key in set(cfg) & set(named) & set(defaults):
+        assert defaults[key].default != cfg[key], key
+    model, spec = (inspect.signature(c).parameters for c in (ModelParams, ProfileSpec))
+    for key in set(cfg) & {"mu", "nu"}:
+        assert model[key].default != cfg[key], key
+    for key in set(cfg) & {"profile_width", "profile_amplitude"}:
+        assert spec[key.removeprefix("profile_")].default != cfg[key], key
+    assert cfg["d"] != 1  # the CLI's default
 
 
 TOKENS = [

@@ -20,7 +20,7 @@ from fnls.experiments import (
     run_scattering_probe,
     run_small_dispersion,
 )
-from fnls.experiments.decoherence import DecoherenceConfig, decoherence_time
+from fnls.experiments.decoherence import decoherence_time
 from fnls.experiments.dispersive import check_horizon, frequency_bump
 from fnls.experiments.report import ExperimentReport, loglog_fit
 from fnls.grid import Grid
@@ -70,6 +70,12 @@ def test_report_write_produces_csv_and_summary(tmp_path):
     summary = (tmp_path / "summary.txt").read_text()
     assert "check ok: PASS" in summary
     assert "overall: PASS" in summary
+
+
+def test_report_without_checks_passes():
+    assert ExperimentReport("demo").passed
+    rep = ExperimentReport("demo", checks={"ok": True, "bad": False})
+    assert not rep.passed
 
 
 def test_config_parsing(tmp_path):
@@ -150,32 +156,51 @@ def test_galilean_error_decays():
 
 
 def test_decoherence_config_validation():
-    with pytest.raises(ValueError):
-        DecoherenceConfig(alpha=0.5)  # nu = lambda^alpha must not exceed lambda
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    with pytest.raises(ValueError, match="alpha must be >= 1"):
+        # nu = lambda^alpha must not exceed lambda
+        run_decoherence(ProfileSpec(width=1.0), params, alpha=0.5)
 
 
 def test_decoherence_requires_illposed_window():
     # s = -0.3 sits below s_c = -0.25 for these parameters
     params = ModelParams(1, 0.75, 3, 1, 1.0)
-    cfg = DecoherenceConfig(alpha=1.2, s=-0.3, epsilon=5.0)
     with pytest.raises(RegimeError):
-        run_decoherence(cfg, ProfileSpec(width=1.0), params, nu_list=[0.1])
+        run_decoherence(
+            ProfileSpec(width=1.0), params, nu_list=[0.1], alpha=1.2, s=-0.3, epsilon=5.0
+        )
 
 
 def test_decoherence_rejects_sigma_one_half():
     # At sigma = 1/2, p = 2.5, s = -0.1 sits in (s_c, 0) = (-1/6, 0), the
     # window's range, but the paper's results exclude sigma = 1/2.
     params = ModelParams(1, 0.5, 2.5, 1, 1.0)
-    cfg = DecoherenceConfig(alpha=1.2, s=-0.1, epsilon=5.0, n_y=64)
-    with pytest.raises(RegimeError, match="requires the ill-posed range, got OUTSIDE_THEORY"):
-        run_decoherence(cfg, ProfileSpec(width=1.0), params, nu_list=[0.1])
+    with pytest.raises(RegimeError, match="requires ILLPOSED_RANGE, got OUTSIDE_THEORY"):
+        run_decoherence(
+            ProfileSpec(width=1.0), params, nu_list=[0.1], alpha=1.2, s=-0.1, epsilon=5.0,
+            n_y=64,
+        )
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_decoherence_rejects_a_nonnegative_s_through_the_regime_gate(tmp_path, s):
+    # The ill-posed window is s_c < s < 0; s >= 0 fails the gate before any output.
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    match = (
+        rf"decoherence requires ILLPOSED_RANGE, got \w+ "
+        rf"\(d = 1, p = 3, sigma = 0.75, s = {s}, s_c = -0.25\)"
+    )
+    with pytest.raises(RegimeError, match=match):
+        run_decoherence(ProfileSpec(width=1.0), params, s=s, save_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_decoherence_true_evolution_keeps_the_distance_inflated():
     # The full-dispersion solutions from the t = 0 u_tilde stay apart at t_dec too.
     params = ModelParams(1, 0.75, 3, 1, 1.0)
-    cfg = DecoherenceConfig(true_evolution=True, n_y=256)
-    rep = run_decoherence(cfg, ProfileSpec(width=1.0), params, nu_list=(0.1, 0.09))
+    rep = run_decoherence(
+        ProfileSpec(width=1.0), params, nu_list=(0.1, 0.09), true_evolution=True, n_y=256
+    )
     assert len(rep.series) == 2
     for row in rep.series:
         assert np.isfinite(row["true_dist_tdec"])
@@ -202,7 +227,8 @@ def test_scattering_probe_requires_supercritical_power():
 def test_scattering_probe_rejects_sigma_one_half():
     # p = 7 is supercritical in 1D, but at sigma = 1/2 the flow does not disperse.
     params = ModelParams(1, 0.5, 7, 1, 1.0)
-    with pytest.raises(RegimeError, match="sigma != 1/2; got d=1, p=7, sigma=0.5"):
+    match = r"requires CRITICAL_LWP, got OUTSIDE_THEORY \(d = 1, p = 7, sigma = 0.5,"
+    with pytest.raises(RegimeError, match=match):
         run_scattering_probe(
             ProfileSpec(width=1.0), params, amplitude_list=[1e-3], t_end=1.0,
             grid=Grid(1, 256, 40.0),
@@ -370,6 +396,15 @@ def test_cli_experiment_subcommand(tmp_path):
     assert "overall: PASS" in (out_dir / "summary.txt").read_text()
 
 
+def test_cli_evolve_runs_a_box_far_wider_than_the_profile(tmp_path):
+    # Off the centre the profile's exponent overflows; Tier-1 makes that
+    # warning an error, and exp(-inf) = 0 is the exact sample.
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text("sigma = 0.75\np = 3\nn = 8\nL = 1e10\nt_end = 0.1\nprofile_width = 1e-150\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert np.array_equal(read_field(tmp_path / "run" / "snap_00000.fnls").values, np.eye(8)[4])
+
+
 def test_cli_evolve_honours_mass_drift_guard(tmp_path):
     cfg = tmp_path / "evolve.cfg"
     cfg.write_text(
@@ -499,20 +534,6 @@ def test_cli_save_fields_checks_every_nu_before_the_first_run(tmp_path, command,
     with pytest.raises(ValueError, match=match):
         main([command, "--config", str(cfg), "--out", str(out_dir), "--save-fields"])
     assert not out_dir.exists()
-
-
-def test_cli_decohere_honours_max_n_x(tmp_path, monkeypatch):
-    seen = {}
-
-    def fake_run_decoherence(cfg, profile, params, nu_list=(0.1, 0.09, 0.08), save_dir=None):
-        seen["max_n_x"] = cfg.max_n_x
-        return ExperimentReport("decoherence")
-
-    monkeypatch.setattr("fnls.experiments.run_decoherence", fake_run_decoherence)
-    cfg = tmp_path / "dc.cfg"
-    cfg.write_text("d = 1\nsigma = 0.75\np = 3\nmax_n_x = 1024\n")
-    assert main(["decohere", "--config", str(cfg), "--out", str(tmp_path / "dc")]) == 0
-    assert seen == {"max_n_x": 1024}
 
 
 @pytest.mark.parametrize(

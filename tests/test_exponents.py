@@ -11,9 +11,12 @@ from fnls.exponents import (
     classify_regime,
     critical_exponents,
     is_admissible,
+    require_regime,
     smallest_integer_above,
     verify_error_symbol_bound,
 )
+from fnls.cli import main
+from fnls.errors import RegimeError
 from fnls.grid import Grid
 from fnls.symbols import StrichartzWeight
 
@@ -96,6 +99,68 @@ def test_no_regime_at_sigma_one_half(d, p, sigma):
         rep = classify_regime(d, p, sigma, s)
         assert rep.regime == OUTSIDE_THEORY
         assert len(rep.hypothesis_notes) == 1 and "sigma = 1/2" in rep.hypothesis_notes[0]
+
+
+SIGMA_ONE_NOTE = "sigma = 1 is the classical NLS, which the paper does not treat"
+
+
+@pytest.mark.parametrize(
+    "d, p, s, regime",
+    [
+        (1, 3, 0.3, SUBCRITICAL_LWP),
+        (1, 7, None, CRITICAL_LWP),
+        (2, 5, None, CRITICAL_LWP),
+        (1, 3, -0.1, OUTSIDE_THEORY),  # the ill-posed window needs sigma < 1
+    ],
+)
+def test_sigma_one_keeps_its_regime_and_adds_a_note(d, p, s, regime):
+    s_at = critical_exponents(d, p, 1.0)[0] if s is None else s
+    rep = classify_regime(d, p, 1.0, s_at)
+    assert rep.regime == regime
+    assert rep.hypothesis_notes[-1] == SIGMA_ONE_NOTE
+    assert rep.lines()[-1] == f"note   : {SIGMA_ONE_NOTE}"
+    assert rep.csv_row().endswith(SIGMA_ONE_NOTE)
+    assert SIGMA_ONE_NOTE not in classify_regime(d, p, 0.9, s_at).hypothesis_notes
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            ["--d", "1", "--p", "3", "--sigma", "0.5", "--s", "0.3"],
+            ["regime : OUTSIDE_THEORY",
+             "note   : sigma = 1/2 is outside the paper: the 1D half-wave flow does not disperse"],
+        ),
+        (
+            ["--d", "1", "--p", "3", "--sigma", "0.75"],
+            ["regime : OUTSIDE_THEORY", "note   : no s supplied; classified at s = 0"],
+        ),
+        (
+            ["--d", "1", "--p", "3", "--sigma", "0.75", "--s", "-0.1"],
+            ["regime : ILLPOSED_RANGE",
+             "match  : ill-posedness: sigma in (d/4,1), s in (s_c,0), p odd or p>=k+1 (k=1)"],
+        ),
+    ],
+    ids=["sigma-one-half", "no-s", "ill-posed"],
+)
+def test_cli_exponents_labels_only_matched_windows_as_match(capsys, argv, lines):
+    assert main(["exponents"] + argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:-1] == lines
+    # The csv row keeps every note, as before.
+    assert out[-1].endswith(lines[-1].split(": ", 1)[1])
+
+
+def test_require_regime_returns_the_report_or_names_the_inputs():
+    rep = require_regime(ILLPOSED_RANGE, 1, 3, 0.75, -0.1, "decoherence")
+    assert rep == classify_regime(1, 3, 0.75, -0.1)
+    message = (
+        "scattering probe requires CRITICAL_LWP, got OUTSIDE_THEORY "
+        "(d = 1, p = 3, sigma = 0.75, s = -0.25, s_c = -0.25)"
+    )
+    with pytest.raises(RegimeError) as err:
+        require_regime(CRITICAL_LWP, 1, 3, 0.75, -0.25, "scattering probe")
+    assert str(err.value) == message
 
 
 def test_admissible_pairs():

@@ -119,6 +119,12 @@ def test_profile_spec_keeps_the_widths_it_can_realize():
         assert np.all(np.isfinite(ProfileSpec(width=width).realize(g).values))
 
 
+def test_profile_spec_samples_a_box_far_wider_than_its_width_without_overflow():
+    # |x|^2 / (2 width^2) overflows to inf off the centre; exp(-inf) = 0 is exact.
+    u = ProfileSpec(width=1e-150).realize(Grid(1, 8, 1e10))
+    assert np.array_equal(u.values, np.eye(8)[4])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("L", [1e-300, 1e300, 1e-155])
 def test_grid_rejects_extents_whose_squares_overflow(d, L):
