@@ -22,9 +22,9 @@ in place, after every propagator is dropped, and the inverted spectrum is
 the field it yields. Every propagator is `symbols.linear_flow` of omega.
 So between snapshots a run's working set is the spectrum, omega, one
 propagator per distinct linear fraction (the remainder step's replace the
-full step's) and one block (`grid.BLOCK` samples) of the rotation's
-temporaries; a snapshot adds a real |u|^2 array, and a copy of the spectrum
-unless it is the last.
+full step's, which are dropped before the remainder's are built) and one
+block (`grid.BLOCK` samples) of the rotation's temporaries; a snapshot adds
+a real |u|^2 array, and a copy of the spectrum unless it is the last.
 
 A run whose rotations cannot change the field skips them. All the rotations
 of a run together turn a sample by at most Theta = |mu| (sum_i |b_i|)
@@ -33,9 +33,10 @@ linear flows act, A = ||w||_1 / n (`free_amplitude`) is one: every sample
 is at most the mean of the |w_k|, which a linear flow keeps. If Theta <=
 2^-53 (`ROUNDOFF`), dropping the rotations moves the field by at most
 Theta of its L^2 norm, up to terms of order Theta^2, so `snapshots` decides
-this once per run, from the input, and then runs each stage as its linear
-flow alone, with no FFT pair. Small scattering data, a zero field and t_end = 0 take this path; a
-run that rotates keeps every operation, bit for bit.
+this once per run, from this one bound of the input, and then runs each
+stage as its linear flow alone, with no FFT pair. Small scattering data, a
+zero field and t_end = 0 take this path; a run that rotates keeps every
+operation, bit for bit.
 """
 
 import math
@@ -91,8 +92,12 @@ def phase_bound(amplitude, params, t_end, scheme="strang"):
 
 
 def free_amplitude(spectrum):
-    """||w||_1 / n of an unnormalized spectrum: max |u| under any linear flow is at most this."""
-    return float(np.abs(spectrum).sum()) / spectrum.size
+    """||w||_1 / n of an unnormalized spectrum: max |u| under any linear flow is at most this.
+
+    Summed block by block (`grid.blocks`), so its one temporary is a block of |w|.
+    """
+    flat = spectrum.reshape(-1)
+    return float(sum(np.abs(flat[s]).sum() for s in blocks(flat.size))) / flat.size
 
 
 def default_dt(grid, params, t_end, scheme="strang"):
@@ -217,16 +222,17 @@ def snapshots(u0, cfg):
     a run off the dt grid included, takes this one path, and leaves its
     closing flow exp(i a_s h omega) as `close`, which the next step applies
     first. Each distinct fraction gets its propagator once per run, and the
-    remainder step gets its own. A snapshot closes a copy of the spectrum
-    with `close`; the run's last one drops the plan and every propagator
-    and closes the held spectrum in place, as np.multiply(close, w, out=w)
-    in close * w's operand order, and yields it inverted. A stage
-    whose rotation is not finite raises at its step's end time, and a
-    snapshot that trips the mass-drift or non-finite guard raises instead.
-    A run whose `phase_bound` is at most `ROUNDOFF` skips every stage's
-    FFT pair and rotation; t = 0's L^inf, a lower bound of
-    `free_amplitude`, is tested first, so a run that rotates costs nothing
-    more.
+    remainder step gets its own, built once the full step's are dropped, so
+    one set of propagators is alive at a time. A snapshot closes a copy of
+    the spectrum with `close`; the run's last one drops the plan and every
+    propagator and closes the held spectrum in place, as
+    np.multiply(close, w, out=w) in close * w's operand order, and yields
+    it inverted. A stage whose rotation is not finite raises at its step's
+    end time, and a snapshot that trips the mass-drift or non-finite guard
+    raises instead.
+    A run whose `phase_bound` at A = `free_amplitude`(F[u0]) is at most
+    `ROUNDOFF` skips every stage's FFT pair and rotation; that one bound,
+    summed a block at a time, is the whole decision.
     """
     params = cfg.params
     grid = u0.grid
@@ -254,21 +260,20 @@ def snapshots(u0, cfg):
     yield 0.0, u0, first
 
     mass0 = first["mass"]
-    linear_only = (
-        phase_bound(first["linf"], params, cfg.t_end, cfg.scheme) <= ROUNDOFF
-        and phase_bound(free_amplitude(w), params, cfg.t_end, cfg.scheme) <= ROUNDOFF
-    )
+    linear_only = phase_bound(free_amplitude(w), params, cfg.t_end, cfg.scheme) <= ROUNDOFF
     n_full, remainder, total_steps = step_plan(cfg.t_end, dt)
     plan, step_close = stages(dt)
     close = None
 
     t = 0.0
     for step in range(total_steps):
-        if step == n_full:  # the shorter remainder step that ends the run at t_end
-            dt, (plan, step_close) = remainder, stages(remainder)
-        t += dt
         if close is not None:
             w *= close  # the previous step's closing flow
+        if step == n_full:  # the shorter remainder step that ends the run at t_end
+            # The full step's propagators go before the remainder's are built.
+            plan = step_close = close = flow = None
+            dt, (plan, step_close) = remainder, stages(remainder)
+        t += dt
         for flow, size in plan:
             w *= flow
             if linear_only:

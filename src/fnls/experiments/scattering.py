@@ -2,13 +2,20 @@
 
 import numpy as np
 
-from ..evolution import EvolveConfig, default_dt, evolve, free_amplitude, phase_bound, step_plan
+from ..evolution import EvolveConfig, default_dt, free_amplitude, phase_bound, snapshots, step_plan
 from ..exponents import CRITICAL_LWP, critical_exponents, require_regime
 from ..grid import Grid
 from ..observables import scattering_defects
 from ..io import write_field
 from ..spectral import INHOMOGENEOUS, fft, sobolev_norm
 from .report import ExperimentReport
+
+
+def _tallied(stream, last):
+    """(t, u) of each (t, u, diagnostics) of stream; last holds the count so far and u."""
+    for t, u, _ in stream:
+        last[:] = last[0] + 1, u
+        yield t, u
 
 
 def run_scattering_probe(
@@ -24,16 +31,22 @@ def run_scattering_probe(
 ):
     """Evolve small data and report the defect decay across time windows.
 
-    One `scattering_defects` pass reports the defect series twice: as
-    consecutive H^(s_c) distances of the snapshots propagated back under the
-    run's dispersion nu^(2 sigma) |xi|^(2 sigma) (the direct definition,
-    which sits at the double-precision noise floor for tiny amplitudes) and
-    as the same increments evaluated through the Duhamel integrand, which
-    resolves the nonlinear signal at any amplitude. Window comparisons use
-    the Duhamel form, each increment binned by its midpoint. The run takes
-    fourth-order "blanes_moan4" steps, of its default dt unless dt is given:
-    on criterion 11's grid they are at least as accurate as Strang steps of
-    a twentieth of the size and take under a third of the FFT pairs. Without
+    Each amplitude's run streams: `evolution.snapshots` feeds one
+    `scattering_defects` pass directly, and only the snapshot count and the
+    latest field are kept besides, so the working set is a fixed number of
+    fields whatever the snapshot count; the final field is written to
+    save_dir after the pass. Every window (lo, hi) must satisfy
+    0 <= lo < hi <= t_end, or the probe raises ValueError before any run.
+    The pass reports the defect series twice: as consecutive H^(s_c)
+    distances of the snapshots propagated back under the run's dispersion
+    nu^(2 sigma) |xi|^(2 sigma) (the direct definition, which sits at the
+    double-precision noise floor for tiny amplitudes) and as the same
+    increments evaluated through the Duhamel integrand, which resolves the
+    nonlinear signal at any amplitude. Window comparisons use the Duhamel
+    form, each increment binned by its midpoint. The run takes fourth-order
+    "blanes_moan4" steps, of its default dt unless dt is given: on criterion
+    11's grid they are at least as accurate as Strang steps of a twentieth
+    of the size and take under a third of the FFT pairs. Without
     a snapshot_stride the run takes ~40 snapshots; the report inputs record
     nu, the scheme and the resolved dt, steps, snapshot_stride and snapshots,
     and each amplitude's `evolution.phase_bound` as phase_bound: a run whose
@@ -43,6 +56,11 @@ def run_scattering_probe(
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
     require_regime(CRITICAL_LWP, d, p, sigma, s_c, "scattering probe")
+    for lo, hi in windows:
+        if not 0 <= lo < hi <= t_end:
+            raise ValueError(
+                f"windows must satisfy 0 <= lo < hi <= t_end = {t_end:g}; got ({lo:g}, {hi:g})"
+            )
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
     scheme = "blanes_moan4"
@@ -83,13 +101,10 @@ def run_scattering_probe(
         cfg = EvolveConfig(
             params, t_end=t_end, dt=dt, snapshot_stride=snapshot_stride, scheme=scheme
         )
-        traj = evolve(u0, cfg)
-        report.inputs["snapshots"] = len(traj.times)
-
-        if save_dir is not None:
-            write_field(f"{save_dir}/scatter_final_amp{amp:g}.fnls", traj.final)
+        last = [0, None]  # the snapshot count and the latest field
+        stream = _tallied(snapshots(u0, cfg), last)
         window_sums = {(lo, hi): 0.0 for lo, hi in windows}
-        for t_lo, t_hi, direct, duhamel in scattering_defects(traj, params, s_c):
+        for t_lo, t_hi, direct, duhamel in scattering_defects(stream, params, s_c):
             report.add_row(
                 amplitude=amp, t_lo=t_lo, t_hi=t_hi, defect_direct=direct, defect_duhamel=duhamel
             )
@@ -97,6 +112,9 @@ def run_scattering_probe(
             for lo, hi in window_sums:
                 if lo <= t_mid < hi:
                     window_sums[(lo, hi)] += duhamel
+        report.inputs["snapshots"], final = last
+        if save_dir is not None:
+            write_field(f"{save_dir}/scatter_final_amp{amp:g}.fnls", final)
         report.fits[f"initial_hsc_amp{amp:g}"] = hc0
         for (lo, hi), total in window_sums.items():
             report.fits[f"defect[{lo:g},{hi:g}]_amp{amp:g}"] = total

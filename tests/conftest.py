@@ -1,4 +1,6 @@
-"""Settings shared by every test module."""
+"""Settings and helpers shared by every test module."""
+
+import tracemalloc
 
 from hypothesis import settings
 
@@ -8,3 +10,18 @@ from hypothesis import settings
 # speed.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+def traced_peak(fn):
+    """(peak traced bytes of calling fn() above the baseline, fn's return value).
+
+    Only what is allocated while tracing counts: inputs, and caches such as
+    a grid's wavenumbers that fn would build, are allocated before the call.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        return tracemalloc.get_traced_memory()[1] - base, value
+    finally:
+        tracemalloc.stop()

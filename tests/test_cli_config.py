@@ -27,7 +27,7 @@ VALID = {
     "k": "1", "hs_track": "0.5", "n_x": "64", "L_x": "20", "n_y": "64", "dt_x": "0.01",
     "dt_y": "0.01", "a": "1.0", "a_prime": "0.9", "alpha": "1.2", "s": "-0.1",
     "epsilon": "5", "t_scan_max": "10", "L_y": "20", "max_n_x": "1024",
-    "true_evolution": "false", "amplitude_list": "1e-3", "windows": "1:2, 2:3",
+    "true_evolution": "false", "amplitude_list": "1e-3", "windows": "0.025:0.05, 0.05:0.1",
 }
 
 
@@ -148,6 +148,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("evolve", "snapshot_stride = 0", ValueError, "snapshot stride must be a whole number"),
         ("evolve", "dt = 1.0", ValueError, "dt must not exceed t_end"),
         ("scatter", "p = 3", RegimeError, "scattering probe requires CRITICAL_LWP"),
+        # The default windows end at 20.
+        ("scatter", "t_end = 10", ValueError, "windows must satisfy 0 <= lo < hi <= t_end = 10"),
         ("decohere", "a = 2", ValueError, "a, a' must lie in"),
         ("evolve", "profile_width = 0", ValueError, "width must be positive"),
         ("evolve", "profile_width = 1e300", ValueError, "width must be positive"),
@@ -155,7 +157,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("evolve", "L = 1e-300", ValueError, "extent L = 1e-300 is out of range"),
     ],
     ids=[
-        "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "decohere-a-2",
+        "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "scatter-t_end-10",
+        "decohere-a-2",
         "evolve-width-0", "evolve-width-1e300", "evolve-amplitude-inf", "evolve-L-1e-300",
     ],
 )
@@ -175,8 +178,9 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         ("galilean", "sigma = 0.2\np = 3\n", RegimeError, "sigma below d/4"),
         ("decohere", "sigma = 0.75\np = 3\na = 2\n", ValueError, "a, a' must lie in"),
         ("scatter", "sigma = 0.75\np = 3\n", RegimeError, "scattering probe requires"),
+        ("scatter", "sigma = 0.75\np = 7\nt_end = 10\n", ValueError, "windows must satisfy"),
     ],
-    ids=["dispersive", "small-dispersion", "galilean", "decohere", "scatter"],
+    ids=["dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows"],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
     tmp_path, command, text, error, match
@@ -326,7 +330,7 @@ NONDEFAULT = {
     "hs_track": "0.4", "n_x": "128", "L_x": "50", "n_y": "64", "dt_x": "0.005",
     "dt_y": "0.004", "a": "0.8", "a_prime": "0.7", "alpha": "1.5", "s": "-0.05",
     "epsilon": "4", "t_scan_max": "30", "L_y": "30", "max_n_x": "4096",
-    "true_evolution": "true", "amplitude_list": "1e-3, 2e-3", "windows": "1:2, 2:3",
+    "true_evolution": "true", "amplitude_list": "1e-3, 2e-3", "windows": "0.05:0.1, 0.1:0.2",
 }
 
 # The library callable that takes each subcommand's keyword keys.

@@ -26,9 +26,11 @@ from fnls.experiments.report import ExperimentReport, loglog_fit
 from fnls.grid import Grid
 from fnls.io import read_field
 from fnls.model import ModelParams
+from fnls.observables import scattering_defects
 from fnls.profiles import ProfileSpec
 from fnls.spectral import lebesgue_norm
 
+from conftest import traced_peak
 from references import free_flow, rk4_reference
 
 
@@ -235,6 +237,27 @@ def test_scattering_probe_rejects_sigma_one_half():
         )
 
 
+# The default windows, (5, 10) and (10, 20), against runs to 10 and 4: the
+# late window would sum nothing, and a PASS or FAIL would measure nothing.
+@pytest.mark.parametrize(
+    "t_end, windows",
+    [
+        (10.0, None),
+        (4.0, None),
+        (10.0, ((2.0, 2.0), (2.0, 4.0))),
+        (10.0, ((-1.0, 2.0), (2.0, 4.0))),
+    ],
+    ids=["default-t10", "default-t4", "empty", "negative"],
+)
+def test_scattering_probe_rejects_a_window_outside_its_run(t_end, windows):
+    params = ModelParams(1, 0.75, 7, 1, 1.0)
+    given = {} if windows is None else {"windows": windows}
+    with pytest.raises(ValueError, match=r"windows must satisfy 0 <= lo < hi <= t_end"):
+        run_scattering_probe(
+            ProfileSpec(width=1.0), params, t_end=t_end, grid=Grid(1, 1024, 64 * np.pi), **given
+        )
+
+
 def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
     grid = Grid(1, 256, 16 * np.pi)
     params = ModelParams(1, 0.75, 7, 1, 1.0)
@@ -274,6 +297,57 @@ def test_scattering_probe_small_data_takes_the_free_flow(tmp_path):
         want = free_flow(u0, SCATTER_PARAMS, t_end).values
         error = np.max(np.abs(final.values - want)) / np.max(np.abs(want))
         assert error <= 1e-12 if amp == 1e-3 else error > 1e-6
+
+
+def test_scattering_probe_equals_the_trajectory_pass(tmp_path):
+    # The probe streams its run through one defect pass; collecting the run
+    # first and passing over the Trajectory gives the same rows, window sums
+    # and final field, bit for bit.
+    profile = ProfileSpec(width=1.0, center=(0.3,))
+    t_end, windows = 2.5, ((0.5, 1.0), (1.0, 2.5))
+    rep = run_scattering_probe(
+        profile, SCATTER_PARAMS, amplitude_list=[1e-3, 0.3], t_end=t_end, grid=SCATTER_GRID,
+        windows=windows, save_dir=str(tmp_path),
+    )
+    cfg = EvolveConfig(
+        SCATTER_PARAMS, t_end, rep.inputs["dt"], rep.inputs["snapshot_stride"],
+        scheme="blanes_moan4",
+    )
+    for amp in (1e-3, 0.3):
+        traj = evolve(amp * profile.realize(SCATTER_GRID), cfg)
+        rows = [
+            dict(amplitude=amp, t_lo=lo, t_hi=hi, defect_direct=direct, defect_duhamel=duhamel)
+            for lo, hi, direct, duhamel in scattering_defects(traj, SCATTER_PARAMS, rep.inputs["s_c"])
+        ]
+        assert [row for row in rep.series if row["amplitude"] == amp] == rows
+        for lo, hi in windows:
+            total = 0.0
+            for row in rows:
+                if lo <= 0.5 * (row["t_lo"] + row["t_hi"]) < hi:
+                    total += row["defect_duhamel"]
+            assert rep.fits[f"defect[{lo:g},{hi:g}]_amp{amp:g}"] == total
+        final = read_field(tmp_path / f"scatter_final_amp{amp:g}.fnls")
+        assert np.array_equal(final.values, traj.final.values)
+        assert rep.inputs["snapshots"] == len(traj.times)
+
+
+def test_scattering_probe_traced_peak_does_not_grow_with_its_snapshot_count():
+    # 80 steps on 2^16 points, a field being 1 MiB, at strides 8 and 1: 11
+    # and 81 snapshots. Collecting the run first held each snapshot; the
+    # stream holds a fixed set of fields, and the 70 more report rows take
+    # a few KiB. The grid's wavenumber caches count as input.
+    grid = Grid(1, 2**16, 128 * np.pi)
+    grid.x, grid.k_abs
+    peaks = {}
+    for stride, snapshots in ((8, 11), (1, 81)):
+        peaks[stride], rep = traced_peak(
+            lambda: run_scattering_probe(
+                ProfileSpec(width=1.0), SCATTER_PARAMS, t_end=1.0, grid=grid, dt=1 / 80,
+                snapshot_stride=stride, windows=((0.25, 0.5), (0.5, 1.0)),
+            )
+        )
+        assert rep.inputs["snapshots"] == snapshots
+    assert abs(peaks[1] - peaks[8]) <= 2**16 * np.dtype(complex).itemsize
 
 
 # A uniform stride cannot give 40 +- 2 snapshots at every step count. Under

@@ -11,7 +11,6 @@ reorders the arithmetic, so results agree to roundoff, not bit for bit.
 
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from fnls.profiles import gaussian
 from fnls.spectral import fft, lebesgue_norm
 from fnls.symbols import LinearPropagator, evaluate_symbol
 
+from conftest import traced_peak
 from references import free_flow
 
 FIELD_TOL = 1e-12
@@ -279,14 +279,30 @@ def test_final_state_peaks_below_three_fields_above_its_input():
     params = ModelParams(3, 0.75, 3, 1, 1.0)
     u0 = gaussian(grid, width=1.5, amplitude=1.0)
     grid.k_squared
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        final_state(u0, params, 0.03, 0.01)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: final_state(u0, params, 0.03, 0.01))
     assert peak <= 3 * u0.values.nbytes
+
+
+def test_a_remainder_step_drops_the_full_steps_propagators_first():
+    # blanes_moan4 holds four propagators, a field each. The remainder step
+    # that takes a run from 0.2 to 0.25 builds its own four only once the
+    # full step's are dropped, so the run peaks within a field of the run
+    # that stops at 0.2; with both sets alive it would peak four fields
+    # higher. The grid's wavenumber cache counts as input.
+    grid = Grid(1, 2**16, 128 * np.pi)
+    params = ModelParams(1, 0.75, 7, 1, 1.0)
+    u0 = gaussian(grid, width=1.0, amplitude=0.5)
+    grid.k_abs
+
+    def run(t_end):
+        cfg = EvolveConfig(params, t_end, dt=0.1, snapshot_stride=math.inf, scheme="blanes_moan4")
+        return traced_peak(lambda: [t for t, _, _ in snapshots(u0, cfg)])
+
+    whole, times = run(0.2)
+    assert times == [0.0, 0.2]
+    ended, times = run(0.25)
+    assert times == [0.0, pytest.approx(0.25)]
+    assert ended <= whole + u0.values.nbytes
 
 
 def _guard_message(run):

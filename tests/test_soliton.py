@@ -10,6 +10,7 @@ from fnls.profiles import gaussian
 from fnls.soliton import SolitonConfig, petviashvili_solve, traveling_wave_check
 from fnls.spectral import round_velocity
 
+from conftest import traced_peak
 from references import petviashvili_two_pairs, soliton_residual
 
 GRID = Grid(1, 512, 32 * np.pi)
@@ -209,17 +210,10 @@ def test_solve_traced_peak_stays_within_one_and_a_half_fields_of_the_plain_loop(
     # this input, 7.14 MiB (numpy 2.4; a complex field is 1 MiB), plus 1.5
     # fields. The mixed solve holds x, two rings of three fields, the symbol
     # and the |Q|^(p-1) temporaries: 8.50 MiB.
-    import tracemalloc
-
     grid = Grid(2, 256, 16 * np.pi)
     seed = gaussian(grid, width=1.0)
     cfg = SolitonConfig(ModelParams(2, 0.75, 3, -1, 1.0), omega=1.0, v=(0.5, 0.0))
-    tracemalloc.start()
-    try:
-        res = petviashvili_solve(cfg, seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, res = traced_peak(lambda: petviashvili_solve(cfg, seed))
     assert res.converged
     assert peak <= (7.14 + 1.5) * 2**20
 
