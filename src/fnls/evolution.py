@@ -16,15 +16,14 @@ runs one in-place FFT pair per stage: the pending linear flows in spectrum,
 the rotation in space, and back. A step's closing flow waits for the next
 step or a snapshot. A snapshot before the last applies it to a copy, whose
 diagnostics `observables.field_diagnostics` takes with omega (so its energy
-is the conserved one) before inverting it in place; the held spectrum is
-unchanged. The run's last snapshot applies it to the held spectrum itself,
-in place, after every propagator is dropped, and the inverted spectrum is
-the field it yields. Every propagator is `symbols.linear_flow` of omega.
-So between snapshots a run's working set is the spectrum, omega, one
-propagator per distinct linear fraction (the remainder step's replace the
-full step's, which are dropped before the remainder's are built) and one
-block (`grid.BLOCK` samples) of the rotation's temporaries; a snapshot adds
-a real |u|^2 array, and a copy of the spectrum unless it is the last.
+is the conserved one) before inverting it in place. The run's last snapshot
+applies it to the held spectrum itself, in place, drops every propagator and
+inverts the spectrum to the field it yields. A run takes equal steps
+(`step_plan`), so each propagator, `symbols.linear_flow` of omega, is built
+once per run, and between snapshots the working set is the spectrum, omega,
+one propagator per distinct linear fraction and one block (`grid.BLOCK`
+samples) of the rotation's temporaries; a snapshot adds a real |u|^2 array,
+and a copy of the spectrum unless it is the last.
 
 A run whose rotations cannot change the field skips them. All the rotations
 of a run together turn a sample by at most Theta = |mu| (sum_i |b_i|)
@@ -118,14 +117,14 @@ def default_dt(grid, params, t_end, scheme="strang"):
 
 
 def step_plan(t_end, dt):
-    """(full steps, remainder, total steps) of a run to t_end in steps of dt.
+    """(steps, step) of a run to t_end in equal steps of at most dt.
 
-    A shorter remainder step closes the run when t_end is not a whole
-    number of steps.
+    Whole steps of dt when they tile t_end to within 1e-12 dt; otherwise
+    n = ceil(t_end / dt) steps of t_end / n, each shorter than dt.
     """
-    n_full = int(np.floor(t_end / dt + 1e-12))
-    remainder = t_end - n_full * dt
-    return n_full, remainder, n_full + (1 if remainder > 1e-12 * dt else 0)
+    steps = int(np.floor(t_end / dt + 1e-12))
+    tiled = t_end - steps * dt <= 1e-12 * dt
+    return (steps, dt) if tiled else (steps + 1, t_end / (steps + 1))
 
 
 def linear_propagate(u, t, sigma):
@@ -216,34 +215,29 @@ class Trajectory:
 def snapshots(u0, cfg):
     """Yield (t, u, diagnostics) at t = 0, every stride steps and cfg.t_end.
 
-    A step of size h runs the stages of `SCHEMES[cfg.scheme]`: stage i
-    multiplies the held spectrum by exp(i a_i h omega) and rotates by b_i h
-    in space between one FFT pair. Every step, the remainder step that ends
-    a run off the dt grid included, takes this one path, and leaves its
-    closing flow exp(i a_s h omega) as `close`, which the next step applies
-    first. Each distinct fraction gets its propagator once per run, and the
-    remainder step gets its own, built once the full step's are dropped, so
-    one set of propagators is alive at a time. A snapshot closes a copy of
-    the spectrum with `close`; the run's last one drops the plan and every
-    propagator and closes the held spectrum in place, as
-    np.multiply(close, w, out=w) in close * w's operand order, and yields
-    it inverted. A stage whose rotation is not finite raises at its step's
-    end time, and a snapshot that trips the mass-drift or non-finite guard
-    raises instead.
-    A run whose `phase_bound` at A = `free_amplitude`(F[u0]) is at most
-    `ROUNDOFF` skips every stage's FFT pair and rotation; that one bound,
-    summed a block at a time, is the whole decision.
+    The run takes `step_plan`'s equal steps h, so cfg.dt (or `default_dt`) is
+    its longest step. A step runs the stages of `SCHEMES[cfg.scheme]`: stage i
+    multiplies the held spectrum by exp(i a_i h omega) and rotates by b_i h in
+    space between one FFT pair, and leaves its closing flow exp(i a_s h omega)
+    as `close`, which the next step applies first. Each distinct fraction gets
+    its propagator once per run. A snapshot closes a copy of the spectrum with
+    `close`; the run's last one closes the held spectrum in place, as
+    np.multiply(close, w, out=w) in close * w's operand order, drops every
+    propagator and yields it inverted. A stage whose rotation is not finite
+    raises at its step's end time, a snapshot that trips the mass-drift or
+    non-finite guard raises, and a model whose dimension is not the grid's
+    raises ValueError before the first row. A run whose `phase_bound` at A =
+    `free_amplitude`(F[u0]) is at most `ROUNDOFF` skips every stage's FFT pair
+    and rotation; that one bound, summed a block at a time, is the whole
+    decision.
     """
     params = cfg.params
     grid = u0.grid
+    if grid.d != params.d:
+        raise ValueError(f"the model's dimension d = {params.d} is not the grid's d = {grid.d}")
     linear, nonlinear, _ = SCHEMES[cfg.scheme]
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, params, cfg.t_end, cfg.scheme)
     omega = params.dispersion(grid)
-
-    def stages(h):
-        """((opening propagator, rotation size) per stage, closing propagator) of a step h."""
-        flows = {a: linear_flow(omega, a * h) for a in set(linear)}
-        return [(flows[a], b * h) for a, b in zip(linear, nonlinear)], flows[linear[-1]]
 
     def row(t, spectrum, u=None):
         """(u, diagnostics); without u, spectrum is inverted in place to give it."""
@@ -261,19 +255,16 @@ def snapshots(u0, cfg):
 
     mass0 = first["mass"]
     linear_only = phase_bound(free_amplitude(w), params, cfg.t_end, cfg.scheme) <= ROUNDOFF
-    n_full, remainder, total_steps = step_plan(cfg.t_end, dt)
-    plan, step_close = stages(dt)
-    close = None
+    steps, h = step_plan(cfg.t_end, dt)
+    flows = {a: linear_flow(omega, a * h) for a in set(linear)}
+    plan = [(flows[a], b * h) for a, b in zip(linear, nonlinear)]
+    close = flows[linear[-1]]
 
     t = 0.0
-    for step in range(total_steps):
-        if close is not None:
+    for step in range(steps):
+        if step:
             w *= close  # the previous step's closing flow
-        if step == n_full:  # the shorter remainder step that ends the run at t_end
-            # The full step's propagators go before the remainder's are built.
-            plan = step_close = close = flow = None
-            dt, (plan, step_close) = remainder, stages(remainder)
-        t += dt
+        t += h
         for flow, size in plan:
             w *= flow
             if linear_only:
@@ -283,13 +274,12 @@ def snapshots(u0, cfg):
             np.fft.fftn(w, out=w)
             if not np.isfinite(peak):
                 raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}")
-        close = step_close
 
-        if step == total_steps - 1:
+        if step == steps - 1:
             # The run's last row closes the held spectrum in place, in
             # close * w's operand order, with no propagator left alive.
             np.multiply(close, w, out=w)
-            del plan, step_close, close, flow
+            del flows, plan, close, flow
             spectrum = w
         elif (step + 1) % cfg.snapshot_stride == 0:
             spectrum = close * w

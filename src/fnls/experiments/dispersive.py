@@ -62,10 +62,21 @@ def run_dispersive_decay(
     d, sigma, N_list=(1.0, 4.0), t_grid=tuple(np.linspace(5, 40, 15).tolist()),
     grid=None, n=2**14, save_dir=None,
 ):
-    """Measure the time-decay slope and the across-N prefactor scaling."""
+    """Measure the time-decay slope and the across-N prefactor scaling.
+
+    The prefactor check needs N_list of two or more and each decay fit a
+    t_grid of three or more, and grid, when given, must be d-dimensional:
+    otherwise the runner raises ValueError before its first run.
+    """
     t_grid = list(t_grid)
+    if len(N_list) < 2:
+        raise ValueError(f"N_list needs at least 2 values for the prefactor; got {len(N_list)}")
+    if len(t_grid) < 3:
+        raise ValueError(f"t_grid needs at least 3 times for the decay fit; got {len(t_grid)}")
     if grid is None:
         grid = default_grid(d, sigma, N_list, max(t_grid), n=n)
+    elif grid.d != d:
+        raise ValueError(f"the grid's dimension d = {grid.d} is not the run's d = {d}")
     check_horizon(grid, sigma, N_list, max(t_grid))
 
     report = ExperimentReport(
@@ -97,10 +108,9 @@ def run_dispersive_decay(
         report.fits[f"fit_residual_N{N}"] = resid
         prefactors.append(np.exp(intercept))
 
-    if len(N_list) >= 2:
-        measured = prefactors[-1] / prefactors[0]
-        expected = (N_list[-1] / N_list[0]) ** (d * (1 - sigma))
-        report.fits["prefactor_ratio"] = measured
-        report.fits["prefactor_ratio_expected"] = expected
-        report.checks["prefactor_scaling"] = abs(measured / expected - 1) < 0.2
+    measured = prefactors[-1] / prefactors[0]
+    expected = (N_list[-1] / N_list[0]) ** (d * (1 - sigma))
+    report.fits["prefactor_ratio"] = measured
+    report.fits["prefactor_ratio_expected"] = expected
+    report.checks["prefactor_scaling"] = abs(measured / expected - 1) < 0.2
     return report

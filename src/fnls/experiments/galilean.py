@@ -81,6 +81,8 @@ def run_galilean_error(
 
     # Every nu is checked before the first run, so none leaves fields behind.
     runs = [dataclasses.replace(params, nu=nu) for nu in nu_list]
+    if len(runs) < 2:
+        raise ValueError(f"nu_list needs at least 2 values for the decay check; got {len(runs)}")
     full = dataclasses.replace(params, nu=1.0)
     errors = []
     for nu, run in zip(nu_list, runs):

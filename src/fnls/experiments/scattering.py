@@ -35,8 +35,10 @@ def run_scattering_probe(
     `scattering_defects` pass directly, and only the snapshot count and the
     latest field are kept besides, so the working set is a fixed number of
     fields whatever the snapshot count; the final field is written to
-    save_dir after the pass. Every window (lo, hi) must satisfy
-    0 <= lo < hi <= t_end, or the probe raises ValueError before any run.
+    save_dir after the pass. There must be two windows or more, each (lo, hi)
+    with 0 <= lo < hi <= t_end and each ending where or before the next
+    starts, or the probe raises ValueError before any run; the defect decays
+    when each window's sum is below the one before.
     The pass reports the defect series twice: as consecutive H^(s_c)
     distances of the snapshots propagated back under the run's dispersion
     nu^(2 sigma) |xi|^(2 sigma) (the direct definition, which sits at the
@@ -56,10 +58,18 @@ def run_scattering_probe(
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
     require_regime(CRITICAL_LWP, d, p, sigma, s_c, "scattering probe")
+    if len(windows) < 2:
+        raise ValueError(f"windows needs at least two (lo, hi) pairs; got {len(windows)}")
     for lo, hi in windows:
         if not 0 <= lo < hi <= t_end:
             raise ValueError(
                 f"windows must satisfy 0 <= lo < hi <= t_end = {t_end:g}; got ({lo:g}, {hi:g})"
+            )
+    for (lo0, hi0), (lo1, hi1) in zip(windows, windows[1:]):
+        if hi0 > lo1:
+            raise ValueError(
+                "windows must follow each other in time, each ending at or before the "
+                f"next one's start; got ({lo0:g}, {hi0:g}) then ({lo1:g}, {hi1:g})"
             )
     if grid is None:
         grid = Grid(d, 8192, 128 * np.pi)
@@ -85,7 +95,7 @@ def run_scattering_probe(
             "n": grid.n,
             "L": grid.L,
             "dt": dt,
-            "steps": step_plan(t_end, dt)[2],
+            "steps": step_plan(t_end, dt)[0],
             "snapshot_stride": snapshot_stride,
             "windows": list(windows),
             "phase_bound": [],
@@ -118,9 +128,8 @@ def run_scattering_probe(
         report.fits[f"initial_hsc_amp{amp:g}"] = hc0
         for (lo, hi), total in window_sums.items():
             report.fits[f"defect[{lo:g},{hi:g}]_amp{amp:g}"] = total
-        keys = list(window_sums)
-        if len(keys) >= 2:
-            report.checks[f"defect_decays_amp{amp:g}"] = (
-                window_sums[keys[1]] < window_sums[keys[0]]
-            )
+        sums = list(window_sums.values())
+        report.checks[f"defect_decays_amp{amp:g}"] = all(
+            later < earlier for earlier, later in zip(sums, sums[1:])
+        )
     return report

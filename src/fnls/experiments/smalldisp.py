@@ -53,6 +53,8 @@ def run_small_dispersion(
 
     # Every nu is checked before the first run, so none leaves fields behind.
     runs = [dataclasses.replace(params, nu=nu) for nu in nu_list]
+    if len(runs) < 3:
+        raise ValueError(f"nu_list needs at least 3 values for the error fit; got {len(runs)}")
     phi_ode = nonlinear_phase(phi0, t_eval, params.mu, params.p)
     errors = []
     hs_raw = []

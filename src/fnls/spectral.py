@@ -1,4 +1,4 @@
-"""Multiplier application, projections, norms, shifts and rescaling."""
+"""Multiplier application, norms, shifts and rescaling."""
 
 import itertools
 import math

@@ -97,6 +97,7 @@ def test_dispersive_takes_n_alone(tmp_path):
 BASE = {
     "evolve": "sigma = 0.75\np = 3\nn = 64\nL = 20\nt_end = 0.1\n",
     "small-dispersion": "sigma = 0.75\np = 3\n",
+    "galilean": "sigma = 0.75\np = 3\n",
     "decohere": "sigma = 0.75\np = 3\n",
     "dispersive": "sigma = 0.75\n",
     "scatter": "sigma = 0.75\np = 7\n",
@@ -155,11 +156,20 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("evolve", "profile_width = 1e300", ValueError, "width must be positive"),
         ("evolve", "profile_amplitude = inf", ValueError, "amplitude must be finite"),
         ("evolve", "L = 1e-300", ValueError, "extent L = 1e-300 is out of range"),
+        # Sweeps too short for their runner's checks and fits.
+        ("dispersive", "N_list = 1", ValueError, "N_list needs at least 2"),
+        ("dispersive", "t_grid = 5, 10", ValueError, "t_grid needs at least 3"),
+        ("small-dispersion", "nu_list = 0.1, 0.05", ValueError, "nu_list needs at least 3"),
+        ("galilean", "nu_list = 0.1", ValueError, "nu_list needs at least 2"),
+        ("scatter", "windows = 10:20", ValueError, "windows needs at least two"),
+        ("scatter", "windows = 10:20, 5:10", ValueError, "windows must follow each other"),
     ],
     ids=[
         "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "scatter-t_end-10",
         "decohere-a-2",
         "evolve-width-0", "evolve-width-1e300", "evolve-amplitude-inf", "evolve-L-1e-300",
+        "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
+        "galilean-nu_list-1", "scatter-one-window", "scatter-late-first",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
@@ -179,8 +189,30 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         ("decohere", "sigma = 0.75\np = 3\na = 2\n", ValueError, "a, a' must lie in"),
         ("scatter", "sigma = 0.75\np = 3\n", RegimeError, "scattering probe requires"),
         ("scatter", "sigma = 0.75\np = 7\nt_end = 10\n", ValueError, "windows must satisfy"),
+        ("dispersive", "sigma = 0.75\nN_list = 1\n", ValueError, "N_list needs at least 2"),
+        ("dispersive", "sigma = 0.75\nt_grid = 5, 10\n", ValueError, "t_grid needs at least 3"),
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\nnu_list = 0.1, 0.05\n", ValueError,
+            "nu_list needs at least 3",
+        ),
+        (
+            "galilean", "sigma = 0.75\np = 3\nnu_list = 0.1\n", ValueError,
+            "nu_list needs at least 2",
+        ),
+        (
+            "scatter", "sigma = 0.75\np = 7\nt_end = 1\nwindows = 0.5:1\n", ValueError,
+            "windows needs at least two",
+        ),
+        (
+            "scatter", "sigma = 0.75\np = 7\nt_end = 4\nwindows = 2:4, 1:2\n", ValueError,
+            "windows must follow each other",
+        ),
     ],
-    ids=["dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows"],
+    ids=[
+        "dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows",
+        "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
+        "galilean-nu_list-1", "scatter-one-window", "scatter-late-first",
+    ],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
     tmp_path, command, text, error, match

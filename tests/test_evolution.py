@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fnls.errors import NonFiniteFieldError
-from fnls.evolution import EvolveConfig, default_dt, evolve, snapshots
+from fnls.evolution import EvolveConfig, default_dt, evolve, snapshots, step_plan
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import gaussian
@@ -79,6 +79,15 @@ def test_agrees_with_rk4_integrating_factor_reference():
     assert err < 1e-6
 
 
+def test_a_ragged_run_agrees_with_rk4_at_the_tiled_tolerance():
+    # 0.5 is not a whole number of 5.3e-4: 944 equal steps of 0.5 / 944.
+    u0 = gaussian(GRID, amplitude=0.5)
+    traj = evolve(u0, EvolveConfig(PARAMS, t_end=0.5, dt=5.3e-4, snapshot_stride=10**9))
+    ref = rk4_reference(u0, PARAMS, 0.5, 2.5e-4)
+    assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
+    assert np.max(np.abs(traj.final.values - ref.values)) < 1e-6
+
+
 def test_strang_step_is_second_order_against_rk4():
     u0 = gaussian(GRID, amplitude=0.5)
     ref = rk4_reference(u0, PARAMS, 0.25, 1e-4)
@@ -130,6 +139,28 @@ def test_snapshot_stride_controls_output_density():
     assert len(traj.times) == len(traj.fields) == len(traj.diagnostics)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.1)
+
+
+# The benchmark's (t_end, dt) pairs and the README's sol.cfg: dt tiles t_end,
+# so the run keeps whole steps of dt.
+@pytest.mark.parametrize(
+    "t_end, dt, steps", [(0.5, 0.01, 50), (0.6, 0.02, 30), (0.2, 2e-3, 100), (1.0, 1e-3, 1000)]
+)
+def test_step_plan_keeps_dt_when_it_tiles_t_end(t_end, dt, steps):
+    assert step_plan(t_end, dt) == (steps, dt)
+
+
+def test_step_plan_evens_out_a_run_off_the_dt_grid():
+    assert step_plan(0.0, 0.01) == (0, 0.01)
+    # ceil(40.5) = 41 equal steps, each shorter than dt.
+    assert step_plan(0.405, 0.01) == (41, 0.405 / 41)
+
+
+def test_a_model_of_another_dimension_than_its_grid_raises():
+    u0 = gaussian(Grid(2, 32, 20.0))
+    cfg = EvolveConfig(ModelParams(1, 0.75, 3), 0.1, 0.01, snapshot_stride=10**9)
+    with pytest.raises(ValueError, match="model's dimension d = 1 is not the grid's d = 2"):
+        evolve(u0, cfg)
 
 
 def test_remainder_step_hits_t_end_exactly():

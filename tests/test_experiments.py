@@ -128,6 +128,14 @@ def test_dispersive_runner_fits_decay(tmp_path):
     assert snap.grid.n == (2**14,)
 
 
+def test_dispersive_runner_rejects_a_grid_of_another_dimension():
+    # Judged against d = 2's prefactor ratio, a 1D run would fail.
+    with pytest.raises(ValueError, match="grid's dimension d = 1 is not the run's d = 2"):
+        run_dispersive_decay(
+            2, 0.75, N_list=(1.0, 4.0), t_grid=(5, 10, 20), grid=Grid(1, 4096, 400 * np.pi)
+        )
+
+
 def test_small_dispersion_rate():
     params = ModelParams(1, 0.75, 3, 1, 1.0)
     rep = run_small_dispersion(
@@ -256,6 +264,35 @@ def test_scattering_probe_rejects_a_window_outside_its_run(t_end, windows):
         run_scattering_probe(
             ProfileSpec(width=1.0), params, t_end=t_end, grid=Grid(1, 1024, 64 * np.pi), **given
         )
+
+
+# One window tests no trend, and windows listed late-first test the opposite
+# one; overlapping windows count an increment twice.
+@pytest.mark.parametrize(
+    "windows, match",
+    [
+        (((0.5, 1.0),), "windows needs at least two"),
+        (((0.5, 1.0), (0.25, 0.5)), r"windows must follow each other in time.*\(0.5, 1\) then"),
+        (((0.25, 0.6), (0.5, 1.0)), "windows must follow each other in time"),
+    ],
+    ids=["one", "late-first", "overlapping"],
+)
+def test_scattering_probe_rejects_windows_that_test_no_trend_or_the_wrong_one(windows, match):
+    with pytest.raises(ValueError, match=match):
+        run_scattering_probe(
+            ProfileSpec(width=1.0), ModelParams(1, 0.75, 7, 1, 1.0), t_end=1.0,
+            grid=Grid(1, 256, 32 * np.pi), windows=windows,
+        )
+
+
+def test_scattering_probe_defect_decays_when_each_window_sums_below_the_last():
+    windows = ((0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
+    rep = run_scattering_probe(
+        ProfileSpec(width=1.0), ModelParams(1, 0.75, 7, 1, 1.0), t_end=1.0,
+        grid=Grid(1, 256, 32 * np.pi), windows=windows,
+    )
+    sums = [rep.fits[f"defect[{lo:g},{hi:g}]_amp0.001"] for lo, hi in windows]
+    assert rep.checks == {"defect_decays_amp0.001": sums[2] < sums[1] < sums[0]}
 
 
 def test_scattering_probe_records_resolved_dt_steps_and_snapshots():

@@ -74,25 +74,22 @@ def _unfused_evolve(u0, cfg):
     params = cfg.params
     dt = cfg.dt if cfg.dt is not None else default_dt(u0.grid, params, cfg.t_end)
     times, fields, diags = [0.0], [u0], [_diagnostics(0.0, u0, params)]
-    n_full = int(np.floor(cfg.t_end / dt + 1e-12))
-    remainder = cfg.t_end - n_full * dt
+    # Whole steps of dt when they tile t_end, else ceil(t_end / dt) equal ones.
+    steps = int(np.floor(cfg.t_end / dt + 1e-12))
+    if cfg.t_end - steps * dt > 1e-12 * dt:
+        steps += 1
+        dt = cfg.t_end / steps
     scale = params.nu ** (2 * params.sigma)
     half = evaluate_symbol(LinearPropagator(scale * dt / 2, params.sigma), u0.grid)
     u, t = u0, 0.0
-    total_steps = n_full + (1 if remainder > 1e-12 * dt else 0)
-    for step in range(total_steps):
-        if step < n_full:
-            h, step_dt = half, dt
-        else:
-            step_dt = remainder
-            h = evaluate_symbol(LinearPropagator(scale * step_dt / 2, params.sigma), u0.grid)
-        w = np.fft.ifftn(h * np.fft.fftn(u.values))
+    for step in range(steps):
+        w = np.fft.ifftn(half * np.fft.fftn(u.values))
         a = _amplitude_power(np.abs(w), params.p - 1)
-        w = w * np.exp(1j * step_dt * params.mu * a)
-        w = np.fft.ifftn(h * np.fft.fftn(w))
+        w = w * np.exp(1j * dt * params.mu * a)
+        w = np.fft.ifftn(half * np.fft.fftn(w))
         u = ComplexField(u.grid, w)
-        t += step_dt
-        if (step + 1) % cfg.snapshot_stride == 0 or step == total_steps - 1:
+        t += dt
+        if (step + 1) % cfg.snapshot_stride == 0 or step == steps - 1:
             times.append(t)
             fields.append(u)
             diags.append(_diagnostics(t, u, params))
@@ -103,8 +100,8 @@ def _rel(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))
 
 
-# (grid, params, dt, t_end, stride); every t_end below leaves a remainder step
-# except the 3D case, and every stride is exercised with at least one grid.
+# (grid, params, dt, t_end, stride); in each "-remainder" case t_end is not a
+# whole number of dt, and every stride is exercised with at least one grid.
 CASES = {
     "1d-p3-stride1-remainder": (
         Grid(1, 256, 16 * np.pi), ModelParams(1, 0.75, 3, 1, 1.0), 1e-2, 0.405, 1
@@ -284,11 +281,11 @@ def test_final_state_peaks_below_three_fields_above_its_input():
 
 
 def test_a_remainder_step_drops_the_full_steps_propagators_first():
-    # blanes_moan4 holds four propagators, a field each. The remainder step
-    # that takes a run from 0.2 to 0.25 builds its own four only once the
-    # full step's are dropped, so the run peaks within a field of the run
-    # that stops at 0.2; with both sets alive it would peak four fields
-    # higher. The grid's wavenumber cache counts as input.
+    # blanes_moan4 holds four propagators, a field each. A run to 0.25, where
+    # t_end is not a whole number of dt, takes three equal steps and builds
+    # its four once, so it peaks within a field of the run that stops at
+    # 0.2; a second set built mid-run would peak four fields higher. The
+    # grid's wavenumber cache counts as input.
     grid = Grid(1, 2**16, 128 * np.pi)
     params = ModelParams(1, 0.75, 7, 1, 1.0)
     u0 = gaussian(grid, width=1.0, amplitude=0.5)
@@ -392,9 +389,9 @@ def _count_transforms(monkeypatch):
 
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_each_stage_takes_one_fft_pair(monkeypatch, scheme):
-    # 7 steps with a remainder step, snapshots after steps 3, 6 and 7: the
-    # input's forward transform, one pair per stage, and one inverse
-    # transform per snapshot after the first.
+    # 7 equal steps, as t_end is not a whole number of dt, and snapshots
+    # after steps 3, 6 and 7: the input's forward transform, one pair per
+    # stage, and one inverse transform per snapshot after the first.
     grid = Grid(1, 256, 16 * np.pi)
     params = ModelParams(1, 0.75, 3, 1, 1.0)
     u0 = gaussian(grid, width=1.0, amplitude=1.0)
@@ -406,8 +403,28 @@ def test_each_stage_takes_one_fft_pair(monkeypatch, scheme):
     assert calls == {"fftn": 1 + 7 * stages, "ifftn": 7 * stages + 3}
 
 
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_a_ragged_run_takes_equal_steps_no_longer_than_dt(scheme):
+    # 0.405 is not a whole number of 0.01, so the run takes ceil(40.5) = 41
+    # steps of 0.405 / 41: at stride 1 each gap is one step, and at stride 3
+    # every gap but the last (after steps 39 and 41) is three.
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    u0 = gaussian(grid, width=1.0, amplitude=1.0)
+    dt, t_end, h = 0.01, 0.405, 0.405 / 41
+    assert h < dt
+    for stride in (1, 3):
+        cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=stride, scheme=scheme)
+        times = np.array(evolve(u0, cfg).times)
+        assert len(times) == 1 + math.ceil(41 / stride)
+        gaps = np.diff(times)
+        assert np.all(np.abs(gaps[:-1] - stride * h) <= 1e-12)
+        assert 0 < gaps[-1] <= stride * h + 1e-12
+        assert abs(times[-1] - t_end) <= 1e-12
+
+
 # (grid, params, dt, t_end, stride, amplitude) of runs whose phase bound is
-# below roundoff; both leave a remainder step.
+# below roundoff; in both t_end is not a whole number of dt.
 LINEAR_ONLY_CASES = {
     "1d-p7": (
         Grid(1, 256, 16 * np.pi), ModelParams(1, 0.75, 7, -1, 1.0), 1e-2, 0.405, 7, 1e-3

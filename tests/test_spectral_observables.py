@@ -125,7 +125,7 @@ PARAMS_3D = ModelParams(3, 0.75, 3, 1, 1.0)
 
 
 def _traj(grid, params, amplitude, t_end=0.205, dt=1e-2, stride=2):
-    # Every t_end leaves a remainder step, so the snapshot spacing varies.
+    # Every t_end is not a whole number of dt, so the last snapshot gap is shorter.
     u0 = gaussian(grid, width=1.2, amplitude=amplitude, center=(0.3,) * grid.d)
     return evolve(u0, EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=stride))
 
