@@ -8,6 +8,7 @@ plain text `key = value` files; see README for the documented keys.
 import argparse
 import csv
 import difflib
+import itertools
 import math
 import os
 
@@ -162,12 +163,14 @@ def cmd_evolve(args):
     run = EvolveConfig(
         _params_from(cfg), **_pick(cfg, "t_end dt snapshot_stride mass_drift_guard")
     )
+    rows = snapshots(u0, run)
+    first = next(rows)  # the run is planned before --out is made
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "diagnostics.csv"), "w", newline="") as fh:
-        for i, (_, field, diagnostics) in enumerate(snapshots(u0, run)):
-            if i == 0:  # the diagnostics' keys name the columns
-                writer = csv.DictWriter(fh, fieldnames=list(diagnostics))
-                writer.writeheader()
+        # The diagnostics' keys name the columns.
+        writer = csv.DictWriter(fh, fieldnames=list(first[2]))
+        writer.writeheader()
+        for i, (_, field, diagnostics) in enumerate(itertools.chain([first], rows)):
             writer.writerow(diagnostics)
             write_field(os.path.join(args.out, f"snap_{i:05d}.fnls"), field)
     print(f"wrote {i + 1} snapshots to {args.out}")

@@ -116,14 +116,25 @@ def default_dt(grid, params, t_end, scheme="strang"):
     return dt
 
 
+MAX_STEPS = 10**9  # a plan's bound; no run of the package takes over ~13k steps
+
+
 def step_plan(t_end, dt):
     """(steps, step) of a run to t_end in equal steps of at most dt.
 
-    Whole steps of dt when they tile t_end to within 1e-12 dt; otherwise
-    n = ceil(t_end / dt) steps of t_end / n, each shorter than dt.
+    Whole steps of dt when they tile t_end to 1e-12 of the longer of the two,
+    so a rounded t_end / n plans n steps of itself; otherwise n = ceil(t_end
+    / dt) steps of t_end / n, each shorter than dt. A plan over MAX_STEPS
+    steps raises ValueError.
     """
-    steps = int(np.floor(t_end / dt + 1e-12))
-    tiled = t_end - steps * dt <= 1e-12 * dt
+    ratio = t_end / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(
+            f"a run to t_end = {t_end:g} in steps of at most dt = {dt:g} "
+            f"takes more than MAX_STEPS = {MAX_STEPS:.0e} steps"
+        )
+    steps = int(np.floor(ratio + 1e-12 * max(1.0, ratio)))
+    tiled = t_end - steps * dt <= 1e-12 * max(dt, t_end)
     return (steps, dt) if tiled else (steps + 1, t_end / (steps + 1))
 
 
@@ -216,20 +227,21 @@ def snapshots(u0, cfg):
     """Yield (t, u, diagnostics) at t = 0, every stride steps and cfg.t_end.
 
     The run takes `step_plan`'s equal steps h, so cfg.dt (or `default_dt`) is
-    its longest step. A step runs the stages of `SCHEMES[cfg.scheme]`: stage i
-    multiplies the held spectrum by exp(i a_i h omega) and rotates by b_i h in
-    space between one FFT pair, and leaves its closing flow exp(i a_s h omega)
-    as `close`, which the next step applies first. Each distinct fraction gets
-    its propagator once per run. A snapshot closes a copy of the spectrum with
-    `close`; the run's last one closes the held spectrum in place, as
-    np.multiply(close, w, out=w) in close * w's operand order, drops every
-    propagator and yields it inverted. A stage whose rotation is not finite
-    raises at its step's end time, a snapshot that trips the mass-drift or
-    non-finite guard raises, and a model whose dimension is not the grid's
-    raises ValueError before the first row. A run whose `phase_bound` at A =
-    `free_amplitude`(F[u0]) is at most `ROUNDOFF` skips every stage's FFT pair
-    and rotation; that one bound, summed a block at a time, is the whole
-    decision.
+    its longest step; step k ends at t = k h. A step runs the stages of
+    `SCHEMES[cfg.scheme]`: stage i multiplies the held spectrum by
+    exp(i a_i h omega) and rotates by b_i h in space between one FFT pair,
+    and leaves its closing flow exp(i a_s h omega) as `close`, which the next
+    step applies first. Each distinct fraction gets its propagator once per
+    run. A snapshot closes a copy of the spectrum with `close`; the run's
+    last one closes the held spectrum in place, as np.multiply(close, w,
+    out=w) in close * w's operand order, drops every propagator and yields
+    it inverted. A stage whose rotation is not finite raises at its step's
+    end time, a snapshot that trips the mass-drift or non-finite guard
+    raises, and a model whose dimension is not the grid's or a plan that
+    `step_plan` refuses raises ValueError before the first row. A run whose
+    `phase_bound` at A = `free_amplitude`(F[u0]) is at most `ROUNDOFF` skips
+    every stage's FFT pair and rotation; that one bound, summed a block at a
+    time, is the whole decision.
     """
     params = cfg.params
     grid = u0.grid
@@ -237,6 +249,7 @@ def snapshots(u0, cfg):
         raise ValueError(f"the model's dimension d = {params.d} is not the grid's d = {grid.d}")
     linear, nonlinear, _ = SCHEMES[cfg.scheme]
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, params, cfg.t_end, cfg.scheme)
+    steps, h = step_plan(cfg.t_end, dt)
     omega = params.dispersion(grid)
 
     def row(t, spectrum, u=None):
@@ -255,16 +268,14 @@ def snapshots(u0, cfg):
 
     mass0 = first["mass"]
     linear_only = phase_bound(free_amplitude(w), params, cfg.t_end, cfg.scheme) <= ROUNDOFF
-    steps, h = step_plan(cfg.t_end, dt)
     flows = {a: linear_flow(omega, a * h) for a in set(linear)}
     plan = [(flows[a], b * h) for a, b in zip(linear, nonlinear)]
     close = flows[linear[-1]]
 
-    t = 0.0
     for step in range(steps):
         if step:
             w *= close  # the previous step's closing flow
-        t += h
+        t = (step + 1) * h
         for flow, size in plan:
             w *= flow
             if linear_only:

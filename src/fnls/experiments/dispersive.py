@@ -65,14 +65,19 @@ def run_dispersive_decay(
     """Measure the time-decay slope and the across-N prefactor scaling.
 
     The prefactor check needs N_list of two or more and each decay fit a
-    t_grid of three or more, and grid, when given, must be d-dimensional:
-    otherwise the runner raises ValueError before its first run.
+    t_grid of three or more, every entry of either positive and finite, and
+    grid, when given, must be d-dimensional: otherwise the runner raises
+    ValueError before its first run.
     """
     t_grid = list(t_grid)
     if len(N_list) < 2:
         raise ValueError(f"N_list needs at least 2 values for the prefactor; got {len(N_list)}")
     if len(t_grid) < 3:
         raise ValueError(f"t_grid needs at least 3 times for the decay fit; got {len(t_grid)}")
+    for key, values in (("N_list", N_list), ("t_grid", t_grid)):
+        for value in values:
+            if not 0 < value < np.inf:
+                raise ValueError(f"{key} entries must be positive and finite; got {value:g}")
     if grid is None:
         grid = default_grid(d, sigma, N_list, max(t_grid), n=n)
     elif grid.d != d:

@@ -1,5 +1,6 @@
 """Smooth initial profiles on periodic grids."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,18 @@ class ProfileSpec:
             raise ValueError(f"center must have {grid.d} components")
         r2 = squared_distance(grid, grid.x, center)
         # A box ~1e154 widths across overflows the quotient to inf, and
-        # exp(-inf) = 0 is the exact sample there.
+        # exp(-inf) = 0 is the exact sample there. The mass is amplitude^2
+        # times the bump's, which a finite amplitude can take past the
+        # largest double; in this order no finite mass overflows.
         with np.errstate(over="ignore"):
-            vals = self.amplitude * np.exp(-r2 / (2 * self.width**2))
-        return ComplexField(grid, vals.astype(np.complex128))
+            bump = np.exp(-r2 / (2 * self.width**2))
+            bump_mass = float(np.sum(np.square(bump))) * grid.cell_volume
+        a = abs(self.amplitude)
+        if not a * (a * bump_mass) < math.inf:
+            raise ValueError(
+                f"amplitude {self.amplitude!r} gives a field of infinite mass on this grid"
+            )
+        return ComplexField(grid, (self.amplitude * bump).astype(np.complex128))
 
 
 def gaussian(grid, width=1.0, amplitude=1.0, center=()):

@@ -163,13 +163,25 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("galilean", "nu_list = 0.1", ValueError, "nu_list needs at least 2"),
         ("scatter", "windows = 10:20", ValueError, "windows needs at least two"),
         ("scatter", "windows = 10:20, 5:10", ValueError, "windows must follow each other"),
+        (
+            "scatter", "t_end = 10\nwindows = 2.3:5, 5:10", ValueError,
+            r"window edges must be multiples of the snapshot spacing t_end/40 = 0.25; got 2.3",
+        ),
+        ("dispersive", "t_grid = 0, 5, 10", ValueError, "t_grid entries must be positive"),
+        ("dispersive", "N_list = 1, -4", ValueError, "N_list entries must be positive"),
+        # Runs of ~1e301 and 1e299 steps, and a field whose mass is inf.
+        ("evolve", "t_end = 1e300", ValueError, r"t_end = 1e\+300 .* more than MAX_STEPS"),
+        ("evolve", "dt = 1e-300", ValueError, r"t_end = 0.1 in steps of at most dt = 1e-300"),
+        ("evolve", "profile_amplitude = 1e200", ValueError, "amplitude 1e\\+200 gives a field"),
     ],
     ids=[
         "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "scatter-t_end-10",
         "decohere-a-2",
         "evolve-width-0", "evolve-width-1e300", "evolve-amplitude-inf", "evolve-L-1e-300",
         "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
-        "galilean-nu_list-1", "scatter-one-window", "scatter-late-first",
+        "galilean-nu_list-1", "scatter-one-window", "scatter-late-first", "scatter-off-the-clock",
+        "dispersive-t_grid-0", "dispersive-N_list-negative", "evolve-t_end-1e300",
+        "evolve-dt-1e-300", "evolve-amplitude-1e200",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
@@ -207,11 +219,24 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
             "scatter", "sigma = 0.75\np = 7\nt_end = 4\nwindows = 2:4, 1:2\n", ValueError,
             "windows must follow each other",
         ),
+        (
+            "scatter", "sigma = 0.75\np = 7\nt_end = 10\nwindows = 2.3:5, 5:10\n", ValueError,
+            "window edges must be multiples of the snapshot spacing",
+        ),
+        (
+            "dispersive", "sigma = 0.75\nn = 1024\nt_grid = 0, 5, 10\n", ValueError,
+            "t_grid entries must be positive and finite; got 0",
+        ),
+        (
+            "dispersive", "sigma = 0.75\nN_list = 1, inf\n", ValueError,
+            "N_list entries must be positive and finite; got inf",
+        ),
     ],
     ids=[
         "dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows",
         "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
         "galilean-nu_list-1", "scatter-one-window", "scatter-late-first",
+        "scatter-off-the-clock", "dispersive-t_grid-0", "dispersive-N_list-inf",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
@@ -440,6 +465,14 @@ def test_every_config_key_reaches_its_consumer(tmp_path, monkeypatch, command):
     for key in set(cfg) & {"profile_width", "profile_amplitude"}:
         assert spec[key.removeprefix("profile_")].default != cfg[key], key
     assert cfg["d"] != 1  # the CLI's default
+
+
+# A runner keyword that no config key reaches is a knob only tests can turn.
+@pytest.mark.parametrize("command", sorted(cli.EXPERIMENTS))
+def test_every_runner_keyword_is_a_config_key(command):
+    required, optional = CONFIG_KEYS[command]
+    reached = set(required + optional) | {"profile", "params", "grid", "save_dir"}
+    assert set(inspect.signature(CONSUMERS[command]).parameters) - reached == set()
 
 
 TOKENS = [

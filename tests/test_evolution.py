@@ -1,10 +1,12 @@
 """Strang and Blanes–Moan splitting: conservation, order, exact limits, and the RK4 oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fnls.errors import NonFiniteFieldError
-from fnls.evolution import EvolveConfig, default_dt, evolve, snapshots, step_plan
+from fnls.evolution import MAX_STEPS, EvolveConfig, default_dt, evolve, snapshots, step_plan
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import gaussian
@@ -154,6 +156,29 @@ def test_step_plan_evens_out_a_run_off_the_dt_grid():
     assert step_plan(0.0, 0.01) == (0, 0.01)
     # ceil(40.5) = 41 equal steps, each shorter than dt.
     assert step_plan(0.405, 0.01) == (41, 0.405 / 41)
+
+
+# A tolerance of 1e-12 dt alone fails once t_end's own rounding outgrows it:
+# a step planned as t_end/4640 then planned 4641 steps of itself.
+@pytest.mark.parametrize("t_end, n", [(64.72247926230926, 4640), (10.0, 40), (20.0, 10**6)])
+def test_step_plan_keeps_a_step_it_planned(t_end, n):
+    steps, h = step_plan(t_end, t_end / 40 / (n // 40))
+    assert steps == n
+    assert step_plan(t_end, h) == (n, h)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-3), (0.1, 1e-300), (1e300, 1e-300)])
+def test_step_plan_refuses_a_run_of_more_than_max_steps(t_end, dt):
+    assert MAX_STEPS == 10**9
+    message = f"a run to t_end = {t_end:g} in steps of at most dt = {dt:g} takes more than"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        step_plan(t_end, dt)
+
+
+def test_snapshots_plans_its_run_before_its_first_row():
+    rows = snapshots(gaussian(GRID), EvolveConfig(PARAMS, t_end=1e300))
+    with pytest.raises(ValueError, match="more than MAX_STEPS"):
+        next(rows)
 
 
 def test_a_model_of_another_dimension_than_its_grid_raises():

@@ -1,6 +1,7 @@
 """Experiment runners, report plumbing, config parsing, and the CLI."""
 
 import csv
+import math
 import re
 import weakref
 from pathlib import Path
@@ -12,7 +13,7 @@ import fnls.cli as cli
 from fnls.cli import CONFIG_KEYS, main
 from fnls.config import load_config
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
-from fnls.evolution import ROUNDOFF, EvolveConfig, default_dt, evolve
+from fnls.evolution import ROUNDOFF, EvolveConfig, default_dt, evolve, snapshots
 from fnls.experiments import (
     run_decoherence,
     run_dispersive_decay,
@@ -23,6 +24,7 @@ from fnls.experiments import (
 from fnls.experiments.decoherence import decoherence_time
 from fnls.experiments.dispersive import check_horizon, frequency_bump
 from fnls.experiments.report import ExperimentReport, loglog_fit
+from fnls.exponents import critical_exponents
 from fnls.grid import Grid
 from fnls.io import read_field
 from fnls.model import ModelParams
@@ -274,8 +276,13 @@ def test_scattering_probe_rejects_a_window_outside_its_run(t_end, windows):
         (((0.5, 1.0),), "windows needs at least two"),
         (((0.5, 1.0), (0.25, 0.5)), r"windows must follow each other in time.*\(0.5, 1\) then"),
         (((0.25, 0.6), (0.5, 1.0)), "windows must follow each other in time"),
+        # 0.23 is not a multiple of the snapshot spacing 1/40.
+        (
+            ((0.23, 0.5), (0.5, 1.0)),
+            r"window edges must be multiples of the snapshot spacing t_end/40 = 0.025; got 0.23",
+        ),
     ],
-    ids=["one", "late-first", "overlapping"],
+    ids=["one", "late-first", "overlapping", "off-the-clock"],
 )
 def test_scattering_probe_rejects_windows_that_test_no_trend_or_the_wrong_one(windows, match):
     with pytest.raises(ValueError, match=match):
@@ -303,10 +310,12 @@ def test_scattering_probe_records_resolved_dt_steps_and_snapshots():
         ProfileSpec(width=1.0), params, amplitude_list=[1e-3], t_end=t_end,
         grid=grid, windows=((0.1, 0.2), (0.2, 0.4)),
     )
-    dt = rep.inputs["dt"]
-    assert dt == default_dt(grid, params, t_end, "blanes_moan4")
-    steps = rep.inputs["steps"]
-    assert (steps - 1) * dt < t_end <= steps * dt + 1e-12
+    # The default dt, 0.03, is longer than the snapshot spacing, so the run
+    # takes one step per snapshot.
+    dt, steps = rep.inputs["dt"], rep.inputs["steps"]
+    assert default_dt(grid, params, t_end, "blanes_moan4") == 0.03
+    assert rep.inputs["snapshot_spacing"] == dt == t_end / 40
+    assert steps == 40
     # One report row per pair of consecutive snapshots.
     assert rep.inputs["snapshots"] == len(rep.series) + 1
     assert rep.inputs["nu"] == params.nu
@@ -346,74 +355,80 @@ def test_scattering_probe_equals_the_trajectory_pass(tmp_path):
         profile, SCATTER_PARAMS, amplitude_list=[1e-3, 0.3], t_end=t_end, grid=SCATTER_GRID,
         windows=windows, save_dir=str(tmp_path),
     )
+    dt, spacing = rep.inputs["dt"], rep.inputs["snapshot_spacing"]
     cfg = EvolveConfig(
-        SCATTER_PARAMS, t_end, rep.inputs["dt"], rep.inputs["snapshot_stride"],
-        scheme="blanes_moan4",
+        SCATTER_PARAMS, t_end, dt, round(spacing / dt), scheme="blanes_moan4"
     )
     for amp in (1e-3, 0.3):
         traj = evolve(amp * profile.realize(SCATTER_GRID), cfg)
+        assert rep.inputs["snapshots"] == len(traj.times) == 41
+        assert traj.times == pytest.approx([k * spacing for k in range(41)], rel=1e-15)
         rows = [
             dict(amplitude=amp, t_lo=lo, t_hi=hi, defect_direct=direct, defect_duhamel=duhamel)
             for lo, hi, direct, duhamel in scattering_defects(traj, SCATTER_PARAMS, rep.inputs["s_c"])
         ]
         assert [row for row in rep.series if row["amplitude"] == amp] == rows
+        # No increment straddles a window edge, so binning by midpoint
+        # picks the increments the probe sums.
         for lo, hi in windows:
-            total = 0.0
-            for row in rows:
-                if lo <= 0.5 * (row["t_lo"] + row["t_hi"]) < hi:
-                    total += row["defect_duhamel"]
-            assert rep.fits[f"defect[{lo:g},{hi:g}]_amp{amp:g}"] == total
+            inside = [r["defect_duhamel"] for r in rows if lo <= 0.5 * (r["t_lo"] + r["t_hi"]) < hi]
+            assert len(inside) == round((hi - lo) / spacing)
+            assert rep.fits[f"defect[{lo:g},{hi:g}]_amp{amp:g}"] == math.fsum(inside)
         final = read_field(tmp_path / f"scatter_final_amp{amp:g}.fnls")
         assert np.array_equal(final.values, traj.final.values)
-        assert rep.inputs["snapshots"] == len(traj.times)
 
 
 def test_scattering_probe_traced_peak_does_not_grow_with_its_snapshot_count():
+    # The probe's stream, `snapshots` into one `scattering_defects` pass, at
     # 80 steps on 2^16 points, a field being 1 MiB, at strides 8 and 1: 11
     # and 81 snapshots. Collecting the run first held each snapshot; the
-    # stream holds a fixed set of fields, and the 70 more report rows take
-    # a few KiB. The grid's wavenumber caches count as input.
+    # stream holds a fixed set of fields, and the 70 more rows take a few
+    # KiB. The grid's wavenumber caches count as input.
     grid = Grid(1, 2**16, 128 * np.pi)
     grid.x, grid.k_abs
+    u0 = 1e-3 * ProfileSpec(width=1.0).realize(grid)
+    s_c, _ = critical_exponents(1, 7, 0.75)
     peaks = {}
-    for stride, snapshots in ((8, 11), (1, 81)):
-        peaks[stride], rep = traced_peak(
-            lambda: run_scattering_probe(
-                ProfileSpec(width=1.0), SCATTER_PARAMS, t_end=1.0, grid=grid, dt=1 / 80,
-                snapshot_stride=stride, windows=((0.25, 0.5), (0.5, 1.0)),
-            )
+    for stride, snapshots_taken in ((8, 11), (1, 81)):
+        cfg = EvolveConfig(SCATTER_PARAMS, 1.0, 1 / 80, stride, scheme="blanes_moan4")
+        stream = ((t, u) for t, u, _ in snapshots(u0, cfg))
+        peaks[stride], rows = traced_peak(
+            lambda: list(scattering_defects(stream, SCATTER_PARAMS, s_c))
         )
-        assert rep.inputs["snapshots"] == snapshots
+        assert len(rows) == snapshots_taken - 1
     assert abs(peaks[1] - peaks[8]) <= 2**16 * np.dtype(complex).itemsize
 
 
-# A uniform stride cannot give 40 +- 2 snapshots at every step count. Under
-# 60 steps it is 1: the probe's 17 blanes_moan4 steps at t_end 2 on the
-# coarse grid (its dt is the cap, 6 t_end/100) take 18 snapshots, and its 41
-# at t_end 2.5 take 42. At 66 steps (t_end 4) stride 2 gives 34, where
-# stride 1 would give 67. From about 800 steps on, round(steps / 40) does.
+# The probe snapshots every tau = t_end/40 whatever its step count: 41
+# snapshots from 40 ceil(tau/dt) equal steps, dt the scheme's default. The
+# coarse grid's dt is the cap 6 t_end/100, longer than tau, so it takes one
+# step per tau; SCATTER_GRID's is 0.0615, two steps per tau at t_end 2.5
+# and 4 and five at 10.
 @pytest.mark.parametrize(
-    "grid, t_end, snapshots",
+    "grid, t_end",
     [
-        (Grid(1, 512, 128 * np.pi), 2.0, 18),
-        (SCATTER_GRID, 2.5, 42),
-        (SCATTER_GRID, 4.0, 34),
-        (SCATTER_GRID, 10.0, 42),
+        (Grid(1, 512, 128 * np.pi), 2.0),
+        (SCATTER_GRID, 2.5),
+        (SCATTER_GRID, 4.0),
+        (SCATTER_GRID, 10.0),
     ],
 )
-def test_scattering_probe_default_stride_takes_about_40_snapshots(grid, t_end, snapshots):
+def test_scattering_probe_snapshots_every_fortieth_of_its_run(grid, t_end):
     rep = run_scattering_probe(
         ProfileSpec(width=1.0), SCATTER_PARAMS, amplitude_list=[1e-3], t_end=t_end,
         grid=grid, windows=((t_end / 4, t_end / 2), (t_end / 2, t_end)),
     )
-    dt, steps = rep.inputs["dt"], rep.inputs["steps"]
-    stride = rep.inputs["snapshot_stride"]
+    tau = t_end / 40
+    longest = default_dt(grid, SCATTER_PARAMS, t_end, "blanes_moan4")
     assert rep.inputs["scheme"] == "blanes_moan4"
-    assert dt == default_dt(grid, SCATTER_PARAMS, t_end, "blanes_moan4")
-    assert stride == max(1, round(t_end / dt / 40))
-    # The initial snapshot, one per whole stride and the final step's.
-    assert rep.inputs["snapshots"] == 1 + steps // stride + (steps % stride > 0)
-    assert rep.inputs["snapshots"] == snapshots
+    assert rep.inputs["snapshot_spacing"] == tau
+    assert rep.inputs["steps"] == 40 * math.ceil(tau / longest)
+    assert rep.inputs["dt"] == pytest.approx(t_end / rep.inputs["steps"], rel=1e-15)
+    assert rep.inputs["dt"] <= longest
+    assert rep.inputs["snapshots"] == len(rep.series) + 1 == 41
+    assert [row["t_hi"] for row in rep.series] == pytest.approx(
+        [k * tau for k in range(1, 41)], rel=1e-15
+    )
 
 
 # The probe's scheme takes 20x Strang's default dt, a multiple set on
@@ -436,22 +451,52 @@ def test_probe_scheme_at_its_default_dt_is_as_accurate_as_strang(amplitude):
 
 @pytest.mark.parametrize("width, center", [(1.0, 0.0), (1.2, -4.0)])
 def test_scattering_probe_default_stride_matches_every_step(width, center):
-    # The benchmark's scatter-1d run (t_end 10, its windows) on a smaller box.
-    reps = [
-        run_scattering_probe(
-            ProfileSpec(width=width, center=(center,)), SCATTER_PARAMS,
-            amplitude_list=[1e-3], t_end=10.0, grid=SCATTER_GRID,
-            windows=((2.5, 5.0), (5.0, 10.0)), snapshot_stride=stride,
-        )
-        for stride in (None, 1)
+    # The benchmark's scatter-1d run (t_end 10, its windows) on a smaller box,
+    # against the same steps snapshotted every step.
+    profile = ProfileSpec(width=width, center=(center,))
+    windows = ((2.5, 5.0), (5.0, 10.0))
+    rep = run_scattering_probe(
+        profile, SCATTER_PARAMS, amplitude_list=[1e-3], t_end=10.0, grid=SCATTER_GRID,
+        windows=windows,
+    )
+    cfg = EvolveConfig(SCATTER_PARAMS, 10.0, rep.inputs["dt"], 1, scheme="blanes_moan4")
+    stream = ((t, u) for t, u, _ in snapshots(1e-3 * profile.realize(SCATTER_GRID), cfg))
+    rows = list(scattering_defects(stream, SCATTER_PARAMS, rep.inputs["s_c"]))
+    assert len(rows) == rep.inputs["steps"] == 200
+    sums = [
+        math.fsum(duhamel for t_lo, t_hi, _, duhamel in rows if lo <= 0.5 * (t_lo + t_hi) < hi)
+        for lo, hi in windows
     ]
-    fast, slow = reps
-    assert slow.inputs["snapshot_stride"] == 1
-    assert slow.inputs["snapshots"] == slow.inputs["steps"] + 1
-    assert fast.inputs["snapshots"] <= 42
-    for key in ("defect[2.5,5]_amp0.001", "defect[5,10]_amp0.001"):
-        assert fast.fits[key] == pytest.approx(slow.fits[key], rel=0.02)
-    assert fast.checks == slow.checks == {"defect_decays_amp0.001": True}
+    for (lo, hi), every_step in zip(windows, sums):
+        assert rep.fits[f"defect[{lo:g},{hi:g}]_amp0.001"] == pytest.approx(every_step, rel=0.02)
+    assert sums[1] < sums[0]
+    assert rep.checks == {"defect_decays_amp0.001": True}
+
+
+# One clock: the window sums are trapezoid sums of the Duhamel integrand at
+# the fixed times k t_end/40, so they agree across schemes and step sizes to
+# the fields' accuracy (measured: 6e-9). Snapshotting every round(steps/40)
+# steps and binning increments by midpoint instead, the probe at dt and dt/4
+# and Strang at its default dt spread by 1.8 % and 3.3 %.
+def test_scattering_probe_window_sums_do_not_depend_on_the_integrator():
+    profile, amp, t_end = ProfileSpec(width=1.0), 0.2, 10.0
+    windows = ((2.5, 5.0), (5.0, 10.0))
+    keys = [f"defect[{lo:g},{hi:g}]_amp{amp:g}" for lo, hi in windows]
+    probe = dict(amplitude_list=[amp], t_end=t_end, grid=SCATTER_GRID, windows=windows)
+    default = run_scattering_probe(profile, SCATTER_PARAMS, **probe)
+    dt = default_dt(SCATTER_GRID, SCATTER_PARAMS, t_end, "blanes_moan4")
+    quarter = run_scattering_probe(profile, SCATTER_PARAMS, dt=dt / 4, **probe)
+    assert (default.inputs["steps"], quarter.inputs["steps"]) == (200, 680)
+    # Strang at the probe's step, on its clock.
+    tau, h = default.inputs["snapshot_spacing"], default.inputs["dt"]
+    cfg = EvolveConfig(SCATTER_PARAMS, t_end, h, round(tau / h))
+    stream = ((t, u) for t, u, _ in snapshots(amp * profile.realize(SCATTER_GRID), cfg))
+    rows = scattering_defects(stream, SCATTER_PARAMS, default.inputs["s_c"])
+    increments = [duhamel for _, _, _, duhamel in rows]
+    strang = [math.fsum(increments[round(lo / tau):round(hi / tau)]) for lo, hi in windows]
+    for key, by_strang in zip(keys, strang):
+        assert default.fits[key] == pytest.approx(by_strang, rel=1e-6)
+        assert quarter.fits[key] == pytest.approx(by_strang, rel=1e-6)
 
 
 def test_cli_exponents_runs(capsys):
@@ -483,6 +528,20 @@ def test_cli_evolve_norms_round_trip(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["snapshots"] == str(len(snaps))
+
+
+def test_cli_evolve_ends_at_t_end_to_one_rounding(tmp_path):
+    # The default dt takes 115 steps of 1/115. The row after step k is at
+    # k (1/115); a running sum of the steps would end at 0.9999999999999973.
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text(
+        "sigma = 0.75\np = 3\nn = 256\nL = 50.26548245743669\nt_end = 1\nsnapshot_stride = 100\n"
+    )
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "diagnostics.csv", newline="") as fh:
+        times = [float(row["time"]) for row in csv.DictReader(fh)]
+    assert times[:2] == [0.0, 100 * (1 / 115)]
+    assert abs(times[-1] - 1.0) <= 2.0**-52
 
 
 def test_cli_soliton(tmp_path):

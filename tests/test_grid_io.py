@@ -119,6 +119,16 @@ def test_profile_spec_keeps_the_widths_it_can_realize():
         assert np.all(np.isfinite(ProfileSpec(width=width).realize(g).values))
 
 
+# A finite amplitude whose square overflows gives a field of infinite mass,
+# which the first step turns to NaN. Tier-1 makes the overflow warning an
+# error, so the ValueError must come with no warning.
+@pytest.mark.parametrize("amplitude", [1e200, -1e155])
+def test_profile_spec_rejects_an_amplitude_whose_mass_overflows(amplitude):
+    with pytest.raises(ValueError, match=re.escape(f"amplitude {amplitude!r} gives a field")):
+        ProfileSpec(amplitude=amplitude).realize(Grid(1, 64, 20.0))
+    assert np.isfinite(ProfileSpec(amplitude=1e150).realize(Grid(1, 64, 20.0)).values).all()
+
+
 def test_profile_spec_samples_a_box_far_wider_than_its_width_without_overflow():
     # |x|^2 / (2 width^2) overflows to inf off the centre; exp(-inf) = 0 is exact.
     u = ProfileSpec(width=1e-150).realize(Grid(1, 8, 1e10))
