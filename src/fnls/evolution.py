@@ -124,9 +124,14 @@ def step_plan(t_end, dt):
 
     Whole steps of dt when they tile t_end to 1e-12 of the longer of the two,
     so a rounded t_end / n plans n steps of itself; otherwise n = ceil(t_end
-    / dt) steps of t_end / n, each shorter than dt. A plan over MAX_STEPS
-    steps raises ValueError.
+    / dt) steps of t_end / n, each shorter than dt. A dt that is not positive
+    and finite, a t_end that is negative or not finite, or a plan over
+    MAX_STEPS steps raises ValueError.
     """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite; got {dt:g}")
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0; got {t_end:g}")
     ratio = t_end / dt
     if not ratio <= MAX_STEPS:
         raise ValueError(

@@ -16,7 +16,7 @@ from ..io import write_field
 from ..observables import lp_band_energy_fraction
 from ..spectral import INHOMOGENEOUS, round_velocity, sobolev_norm
 from .galilean import build_tilde
-from .report import ExperimentReport
+from .report import ExperimentReport, sweep
 
 
 def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
@@ -44,6 +44,8 @@ def run_decoherence(
     """Sweep nu; report sizes, distances and the inflation ratio per nu.
 
     Each nu takes lambda = nu^(1/alpha); s must lie in the ill-posed range.
+    nu_list (two or more) is a `sweep` in (0, 1], run largest first, and
+    epsilon and t_scan_max must be positive and finite.
     """
     if not (0.5 <= a_prime <= 1 and 0.5 <= a <= 1):
         raise ValueError("a, a' must lie in [1/2, 1]")
@@ -52,6 +54,10 @@ def run_decoherence(
         raise ValueError("alpha must be >= 1 so that nu <= lambda")
     d, sigma, p, mu = params.d, params.sigma, params.p, params.mu
     regime = require_regime(ILLPOSED_RANGE, d, p, sigma, s, "decoherence")
+    nu_list = sweep(nu_list, "nu_list", 2, "for the trend checks", upper=1)[::-1]
+    for key, value in (("epsilon", epsilon), ("t_scan_max", t_scan_max)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{key} must be positive and finite; got {value:g}")
     k = k if k is not None else smallest_integer_above(d / 2)
 
     grid_y = Grid(d, n_y, L_y)
@@ -76,27 +82,21 @@ def run_decoherence(
             "T": T,
             "ode_sep_at_T": sep_at_T,
             "ode_sep_max": sep_max,
-            "nu_list": list(nu_list),
+            "nu_list": nu_list,
             "n_y": n_y,
             "L_y": L_y,
             "boundary_amplitude": w.boundary_amplitude(),
         },
     )
 
-    # Every nu is checked before the first run, so none leaves fields behind.
-    runs = []
-    for nu in nu_list:
-        lam = nu ** (1.0 / alpha)
-        if not nu <= lam:
-            raise ValueError("require nu <= lambda")
-        expo = (1.0 / s) * (d * (1 - alpha) / 2 + 2 * alpha * sigma / (p - 1))
-        vmag_req = nu**expo * epsilon ** (1.0 / s)
-        if vmag_req < 1:
-            raise ValueError(f"derived |v| = {vmag_req:.3g} < 1; adjust epsilon/alpha")
-        runs.append((nu, lam, vmag_req, replace(params, nu=nu)))
+    # Every nu's boost is checked before the first run, so none leaves fields behind.
+    expo = (1.0 / s) * (d * (1 - alpha) / 2 + 2 * alpha * sigma / (p - 1))
+    boosts = [nu**expo * epsilon ** (1.0 / s) for nu in nu_list]
+    if min(boosts) < 1:
+        raise ValueError(f"derived |v| = {min(boosts):.3g} < 1; adjust epsilon/alpha")
 
-    ratios, corrections = [], []
-    for nu, lam, vmag_req, run in runs:
+    for nu, vmag_req in zip(nu_list, boosts):
+        lam = nu ** (1.0 / alpha)
         beta = nu / lam
         L_x = tuple(Lj / beta for Lj in grid_y.L)
         # Nyquist must clear the boost frequency with headroom for the
@@ -112,7 +112,7 @@ def run_decoherence(
         fields = {}
         for label, amp in (("a", a), ("a_prime", a_prime)):
             phi0 = amp * w
-            phi_T = final_state(phi0, run, T, dt_y)
+            phi_T = final_state(phi0, replace(params, nu=nu), T, dt_y)
             fields[(label, 0.0)] = build_tilde(phi0, 0.0, nu, lam, v, sigma, p, n_x)
             fields[(label, t_dec)] = build_tilde(phi_T, t_dec, nu, lam, v, sigma, p, n_x)
 
@@ -160,8 +160,6 @@ def run_decoherence(
             )
 
         report.add_row(**row)
-        ratios.append(inflation)
-        corrections.append(correction)
 
     gap = abs(a - a_prime)
     sizes_ok = all(
@@ -173,14 +171,13 @@ def run_decoherence(
     report.checks["initial_distance_band"] = all(
         0.2 * epsilon * gap <= row["dist_t0"] <= 5 * epsilon * gap for row in report.series
     )
-    report.checks["inflation_at_smallest_nu"] = ratios[int(np.argmin(nu_list))] >= 5
-    order = np.argsort(nu_list)[::-1]  # decreasing nu
-    corr_sorted = [corrections[i] for i in order]
+    report.checks["inflation_at_smallest_nu"] = report.series[-1]["inflation_ratio"] >= 5
+    corrections = [row["correction_term"] for row in report.series]
     report.checks["correction_term_decreasing"] = all(
-        corr_sorted[i] > corr_sorted[i + 1] for i in range(len(corr_sorted) - 1)
+        a > b for a, b in zip(corrections, corrections[1:])
     )
     report.checks["aliasing_controlled"] = all(
         row["alias_fraction"] < 1e-8 for row in report.series
     )
-    report.fits["min_inflation_ratio"] = float(np.min(ratios))
+    report.fits["min_inflation_ratio"] = min(row["inflation_ratio"] for row in report.series)
     return report

@@ -19,7 +19,7 @@ from ..grid import Grid
 from ..spectral import fft, field_from_spectrum, lebesgue_norm
 from ..symbols import FractionalLaplacian, evaluate_symbol, linear_flow
 from ..io import write_field
-from .report import ExperimentReport, loglog_fit
+from .report import ExperimentReport, loglog_fit, sweep
 
 # The Gaussian ring has negligible spectral mass beyond this multiple of N;
 # it bounds the group velocity for the wrap-around guard.
@@ -64,32 +64,24 @@ def run_dispersive_decay(
 ):
     """Measure the time-decay slope and the across-N prefactor scaling.
 
-    The prefactor check needs N_list of two or more and each decay fit a
-    t_grid of three or more, every entry of either positive and finite, and
-    grid, when given, must be d-dimensional: otherwise the runner raises
-    ValueError before its first run.
+    N_list (two or more) and t_grid (three or more) are `sweep`s, run in
+    increasing order, and grid, when given, must be d-dimensional: otherwise
+    the runner raises ValueError before its first run.
     """
-    t_grid = list(t_grid)
-    if len(N_list) < 2:
-        raise ValueError(f"N_list needs at least 2 values for the prefactor; got {len(N_list)}")
-    if len(t_grid) < 3:
-        raise ValueError(f"t_grid needs at least 3 times for the decay fit; got {len(t_grid)}")
-    for key, values in (("N_list", N_list), ("t_grid", t_grid)):
-        for value in values:
-            if not 0 < value < np.inf:
-                raise ValueError(f"{key} entries must be positive and finite; got {value:g}")
+    N_list = sweep(N_list, "N_list", 2, "for the prefactor")
+    t_grid = sweep(t_grid, "t_grid", 3, "for the decay fit")
     if grid is None:
-        grid = default_grid(d, sigma, N_list, max(t_grid), n=n)
+        grid = default_grid(d, sigma, N_list, t_grid[-1], n=n)
     elif grid.d != d:
         raise ValueError(f"the grid's dimension d = {grid.d} is not the run's d = {d}")
-    check_horizon(grid, sigma, N_list, max(t_grid))
+    check_horizon(grid, sigma, N_list, t_grid[-1])
 
     report = ExperimentReport(
         "dispersive_decay",
         inputs={
             "d": d,
             "sigma": sigma,
-            "N_list": list(N_list),
+            "N_list": N_list,
             "t_grid": t_grid,
             "n": grid.n,
             "L": grid.L,

@@ -17,7 +17,7 @@ from ..spectral import (
     sobolev_norm,
 )
 from ..io import write_field
-from .report import ExperimentReport, loglog_fit
+from .report import ExperimentReport, loglog_fit, sweep
 
 
 def build_tilde(phi_at_scaled_time, t, nu, lam, v, sigma, p, n_x):
@@ -48,7 +48,8 @@ def run_galilean_error(
     """Sweep nu; report ||exp(i v.x)(u - u_tilde)||_{H^k} and its decay fit.
 
     The datum u(0) and u_tilde are `build_tilde` at lambda = 1, at t = 0 and
-    t_eval: the builder `run_decoherence` shares.
+    t_eval: the builder `run_decoherence` shares. nu_list (two or more) is
+    a `sweep` in (0, 1], run largest first.
     """
     d, sigma = params.d, params.sigma
     # The error's decay exponent must be positive. sigma > d/4 is none of the
@@ -56,6 +57,7 @@ def run_galilean_error(
     budget = 2 * sigma - d / 2
     if not budget > 0:
         raise RegimeError(f"sigma below d/4: sigma = {sigma}, d = {d}")
+    nu_list = sweep(nu_list, "nu_list", 2, "for the decay check", upper=1)[::-1]
     grid_x = Grid(d, n_x, L_x)
     v = round_velocity(grid_x, v)
     vmag = float(np.linalg.norm(v))
@@ -67,7 +69,7 @@ def run_galilean_error(
             "sigma": sigma,
             "p": params.p,
             "mu": params.mu,
-            "nu_list": list(nu_list),
+            "nu_list": nu_list,
             "v": v.tolist(),
             "k": k,
             "t_eval": t_eval,
@@ -79,16 +81,11 @@ def run_galilean_error(
         },
     )
 
-    # Every nu is checked before the first run, so none leaves fields behind.
-    runs = [dataclasses.replace(params, nu=nu) for nu in nu_list]
-    if len(runs) < 2:
-        raise ValueError(f"nu_list needs at least 2 values for the decay check; got {len(runs)}")
     full = dataclasses.replace(params, nu=1.0)
-    errors = []
-    for nu, run in zip(nu_list, runs):
+    for nu in nu_list:
         grid_y = Grid(d, n_y, tuple(nu * Lj for Lj in grid_x.L))
         phi0 = profile.realize(grid_y)
-        phi_t = final_state(phi0, run, t_eval, dt_y)
+        phi_t = final_state(phi0, dataclasses.replace(params, nu=nu), t_eval, dt_y)
 
         u_tilde = build_tilde(phi_t, t_eval, nu, 1.0, v, sigma, params.p, grid_x.n)
 
@@ -99,18 +96,15 @@ def run_galilean_error(
             write_field(f"{save_dir}/galilean_u_nu{nu:g}.fnls", u_t)
             write_field(f"{save_dir}/galilean_utilde_nu{nu:g}.fnls", u_tilde)
         recentered = modulate(u_t - u_tilde, -v)
-        err = sobolev_norm(recentered, k, INHOMOGENEOUS)
-        errors.append(err)
         report.add_row(
             nu=nu,
-            error_hk=err,
+            error_hk=sobolev_norm(recentered, k, INHOMOGENEOUS),
             boundary_amplitude=phi0.boundary_amplitude(),
             u_tilde_mass=mass(u_tilde),
         )
 
-    report.checks["error_decreasing_in_nu"] = all(
-        errors[i] > errors[i + 1] for i in range(len(errors) - 1)
-    )
+    errors = [row["error_hk"] for row in report.series]
+    report.checks["error_decreasing_in_nu"] = all(a > b for a, b in zip(errors, errors[1:]))
     if len(nu_list) >= 3:
         slope, intercept, resid = loglog_fit(nu_list, errors)
         report.fits["decay_exponent"] = slope

@@ -1,6 +1,7 @@
 """Experiment reports: raw series, log-log fits and pass/fail bookkeeping."""
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,6 +23,24 @@ def loglog_fit(x, y):
     (slope, intercept), *_ = np.linalg.lstsq(A, ly, rcond=None)
     rms = float(np.sqrt(np.mean((A @ [slope, intercept] - ly) ** 2)))
     return float(slope), float(intercept), rms
+
+
+def sweep(values, key, least, use, upper=math.inf):
+    """The sweep's values in increasing order: at least `least` of them (`use`
+    says what for), each finite, in (0, upper] and given once, or ValueError
+    naming key. Runners call it before their first run and any output.
+    """
+    values = sorted(values)
+    bound = "finite" if upper == math.inf else f"at most {upper:g}"
+    for value in values:
+        if not (math.isfinite(value) and 0 < value <= upper):
+            raise ValueError(f"{key} entries must be positive and {bound}; got {value:g}")
+    if len(values) < least:
+        raise ValueError(f"{key} needs at least {least} values {use}; got {len(values)}")
+    for lo, hi in zip(values, values[1:]):
+        if lo == hi:
+            raise ValueError(f"{key} entries must differ; got {lo:g} twice")
+    return values
 
 
 @dataclass

@@ -8,7 +8,7 @@ from ..evolution import final_state, nonlinear_phase
 from ..grid import Grid
 from ..io import write_field
 from ..spectral import HOMOGENEOUS, INHOMOGENEOUS, lebesgue_norm, sobolev_norm
-from .report import ExperimentReport, loglog_fit
+from .report import ExperimentReport, loglog_fit, sweep
 
 
 def run_small_dispersion(
@@ -27,7 +27,9 @@ def run_small_dispersion(
     The rescaled-field sizes use the exact scaling identities
     ||f(nu .)||_{L^inf} = ||f||_{L^inf} and
     ||f(nu .)||_{Hdot^s} = nu^(s - d/2) ||f||_{Hdot^s}.
+    nu_list (three or more) is a `sweep` in (0, 1], run largest first.
     """
+    nu_list = sweep(nu_list, "nu_list", 3, "for the error fit", upper=1)[::-1]
     if grid is None:
         grid = Grid(params.d, 512, 16 * np.pi)
     phi0 = profile.realize(grid)
@@ -40,7 +42,7 @@ def run_small_dispersion(
             "sigma": params.sigma,
             "p": params.p,
             "mu": params.mu,
-            "nu_list": list(nu_list),
+            "nu_list": nu_list,
             "t_eval": t_eval,
             "k": k,
             "n": grid.n,
@@ -51,22 +53,14 @@ def run_small_dispersion(
         },
     )
 
-    # Every nu is checked before the first run, so none leaves fields behind.
-    runs = [dataclasses.replace(params, nu=nu) for nu in nu_list]
-    if len(runs) < 3:
-        raise ValueError(f"nu_list needs at least 3 values for the error fit; got {len(runs)}")
     phi_ode = nonlinear_phase(phi0, t_eval, params.mu, params.p)
-    errors = []
-    hs_raw = []
-    for nu, run in zip(nu_list, runs):
-        phi_nu = final_state(phi0, run, t_eval, dt)
+    for nu in nu_list:
+        phi_nu = final_state(phi0, dataclasses.replace(params, nu=nu), t_eval, dt)
         if save_dir is not None:
             write_field(f"{save_dir}/smalldisp_nu{nu:g}.fnls", phi_nu)
         err = sobolev_norm(phi_nu - phi_ode, k, INHOMOGENEOUS)
-        errors.append(err)
         linf = lebesgue_norm(phi_nu, np.inf)
         hs = sobolev_norm(phi_nu, hs_track, HOMOGENEOUS)
-        hs_raw.append(hs)
         # Size of phi_nu(t, nu x) via the exact rescaling identity.
         rescaled_hs = nu ** (hs_track - params.d / 2) * hs
         report.add_row(
@@ -78,7 +72,7 @@ def run_small_dispersion(
             hs_rescaled=rescaled_hs,
         )
 
-    slope, intercept, resid = loglog_fit(nu_list, errors)
+    slope, intercept, resid = loglog_fit(nu_list, [row["hk_error"] for row in report.series])
     report.fits["error_slope"] = slope
     report.fits["error_slope_expected"] = 2 * params.sigma
     report.fits["fit_residual"] = resid
@@ -90,6 +84,7 @@ def run_small_dispersion(
 
     # Tracking nu^(s - d/2) means the unrescaled Hdot^s norms stay within a
     # fixed band across the sweep (the |log nu| slack is absorbed there).
+    hs_raw = [row["hs_unrescaled"] for row in report.series]
     band = max(hs_raw) / min(hs_raw)
     report.fits["hs_tracking_band"] = band
     report.checks["hs_tracks_scaling"] = band <= 3.0

@@ -100,6 +100,10 @@ class Grid:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "L", L)
+        if not 0 < self.cell_volume < math.inf:
+            raise ValueError(
+                f"extents L = {L!r} are out of range: the cell volume is {self.cell_volume!r}"
+            )
 
     @property
     def shape(self):
@@ -116,7 +120,7 @@ class Grid:
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.dx))
+        return math.prod(self.dx)
 
     def axis(self, j):
         """Physical coordinates along axis j."""

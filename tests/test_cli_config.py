@@ -231,12 +231,31 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
             "dispersive", "sigma = 0.75\nN_list = 1, inf\n", ValueError,
             "N_list entries must be positive and finite; got inf",
         ),
+        # decohere's scales, checked after its regime gate and before its grid.
+        (
+            "decohere", "sigma = 0.75\np = 3\nepsilon = 0\n", ValueError,
+            "epsilon must be positive and finite; got 0",
+        ),
+        (
+            "decohere", "sigma = 0.75\np = 3\ns = -0.15\nepsilon = -5\n", ValueError,
+            "epsilon must be positive and finite; got -5",
+        ),
+        (
+            "decohere", "sigma = 0.75\np = 3\nt_scan_max = -1\n", ValueError,
+            "t_scan_max must be positive and finite; got -1",
+        ),
+        (
+            "decohere", "sigma = 0.75\np = 3\nt_scan_max = 0\n", ValueError,
+            "t_scan_max must be positive and finite; got 0",
+        ),
     ],
     ids=[
         "dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows",
         "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
         "galilean-nu_list-1", "scatter-one-window", "scatter-late-first",
         "scatter-off-the-clock", "dispersive-t_grid-0", "dispersive-N_list-inf",
+        "decohere-epsilon-0", "decohere-epsilon-negative", "decohere-t_scan_max-negative",
+        "decohere-t_scan_max-0",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(

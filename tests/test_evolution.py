@@ -1,5 +1,6 @@
 """Strang and Blanes–Moan splitting: conservation, order, exact limits, and the RK4 oracle."""
 
+import math
 import re
 
 import numpy as np
@@ -172,6 +173,23 @@ def test_step_plan_refuses_a_run_of_more_than_max_steps(t_end, dt):
     assert MAX_STEPS == 10**9
     message = f"a run to t_end = {t_end:g} in steps of at most dt = {dt:g} takes more than"
     with pytest.raises(ValueError, match=re.escape(message)):
+        step_plan(t_end, dt)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, match",
+    [
+        (1.0, 0.0, "dt must be positive and finite; got 0"),
+        (1.0, -0.1, "dt must be positive and finite; got -0.1"),
+        (1.0, math.nan, "dt must be positive and finite; got nan"),
+        (1.0, math.inf, "dt must be positive and finite; got inf"),
+        (-1.0, 0.1, "t_end must be finite and >= 0; got -1"),
+        (math.inf, 0.1, "t_end must be finite and >= 0; got inf"),
+        (math.nan, 0.1, "t_end must be finite and >= 0; got nan"),
+    ],
+)
+def test_step_plan_names_a_step_or_an_end_it_cannot_plan(t_end, dt, match):
+    with pytest.raises(ValueError, match=match):
         step_plan(t_end, dt)
 
 

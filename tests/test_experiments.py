@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fnls.cli as cli
 from fnls.cli import CONFIG_KEYS, main
@@ -23,7 +24,7 @@ from fnls.experiments import (
 )
 from fnls.experiments.decoherence import decoherence_time
 from fnls.experiments.dispersive import check_horizon, frequency_bump
-from fnls.experiments.report import ExperimentReport, loglog_fit
+from fnls.experiments.report import ExperimentReport, loglog_fit, sweep
 from fnls.exponents import critical_exponents
 from fnls.grid import Grid
 from fnls.io import read_field
@@ -651,6 +652,8 @@ def test_cli_norms_rejects_a_run_with_no_snapshots(tmp_path):
         main(argv)
 
 
+NU_RUNNERS = ("small-dispersion", "galilean", "decohere")
+
 # Tiny runs: what is pinned is the files, not the experiments' verdicts.
 SAVED_FIELDS = {
     "small-dispersion": (
@@ -689,9 +692,9 @@ def test_cli_save_fields_writes_fnls1_files_that_read_back(tmp_path, command):
 @pytest.mark.parametrize(
     "command, match",
     [
-        ("small-dispersion", "nu must lie in"),
-        ("galilean", "nu must lie in"),
-        ("decohere", "require nu <= lambda"),
+        ("small-dispersion", "nu_list entries must be positive and at most 1; got 1.5"),
+        ("galilean", "nu_list entries must be positive and at most 1; got 1.5"),
+        ("decohere", "nu_list entries must be positive and at most 1; got 1.5"),
     ],
 )
 def test_cli_save_fields_checks_every_nu_before_the_first_run(tmp_path, command, match):
@@ -704,6 +707,81 @@ def test_cli_save_fields_checks_every_nu_before_the_first_run(tmp_path, command,
     with pytest.raises(ValueError, match=match):
         main([command, "--config", str(cfg), "--out", str(out_dir), "--save-fields"])
     assert not out_dir.exists()
+
+
+# Each runner's sweep keys, with config text that runs on small grids
+# (dispersive's is rejected before its box is sized).
+SWEEP_KEYS = [
+    ("dispersive", "N_list", "sigma = 0.75\nN_list = 1, 4\n"),
+    ("dispersive", "t_grid", "sigma = 0.75\nt_grid = 5, 10, 20\n"),
+    *((command, "nu_list", SAVED_FIELDS[command][0]) for command in NU_RUNNERS),
+]
+
+
+def _bad_sweeps():
+    """(command, config text, match): each sweep key with one bad entry."""
+    for command, key, text in SWEEP_KEYS:
+        good = re.search(rf"{key} = ([^\n]*)", text)[1].split(", ")
+        for bad in ("0", "-0.05", "inf", good[0]):
+            entries = ", ".join([good[0], bad] + good[2:])
+            if bad == good[0]:
+                match = f"{key} entries must differ; got {bad} twice"
+            else:
+                match = f"{key} entries must be positive and (finite|at most 1); got {bad}"
+            yield pytest.param(
+                command, text.replace(", ".join(good), entries), match, id=f"{command}-{key}-{bad}"
+            )
+    text = SAVED_FIELDS["decohere"][0]
+    yield pytest.param(
+        "decohere", re.sub(r"nu_list = [^\n]*", "nu_list = 0.1", text),
+        "nu_list needs at least 2 values", id="decohere-one-nu",
+    )
+
+
+# Above-1 entries of nu_list are test_cli_save_fields_checks_every_nu_before_the_first_run's.
+@pytest.mark.parametrize("command, text, match", _bad_sweeps())
+def test_cli_save_fields_rejects_a_bad_sweep_before_the_first_run(tmp_path, command, text, match):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        main([command, "--config", str(cfg), "--out", str(out_dir), "--save-fields"])
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", NU_RUNNERS)
+def test_an_increasing_nu_list_runs_as_the_decreasing_one(tmp_path, command):
+    # Every nu runner runs its largest nu first: rows, fits and verdicts
+    # do not depend on the order nu_list is given in.
+    text = SAVED_FIELDS[command][0]
+    nus = re.search(r"nu_list = ([^\n]*)", text)[1].split(", ")
+    outputs = []
+    for order in (nus, nus[::-1]):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace(", ".join(nus), ", ".join(order)))
+        out_dir = tmp_path / f"out{len(outputs)}"
+        main([command, "--config", str(cfg), "--out", str(out_dir)])
+        outputs.append([(out_dir / name).read_text() for name in ("summary.txt", "report.csv")])
+    assert outputs[0] == outputs[1]
+    assert "overall: PASS" in outputs[0][0]
+
+
+@given(
+    values=st.lists(st.one_of(st.floats(), st.sampled_from([0.25, 0.5, 1.0])), max_size=5),
+    least=st.integers(1, 4),
+    upper=st.sampled_from([1.0, math.inf]),
+)
+def test_sweep_orders_a_valid_sweep_and_names_the_key_of_any_other(values, least, upper):
+    valid = (
+        len(values) >= least
+        and len(set(values)) == len(values)
+        and all(math.isfinite(v) and 0 < v <= upper for v in values)
+    )
+    if valid:
+        assert sweep(values, "nu_list", least, "for the test", upper) == sorted(values)
+    else:
+        with pytest.raises(ValueError, match="^nu_list "):
+            sweep(values, "nu_list", least, "for the test", upper)
 
 
 @pytest.mark.parametrize(

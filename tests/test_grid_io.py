@@ -143,10 +143,21 @@ def test_grid_rejects_extents_whose_squares_overflow(d, L):
 
 
 def test_grid_keeps_extents_whose_squares_are_finite():
+    # In 3D these extents give a cell volume of inf or 0, rejected below.
     for L in (1e-150, 1e150):
-        g = Grid(3, 8, L)
+        g = Grid(2, 8, L)
         assert np.all(np.isfinite(g.k_squared))
         assert np.all(np.isfinite(sum(xj**2 for xj in g.x)))
+
+
+# |x|^2 and |xi|^2 are finite on each, but the cell volume (L/n)^3 is not.
+@pytest.mark.parametrize(
+    "n, L, volume", [(8, 1e150, "inf"), (8, 1e-150, "0.0"), (256, 1e-110, "0.0")]
+)
+def test_grid_rejects_extents_whose_cell_volume_is_not_finite_and_positive(n, L, volume):
+    message = f"extents L = {(L,) * 3!r} are out of range: the cell volume is {volume}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Grid(3, n, L)
 
 
 def test_complex_field_requires_finite_values():
