@@ -10,20 +10,20 @@ fractions b_1 ... b_s: a step of size h runs the linear flow for a_0 h, the
 rotation for b_1 h, the linear flow for a_1 h, and so on, closing with the
 linear flow for a_s h. `SCHEMES` holds Strang, ((1/2, 1/2), (1,)), and the
 fourth-order six-stage method of S. Blanes and P. C. Moan, J. Comput. Appl.
-Math. 142 (2002) 313, whose error per FFT pair is far below that of
-Yoshida's triple jump. `snapshots` holds the spectrum of the solution and
-runs one in-place FFT pair per stage: the pending linear flows in spectrum,
-the rotation in space, and back. A step's closing flow waits for the next
-step or a snapshot. A snapshot before the last applies it to a copy, whose
-diagnostics `observables.field_diagnostics` takes with omega (so its energy
-is the conserved one) before inverting it in place. The run's last snapshot
-applies it to the held spectrum itself, in place, drops every propagator and
-inverts the spectrum to the field it yields. A run takes equal steps
-(`step_plan`), so each propagator, `symbols.linear_flow` of omega, is built
-once per run, and between snapshots the working set is the spectrum, omega,
-one propagator per distinct linear fraction and one block (`grid.BLOCK`
-samples) of the rotation's temporaries; a snapshot adds a real |u|^2 array,
-and a copy of the spectrum unless it is the last.
+Math. 142 (2002) 313, whose error per FFT pair is far below that of Yoshida's
+triple jump. `snapshots` holds the spectrum of the solution and runs one
+in-place FFT pair per stage: the stage's linear flow in spectrum, the
+rotation in space, and back. A step ends with its closing flow, so between
+steps the held spectrum is the solution's at the step's end. A snapshot
+before the last copies it, and `observables.field_diagnostics` takes the
+copy's diagnostics with omega (so its energy is the conserved one) before
+inverting it in place. The run's last snapshot drops every propagator and
+inverts the held spectrum itself to the field it yields. A run takes equal
+steps (`step_plan`), so each propagator, `symbols.linear_flow` of omega, is
+built once per run, and between snapshots the working set is the spectrum,
+omega, one propagator per distinct linear fraction and one block
+(`grid.BLOCK` samples) of the rotation's temporaries; a snapshot adds a real
+|u|^2 array, and a copy of the spectrum unless it is the last.
 
 A run whose rotations cannot change the field skips them. All the rotations
 of a run together turn a sample by at most Theta = |mu| (sum_i |b_i|)
@@ -233,20 +233,19 @@ def snapshots(u0, cfg):
 
     The run takes `step_plan`'s equal steps h, so cfg.dt (or `default_dt`) is
     its longest step; step k ends at t = k h. A step runs the stages of
-    `SCHEMES[cfg.scheme]`: stage i multiplies the held spectrum by
-    exp(i a_i h omega) and rotates by b_i h in space between one FFT pair,
-    and leaves its closing flow exp(i a_s h omega) as `close`, which the next
-    step applies first. Each distinct fraction gets its propagator once per
-    run. A snapshot closes a copy of the spectrum with `close`; the run's
-    last one closes the held spectrum in place, as np.multiply(close, w,
-    out=w) in close * w's operand order, drops every propagator and yields
-    it inverted. A stage whose rotation is not finite raises at its step's
-    end time, a snapshot that trips the mass-drift or non-finite guard
-    raises, and a model whose dimension is not the grid's or a plan that
-    `step_plan` refuses raises ValueError before the first row. A run whose
-    `phase_bound` at A = `free_amplitude`(F[u0]) is at most `ROUNDOFF` skips
-    every stage's FFT pair and rotation; that one bound, summed a block at a
-    time, is the whole decision.
+    `SCHEMES[cfg.scheme]`: stage i multiplies the held spectrum by exp(i a_i h
+    omega) and rotates by b_i h in space between one FFT pair, and the step
+    ends with its closing flow exp(i a_s h omega), so between steps the held
+    spectrum is the solution's at t = k h. Each distinct fraction gets its
+    propagator once per run. A snapshot inverts a copy of the held spectrum;
+    the run's last one drops every propagator and yields the held spectrum
+    itself inverted. A stage whose rotation is not finite raises at its step's
+    end time, a snapshot that trips the mass-drift or non-finite guard raises,
+    and a model whose dimension is not the grid's or a plan that `step_plan`
+    refuses raises ValueError before the first row. A run whose `phase_bound`
+    at A = `free_amplitude`(F[u0]) is at most `ROUNDOFF` skips every stage's
+    FFT pair and rotation; that one bound, summed a block at a time, is the
+    whole decision.
     """
     params = cfg.params
     grid = u0.grid
@@ -265,8 +264,7 @@ def snapshots(u0, cfg):
             raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}") from None
         return u, {"time": float(t), **diagnostics, "boundary_amplitude": u.boundary_amplitude()}
 
-    # The held state. After a step it is the spectrum still owing that
-    # step's closing flow `close`, which the next step or a snapshot applies.
+    # The held state: the spectrum of the solution at the last step's end.
     w = fft(u0)
     _, first = row(0.0, w, u0)
     yield 0.0, u0, first
@@ -278,8 +276,6 @@ def snapshots(u0, cfg):
     close = flows[linear[-1]]
 
     for step in range(steps):
-        if step:
-            w *= close  # the previous step's closing flow
         t = (step + 1) * h
         for flow, size in plan:
             w *= flow
@@ -290,15 +286,15 @@ def snapshots(u0, cfg):
             np.fft.fftn(w, out=w)
             if not np.isfinite(peak):
                 raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}")
+        w *= close
 
         if step == steps - 1:
-            # The run's last row closes the held spectrum in place, in
-            # close * w's operand order, with no propagator left alive.
-            np.multiply(close, w, out=w)
+            # The run's last row inverts the held spectrum in place, with no
+            # propagator left alive.
             del flows, plan, close, flow
             spectrum = w
         elif (step + 1) % cfg.snapshot_stride == 0:
-            spectrum = close * w
+            spectrum = w.copy()
         else:
             continue
         u, diagnostics = row(t, spectrum)

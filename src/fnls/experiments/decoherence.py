@@ -16,7 +16,7 @@ from ..io import write_field
 from ..observables import lp_band_energy_fraction
 from ..spectral import INHOMOGENEOUS, round_velocity, sobolev_norm
 from .galilean import build_tilde
-from .report import ExperimentReport, sweep
+from .report import ExperimentReport, check_step, sweep
 
 
 def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
@@ -45,7 +45,10 @@ def run_decoherence(
 
     Each nu takes lambda = nu^(1/alpha); s must lie in the ill-posed range.
     nu_list (two or more) is a `sweep` in (0, 1], run largest first, and
-    epsilon and t_scan_max must be positive and finite.
+    epsilon and t_scan_max must be positive and finite. k must be an integer
+    above d/2 (by default the smallest), as the correction term
+    |log nu| (lambda/nu)^(-k) |v|^(-s-k) asks. dt_y, by default the scheme's,
+    must not exceed the decoherence time T.
     """
     if not (0.5 <= a_prime <= 1 and 0.5 <= a <= 1):
         raise ValueError("a, a' must lie in [1/2, 1]")
@@ -58,12 +61,16 @@ def run_decoherence(
     for key, value in (("epsilon", epsilon), ("t_scan_max", t_scan_max)):
         if not 0 < value < np.inf:
             raise ValueError(f"{key} must be positive and finite; got {value:g}")
-    k = k if k is not None else smallest_integer_above(d / 2)
+    if k is None:
+        k = smallest_integer_above(d / 2)
+    elif not (float(k).is_integer() and k > d / 2):
+        raise ValueError(f"k must be an integer above d/2 = {d / 2:g}; got {k:g}")
 
     grid_y = Grid(d, n_y, L_y)
     w = profile.realize(grid_y)
     t_scan = np.linspace(0.0, t_scan_max, 601)[1:]
     T, sep_at_T, sep_max = decoherence_time(w, a, a_prime, mu, p, t_scan)
+    check_step(dt_y, "dt_y", T, "the decoherence time T")
 
     report = ExperimentReport(
         "decoherence",

@@ -30,7 +30,8 @@ def sweep(values, key, least, use, upper=math.inf):
     says what for), each finite, in (0, upper] and given once, or ValueError
     naming key. Runners call it before their first run and any output.
     """
-    values = sorted(values)
+    # Plain Python numbers: an int stays an int, so fit keys keep their names.
+    values = sorted(v.item() if isinstance(v, np.generic) else v for v in values)
     bound = "finite" if upper == math.inf else f"at most {upper:g}"
     for value in values:
         if not (math.isfinite(value) and 0 < value <= upper):
@@ -41,6 +42,19 @@ def sweep(values, key, least, use, upper=math.inf):
         if lo == hi:
             raise ValueError(f"{key} entries must differ; got {lo:g} twice")
     return values
+
+
+def check_step(dt, key, t_end, horizon):
+    """ValueError naming key unless dt is None (the scheme's default step)
+    or positive, finite and at most t_end, the run's `horizon`, when t_end > 0.
+    Runners call it before their first run and any output.
+    """
+    if dt is None:
+        return
+    if not 0 < dt < math.inf:
+        raise ValueError(f"{key} must be positive and finite; got {dt:g}")
+    if dt > t_end > 0:
+        raise ValueError(f"{key} must not exceed {horizon} = {t_end:g}; got {dt:g}")
 
 
 @dataclass

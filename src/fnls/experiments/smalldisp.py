@@ -8,7 +8,7 @@ from ..evolution import final_state, nonlinear_phase
 from ..grid import Grid
 from ..io import write_field
 from ..spectral import HOMOGENEOUS, INHOMOGENEOUS, lebesgue_norm, sobolev_norm
-from .report import ExperimentReport, loglog_fit, sweep
+from .report import ExperimentReport, check_step, loglog_fit, sweep
 
 
 def run_small_dispersion(
@@ -27,9 +27,11 @@ def run_small_dispersion(
     The rescaled-field sizes use the exact scaling identities
     ||f(nu .)||_{L^inf} = ||f||_{L^inf} and
     ||f(nu .)||_{Hdot^s} = nu^(s - d/2) ||f||_{Hdot^s}.
-    nu_list (three or more) is a `sweep` in (0, 1], run largest first.
+    nu_list (three or more) is a `sweep` in (0, 1], run largest first, and
+    dt, by default the scheme's, must not exceed t_eval.
     """
     nu_list = sweep(nu_list, "nu_list", 3, "for the error fit", upper=1)[::-1]
+    check_step(dt, "dt", t_eval, "t_eval")
     if grid is None:
         grid = Grid(params.d, 512, 16 * np.pi)
     phi0 = profile.realize(grid)

@@ -21,9 +21,23 @@ PLAIN = "PLAIN"
 TILDE = "TILDE"
 
 
+def _integral(density, grid):
+    """Integral of a density by the rectangle rule: its sum times the cell volume.
+
+    A sum that overflows over a cell volume below 1 is taken again as the sum
+    of density times cell volume, so a finite integral near the largest double
+    stays finite; any other sum keeps the sum-then-multiply order.
+    """
+    with np.errstate(over="ignore"):
+        total = np.sum(density)
+    if np.isinf(total) and grid.cell_volume < 1:
+        return float(np.sum(density * grid.cell_volume))
+    return float(total * grid.cell_volume)
+
+
 def mass(u):
     """Integral of |u|^2."""
-    return float(np.sum(abs_power(u.values, 2)) * u.grid.cell_volume)
+    return _integral(abs_power(u.values, 2), u.grid)
 
 
 def field_diagnostics(grid, spectrum, dispersion, mu, p, u=None):
@@ -39,7 +53,7 @@ def field_diagnostics(grid, spectrum, dispersion, mu, p, u=None):
     if u is None:
         u = ComplexField(grid, np.fft.ifftn(spectrum, out=spectrum))
     a = abs_power(u.values, 2)
-    m = float(np.sum(a) * grid.cell_volume)
+    m = _integral(a, grid)
     linf = math.sqrt(float(np.max(a)))
     np.power(a, (p + 1) / 2, out=a)  # |u|^(p+1), as abs_power takes it
     potential = float((mu / (p + 1)) * np.sum(a) * grid.cell_volume)

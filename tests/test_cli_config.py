@@ -196,7 +196,10 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
     "command, text, error, match",
     [
         ("dispersive", "sigma = 0.75\nn = 64\nL = 20\n", WrapAroundError, "wrap-around horizon"),
-        ("small-dispersion", "sigma = 0.75\np = 3\ndt = 2\n", ValueError, "dt must not exceed"),
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\ndt = 2\n", ValueError,
+            "dt must not exceed t_eval = 1; got 2",
+        ),
         ("galilean", "sigma = 0.2\np = 3\n", RegimeError, "sigma below d/4"),
         ("decohere", "sigma = 0.75\np = 3\na = 2\n", ValueError, "a, a' must lie in"),
         ("scatter", "sigma = 0.75\np = 3\n", RegimeError, "scattering probe requires"),
@@ -248,6 +251,36 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
             "decohere", "sigma = 0.75\np = 3\nt_scan_max = 0\n", ValueError,
             "t_scan_max must be positive and finite; got 0",
         ),
+        (
+            "decohere", "sigma = 0.75\np = 3\nk = 0\n", ValueError,
+            "k must be an integer above d/2 = 0.5; got 0",
+        ),
+        # The nu runners' step keys, named before the first run; decohere's
+        # dt_y as soon as its decoherence time T is known.
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\ndt = -1\n", ValueError,
+            "dt must be positive and finite; got -1",
+        ),
+        (
+            "galilean", "sigma = 0.75\np = 3\ndt_x = 5\n", ValueError,
+            "dt_x must not exceed t_eval = 0.5; got 5",
+        ),
+        (
+            "galilean", "sigma = 0.75\np = 3\ndt_x = inf\n", ValueError,
+            "dt_x must be positive and finite; got inf",
+        ),
+        (
+            "galilean", "sigma = 0.75\np = 3\ndt_y = 5\n", ValueError,
+            "dt_y must not exceed t_eval = 0.5; got 5",
+        ),
+        (
+            "decohere", "sigma = 0.75\np = 3\ndt_y = 100\n", ValueError,
+            r"dt_y must not exceed the decoherence time T = \S+; got 100",
+        ),
+        (
+            "decohere", "sigma = 0.75\np = 3\ndt_y = -1\n", ValueError,
+            "dt_y must be positive and finite; got -1",
+        ),
     ],
     ids=[
         "dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows",
@@ -255,7 +288,9 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         "galilean-nu_list-1", "scatter-one-window", "scatter-late-first",
         "scatter-off-the-clock", "dispersive-t_grid-0", "dispersive-N_list-inf",
         "decohere-epsilon-0", "decohere-epsilon-negative", "decohere-t_scan_max-negative",
-        "decohere-t_scan_max-0",
+        "decohere-t_scan_max-0", "decohere-k-0", "small-dispersion-dt-negative",
+        "galilean-dt_x-5", "galilean-dt_x-inf", "galilean-dt_y-5", "decohere-dt_y-100",
+        "decohere-dt_y-negative",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(

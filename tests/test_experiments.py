@@ -175,6 +175,15 @@ def test_decoherence_config_validation():
         run_decoherence(ProfileSpec(width=1.0), params, alpha=0.5)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5, math.inf])
+def test_decoherence_takes_k_an_integer_above_half_d(k):
+    # At k <= d/2 the correction term |log nu| (lambda/nu)^(-k) |v|^(-s-k)
+    # need not fall with nu; the default k is the smallest integer above.
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    with pytest.raises(ValueError, match=f"^k must be an integer above d/2 = 0.5; got {k:g}$"):
+        run_decoherence(ProfileSpec(width=1.0), params, k=k)
+
+
 def test_decoherence_requires_illposed_window():
     # s = -0.3 sits below s_c = -0.25 for these parameters
     params = ModelParams(1, 0.75, 3, 1, 1.0)
@@ -782,6 +791,15 @@ def test_sweep_orders_a_valid_sweep_and_names_the_key_of_any_other(values, least
     else:
         with pytest.raises(ValueError, match="^nu_list "):
             sweep(values, "nu_list", least, "for the test", upper)
+
+
+def test_sweep_returns_plain_python_numbers():
+    # A report prints its inputs with their reprs, and an integer N_list
+    # names fit keys such as time_slope_N1.
+    t_grid = sweep(np.linspace(5, 40, 4), "t_grid", 3, "for the test")
+    assert str(t_grid) == "[5.0, 16.666666666666664, 28.333333333333332, 40.0]"
+    N_list = sweep(np.array([4, 1]), "N_list", 2, "for the test")
+    assert [(n, type(n)) for n in N_list] == [(1, int), (4, int)]
 
 
 @pytest.mark.parametrize(

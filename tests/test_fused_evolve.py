@@ -219,6 +219,26 @@ def test_snapshot_stream_is_evolve_bit_for_bit(case):
     assert np.array_equal(final.values, traj.final.values)
 
 
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_the_row_after_step_k_is_the_run_that_ends_there(scheme):
+    # Each step ends with its closing flow, so the spectrum held after step
+    # k is the solution at k h: a strided run's row there is, bit for bit,
+    # the last row of a run of k steps of h (for Strang, `final_state`).
+    grid = Grid(1, 256, 16 * np.pi)
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    u0 = gaussian(grid, width=1.5, amplitude=1.0)
+    h = 0.01
+    rows = list(snapshots(u0, EvolveConfig(params, 0.2, h, snapshot_stride=5, scheme=scheme)))
+    assert [t for t, *_ in rows] == [k * h for k in (0, 5, 10, 15, 20)]
+    for t, u, diagnostics in rows[1:]:
+        cfg = EvolveConfig(params, t, h, snapshot_stride=math.inf, scheme=scheme)
+        *_, (end, ended, at_end) = snapshots(u0, cfg)
+        assert (end, at_end) == (t, diagnostics)
+        assert np.array_equal(u.values, ended.values)
+        if scheme == "strang":
+            assert np.array_equal(u.values, final_state(u0, params, t, h).values)
+
+
 # A block size that divides none of the CASES grids, so each of them spans
 # two or more blocks of the blocked kernels and ends in a short one.
 RAGGED_BLOCK = 100
@@ -269,9 +289,9 @@ def test_nonfinite_guard_trips_at_the_step_whose_rotation_overflows(ragged_block
 def test_final_state_peaks_below_three_fields_above_its_input():
     # A 3D 64^3 Strang run holds its spectrum, omega (half a field) and one
     # propagator; the rotation and the flow kernels take one block of
-    # temporaries, and the last row closes the spectrum in place once the
-    # propagator is dropped. The grid's wavenumber cache, built on first use
-    # and kept by the grid, counts as input.
+    # temporaries, and the last row inverts the held spectrum in place once
+    # the propagator is dropped. The grid's wavenumber cache, built on first
+    # use and kept by the grid, counts as input.
     grid = Grid(3, 64, 8 * np.pi)
     params = ModelParams(3, 0.75, 3, 1, 1.0)
     u0 = gaussian(grid, width=1.5, amplitude=1.0)

@@ -1,5 +1,7 @@
 """Conserved quantities, spacetime norms, and the scattering defect."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from fnls.model import ModelParams
 from fnls.observables import (
     SpacetimeNormSpec,
     energy,
+    field_diagnostics,
     lp_band_energy_fraction,
     mass,
     scattering_defects,
     spacetime_norm,
 )
-from fnls.profiles import gaussian
+from fnls.profiles import ProfileSpec, gaussian
 from fnls.spectral import resolvable_scales
 
 from references import littlewood_paley_project
@@ -33,6 +36,17 @@ def test_mass_equals_rectangle_quadrature():
     u = gaussian(GRID, amplitude=0.7)
     direct = np.sum(np.abs(u.values) ** 2) * GRID.cell_volume
     assert mass(u) == pytest.approx(direct, rel=1e-13)
+
+
+def test_a_finite_mass_near_the_largest_double_reads_finite():
+    # Its |u|^2 sums past the largest double before the cell volume 1/64
+    # scales it back; the suite's warnings filter makes an overflow an error.
+    u = ProfileSpec(amplitude=1e154).realize(Grid(1, 4096, 64.0))
+    assert mass(u) == pytest.approx(math.sqrt(math.pi) * 1e308, rel=1e-12)
+    zero = np.zeros(u.grid.shape)
+    with np.errstate(over="ignore"):  # only its potential energy overflows
+        _, diagnostics = field_diagnostics(u.grid, zero.astype(complex), zero, 1, 3, u)
+    assert diagnostics["mass"] == mass(u)
 
 
 def test_energy_matches_direct_spectral_sum():
