@@ -13,7 +13,7 @@ import math
 import os
 
 from .config import load_config
-from .evolution import EvolveConfig, snapshots
+from .evolution import EvolveConfig, snapshots, step_plan
 from .exponents import classify_regime
 from .grid import Grid
 from .io import read_field, write_field
@@ -122,11 +122,8 @@ def _load_config(path, command):
         if key in cfg and other not in cfg and (key, command) != ("n", "dispersive"):
             raise ValueError(f"{path}: config key {key!r} for {command} needs {other!r}")
     # Soliton's dt steps only the traveling check, which its t_end asks for.
-    if command == "soliton" and "dt" in cfg:
-        if "t_end" not in cfg:
-            raise ValueError(f"{path}: config key 'dt' for soliton needs 't_end'")
-        if cfg["dt"] > cfg["t_end"] > 0:
-            raise ValueError(f"{path}: config key 'dt' for soliton must not exceed 't_end'")
+    if command == "soliton" and "dt" in cfg and "t_end" not in cfg:
+        raise ValueError(f"{path}: config key 'dt' for soliton needs 't_end'")
     return cfg
 
 
@@ -209,6 +206,13 @@ def cmd_soliton(args):
     cfg = _load_config(args.config, args.command)
     scfg = SolitonConfig(_params_from(cfg), **_pick(cfg, "omega v gamma max_iter tol"))
     seed = ProfileSpec(width=cfg.get("seed_width", 1.0 / scfg.omega)).realize(_grid_from(cfg))
+    if "t_end" in cfg:  # the traveling check is planned before --out is made
+        t_end = cfg["t_end"]
+        dt = cfg.get("dt", min(1e-3, t_end) if t_end > 0 else 1e-3)
+        try:
+            step_plan(t_end, dt)
+        except ValueError as err:
+            raise ValueError(f"{args.config}: soliton's traveling check: {err}") from None
     os.makedirs(args.out, exist_ok=True)
     result = petviashvili_solve(scfg, seed)
     write_field(os.path.join(args.out, "Q.fnls"), result.Q)
@@ -226,8 +230,6 @@ def cmd_soliton(args):
         f"symbol min: {result.symbol_min:.6e}",
     ]
     if result.converged and "t_end" in cfg:
-        t_end = cfg["t_end"]
-        dt = cfg.get("dt", min(1e-3, t_end) if t_end > 0 else 1e-3)
         mismatch = traveling_wave_check(result, scfg, t_end, dt)
         lines.append(f"traveling-wave mismatch at t={t_end}: {mismatch:.6e}")
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:

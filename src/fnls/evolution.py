@@ -119,19 +119,30 @@ def default_dt(grid, params, t_end, scheme="strang"):
 MAX_STEPS = 10**9  # a plan's bound; no run of the package takes over ~13k steps
 
 
+def check_step(dt, t_end, key="dt", horizon="t_end"):
+    """ValueError, naming t_end by horizon and dt by key, unless t_end is
+    finite and >= 0 and dt is None (the scheme's default) or positive, finite
+    and at most a positive t_end: the one check of a run's step against its end.
+    """
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"{horizon} must be finite and >= 0; got {t_end:g}")
+    if dt is None:
+        return
+    if not 0 < dt < math.inf:
+        raise ValueError(f"{key} must be positive and finite; got {dt:g}")
+    if dt > t_end > 0:
+        raise ValueError(f"{key} must not exceed {horizon} = {t_end:g}; got {dt:g}")
+
+
 def step_plan(t_end, dt):
     """(steps, step) of a run to t_end in equal steps of at most dt.
 
     Whole steps of dt when they tile t_end to 1e-12 of the longer of the two,
     so a rounded t_end / n plans n steps of itself; otherwise n = ceil(t_end
-    / dt) steps of t_end / n, each shorter than dt. A dt that is not positive
-    and finite, a t_end that is negative or not finite, or a plan over
-    MAX_STEPS steps raises ValueError.
+    / dt) steps of t_end / n, each shorter than dt. A (dt, t_end) that
+    `check_step` refuses, or a plan over MAX_STEPS steps, raises ValueError.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite; got {dt:g}")
-    if not 0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be finite and >= 0; got {t_end:g}")
+    check_step(dt, t_end)
     ratio = t_end / dt
     if not ratio <= MAX_STEPS:
         raise ValueError(
@@ -196,12 +207,7 @@ class EvolveConfig:
 
     def __post_init__(self):
         # In the `not x > 0` form, so that NaN fails as well.
-        if not 0 <= self.t_end < math.inf:
-            raise ValueError("t_end must be finite and >= 0")
-        if self.dt is not None and not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        if self.t_end > 0 and self.dt is not None and self.dt > self.t_end:
-            raise ValueError("dt must not exceed t_end")
+        check_step(self.dt, self.t_end)
         stride = self.snapshot_stride
         if not (stride >= 1 and (stride == math.inf or stride % 1 == 0)):
             raise ValueError("snapshot stride must be a whole number >= 1 or inf")

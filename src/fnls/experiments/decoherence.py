@@ -9,14 +9,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..evolution import final_state, nonlinear_phase
+from ..evolution import check_step, final_state, nonlinear_phase
 from ..exponents import ILLPOSED_RANGE, require_regime, smallest_integer_above
 from ..grid import Grid
 from ..io import write_field
 from ..observables import lp_band_energy_fraction
-from ..spectral import INHOMOGENEOUS, round_velocity, sobolev_norm
+from ..spectral import INHOMOGENEOUS, lebesgue_norm, round_velocity, sobolev_norm
 from .galilean import build_tilde
-from .report import ExperimentReport, check_step, sweep
+from .report import ExperimentReport, sweep
 
 
 def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
@@ -29,8 +29,8 @@ def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
     for t in t_scan:
         fa = nonlinear_phase(a * w, t, mu, p)
         fb = nonlinear_phase(a_prime * w, t, mu, p)
-        seps.append(float(np.linalg.norm(fa.values - fb.values)))
-    seps = np.array(seps) * np.sqrt(w.grid.cell_volume)
+        seps.append(lebesgue_norm(fa - fb, 2))
+    seps = np.array(seps)
     target = 0.5 * seps.max()
     idx = int(np.argmax(seps >= target))
     return float(t_scan[idx]), float(seps[idx]), float(seps.max())
@@ -70,7 +70,7 @@ def run_decoherence(
     w = profile.realize(grid_y)
     t_scan = np.linspace(0.0, t_scan_max, 601)[1:]
     T, sep_at_T, sep_max = decoherence_time(w, a, a_prime, mu, p, t_scan)
-    check_step(dt_y, "dt_y", T, "the decoherence time T")
+    check_step(dt_y, T, "dt_y", "the decoherence time T")
 
     report = ExperimentReport(
         "decoherence",

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 
 from ..errors import RegimeError
-from ..evolution import final_state
+from ..evolution import check_step, final_state
 from ..grid import Grid
 from ..observables import mass
 from ..spectral import (
@@ -17,7 +17,7 @@ from ..spectral import (
     sobolev_norm,
 )
 from ..io import write_field
-from .report import ExperimentReport, check_step, loglog_fit, sweep
+from .report import ExperimentReport, loglog_fit, sweep
 
 
 def build_tilde(phi_at_scaled_time, t, nu, lam, v, sigma, p, n_x):
@@ -49,8 +49,9 @@ def run_galilean_error(
 
     The datum u(0) and u_tilde are `build_tilde` at lambda = 1, at t = 0 and
     t_eval: the builder `run_decoherence` shares. nu_list (two or more) is
-    a `sweep` in (0, 1], run largest first, and dt_x and dt_y, by default the
-    scheme's, must not exceed t_eval.
+    a `sweep` in (0, 1], run largest first, t_eval must be positive and
+    finite, and dt_x and dt_y, by default the scheme's, must pass
+    `evolution.check_step` against it.
     """
     d, sigma = params.d, params.sigma
     # The error's decay exponent must be positive. sigma > d/4 is none of the
@@ -59,8 +60,10 @@ def run_galilean_error(
     if not budget > 0:
         raise RegimeError(f"sigma below d/4: sigma = {sigma}, d = {d}")
     nu_list = sweep(nu_list, "nu_list", 2, "for the decay check", upper=1)[::-1]
-    check_step(dt_x, "dt_x", t_eval, "t_eval")
-    check_step(dt_y, "dt_y", t_eval, "t_eval")
+    check_step(dt_x, t_eval, "dt_x", "t_eval")
+    check_step(dt_y, t_eval, "dt_y", "t_eval")
+    if t_eval == 0:  # the error fit takes the log of an error that is 0 at t = 0
+        raise ValueError("t_eval must be positive; got 0")
     grid_x = Grid(d, n_x, L_x)
     v = round_velocity(grid_x, v)
     vmag = float(np.linalg.norm(v))

@@ -44,19 +44,6 @@ def sweep(values, key, least, use, upper=math.inf):
     return values
 
 
-def check_step(dt, key, t_end, horizon):
-    """ValueError naming key unless dt is None (the scheme's default step)
-    or positive, finite and at most t_end, the run's `horizon`, when t_end > 0.
-    Runners call it before their first run and any output.
-    """
-    if dt is None:
-        return
-    if not 0 < dt < math.inf:
-        raise ValueError(f"{key} must be positive and finite; got {dt:g}")
-    if dt > t_end > 0:
-        raise ValueError(f"{key} must not exceed {horizon} = {t_end:g}; got {dt:g}")
-
-
 @dataclass
 class ExperimentReport:
     name: str

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 
-from ..evolution import EvolveConfig, default_dt, free_amplitude, phase_bound, snapshots, step_plan
+from ..evolution import (
+    EvolveConfig, check_step, default_dt, free_amplitude, phase_bound, snapshots, step_plan,
+)
 from ..exponents import CRITICAL_LWP, critical_exponents, require_regime
 from ..grid import Grid
 from ..observables import scattering_defects
@@ -36,8 +38,9 @@ def run_scattering_probe(
     """Evolve small data and report the defect decay across time windows.
 
     The run snapshots every tau = t_end / `SNAPSHOTS` on one clock: it takes
-    `evolution.step_plan`(tau, dt)'s "blanes_moan4" steps h = tau / ceil(tau /
-    dt), so dt (by default the scheme's) is its longest step. There must be
+    `evolution.step_plan`(tau, min(dt, tau))'s "blanes_moan4" steps h = tau /
+    ceil(tau / dt), so dt (by default the scheme's, and checked against t_end
+    by `evolution.check_step`) is its longest step. There must be
     two windows or more, each (lo, hi) with 0 <= lo < hi <= t_end, ending at
     or before the next one starts, and with edges that are multiples of tau to
     1e-9 tau, or the probe raises ValueError before any run. A window sums the
@@ -79,8 +82,9 @@ def run_scattering_probe(
     scheme = "blanes_moan4"
     if dt is None:
         dt = default_dt(grid, params, t_end, scheme)
-    cfg = EvolveConfig(params, t_end, dt, scheme=scheme)  # checks dt
-    cfg.snapshot_stride, cfg.dt = step_plan(tau, dt)  # tau / h steps of h
+    check_step(dt, t_end)
+    stride, h = step_plan(tau, min(dt, tau))  # tau / h steps of h
+    cfg = EvolveConfig(params, t_end, h, stride, scheme=scheme)
 
     report = ExperimentReport(
         "scattering_probe",
@@ -96,8 +100,8 @@ def run_scattering_probe(
             "scheme": scheme,
             "n": grid.n,
             "L": grid.L,
-            "dt": cfg.dt,
-            "steps": SNAPSHOTS * cfg.snapshot_stride,
+            "dt": h,
+            "steps": SNAPSHOTS * stride,
             "snapshot_spacing": tau,
             "snapshots": SNAPSHOTS + 1,
             "windows": list(windows),

@@ -4,11 +4,11 @@ import dataclasses
 
 import numpy as np
 
-from ..evolution import final_state, nonlinear_phase
+from ..evolution import check_step, final_state, nonlinear_phase
 from ..grid import Grid
 from ..io import write_field
 from ..spectral import HOMOGENEOUS, INHOMOGENEOUS, lebesgue_norm, sobolev_norm
-from .report import ExperimentReport, check_step, loglog_fit, sweep
+from .report import ExperimentReport, loglog_fit, sweep
 
 
 def run_small_dispersion(
@@ -27,11 +27,14 @@ def run_small_dispersion(
     The rescaled-field sizes use the exact scaling identities
     ||f(nu .)||_{L^inf} = ||f||_{L^inf} and
     ||f(nu .)||_{Hdot^s} = nu^(s - d/2) ||f||_{Hdot^s}.
-    nu_list (three or more) is a `sweep` in (0, 1], run largest first, and
-    dt, by default the scheme's, must not exceed t_eval.
+    nu_list (three or more) is a `sweep` in (0, 1], run largest first,
+    t_eval must be positive and finite, and dt, by default the scheme's, must
+    pass `evolution.check_step` against it.
     """
     nu_list = sweep(nu_list, "nu_list", 3, "for the error fit", upper=1)[::-1]
-    check_step(dt, "dt", t_eval, "t_eval")
+    check_step(dt, t_eval, horizon="t_eval")
+    if t_eval == 0:  # the error fit takes the log of an error that is 0 at t = 0
+        raise ValueError("t_eval must be positive; got 0")
     if grid is None:
         grid = Grid(params.d, 512, 16 * np.pi)
     phi0 = profile.realize(grid)

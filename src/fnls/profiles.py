@@ -39,7 +39,7 @@ class ProfileSpec:
         # largest double; in this order no finite mass overflows.
         with np.errstate(over="ignore"):
             bump = np.exp(-r2 / (2 * self.width**2))
-            bump_mass = float(np.sum(np.square(bump))) * grid.cell_volume
+        bump_mass = grid.integral(np.square(bump))
         a = abs(self.amplitude)
         if not a * (a * bump_mass) < math.inf:
             raise ValueError(

@@ -51,7 +51,7 @@ def lebesgue_norm(u, r):
         raise ValueError("r must be >= 1")
     if np.isinf(r):
         return math.sqrt(float(np.max(abs_power(u.values, 2))))
-    return float((np.sum(abs_power(u.values, r)) * u.grid.cell_volume) ** (1.0 / r))
+    return u.grid.integral(abs_power(u.values, r)) ** (1.0 / r)
 
 
 def plancherel(spectrum, weight2, grid):

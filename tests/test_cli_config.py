@@ -101,6 +101,7 @@ BASE = {
     "decohere": "sigma = 0.75\np = 3\n",
     "dispersive": "sigma = 0.75\n",
     "scatter": "sigma = 0.75\np = 7\n",
+    "soliton": "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\n",
 }
 
 
@@ -173,6 +174,27 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("evolve", "t_end = 1e300", ValueError, r"t_end = 1e\+300 .* more than MAX_STEPS"),
         ("evolve", "dt = 1e-300", ValueError, r"t_end = 0.1 in steps of at most dt = 1e-300"),
         ("evolve", "profile_amplitude = 1e200", ValueError, "amplitude 1e\\+200 gives a field"),
+        # Soliton plans its traveling check before it solves the profile.
+        (
+            "soliton", "t_end = -1", ValueError,
+            r"run\.cfg: .*t_end must be finite and >= 0; got -1",
+        ),
+        (
+            "soliton", "t_end = inf", ValueError,
+            r"run\.cfg: .*t_end must be finite and >= 0; got inf",
+        ),
+        (
+            "soliton", "t_end = 1e300", ValueError,
+            r"run\.cfg: .*t_end = 1e\+300 .* more than MAX_STEPS",
+        ),
+        (
+            "soliton", "t_end = 1\ndt = -1", ValueError,
+            r"run\.cfg: .*dt must be positive and finite; got -1",
+        ),
+        (
+            "soliton", "t_end = 1\ndt = inf", ValueError,
+            r"run\.cfg: .*dt must be positive and finite; got inf",
+        ),
     ],
     ids=[
         "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "scatter-t_end-10",
@@ -181,7 +203,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
         "galilean-nu_list-1", "scatter-one-window", "scatter-late-first", "scatter-off-the-clock",
         "dispersive-t_grid-0", "dispersive-N_list-negative", "evolve-t_end-1e300",
-        "evolve-dt-1e-300", "evolve-amplitude-1e200",
+        "evolve-dt-1e-300", "evolve-amplitude-1e200", "soliton-t_end-negative",
+        "soliton-t_end-inf", "soliton-t_end-1e300", "soliton-dt-negative", "soliton-dt-inf",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
@@ -281,6 +304,31 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
             "decohere", "sigma = 0.75\np = 3\ndt_y = -1\n", ValueError,
             "dt_y must be positive and finite; got -1",
         ),
+        # Both fits take the log of an error that is 0 at t_eval = 0.
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\nt_eval = -1\n", ValueError,
+            "t_eval must be finite and >= 0; got -1",
+        ),
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\nt_eval = inf\n", ValueError,
+            "t_eval must be finite and >= 0; got inf",
+        ),
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\nt_eval = 0\n", ValueError,
+            "t_eval must be positive; got 0",
+        ),
+        (
+            "galilean", "sigma = 0.75\np = 3\nt_eval = -1\n", ValueError,
+            "t_eval must be finite and >= 0; got -1",
+        ),
+        (
+            "galilean", "sigma = 0.75\np = 3\nt_eval = inf\n", ValueError,
+            "t_eval must be finite and >= 0; got inf",
+        ),
+        (
+            "galilean", "sigma = 0.75\np = 3\nt_eval = 0\n", ValueError,
+            "t_eval must be positive; got 0",
+        ),
     ],
     ids=[
         "dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows",
@@ -290,7 +338,9 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         "decohere-epsilon-0", "decohere-epsilon-negative", "decohere-t_scan_max-negative",
         "decohere-t_scan_max-0", "decohere-k-0", "small-dispersion-dt-negative",
         "galilean-dt_x-5", "galilean-dt_x-inf", "galilean-dt_y-5", "decohere-dt_y-100",
-        "decohere-dt_y-negative",
+        "decohere-dt_y-negative", "small-dispersion-t_eval-negative",
+        "small-dispersion-t_eval-inf", "small-dispersion-t_eval-0", "galilean-t_eval-negative",
+        "galilean-t_eval-inf", "galilean-t_eval-0",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
@@ -335,7 +385,8 @@ def test_soliton_rejects_a_zero_seed_width_before_writing(tmp_path):
 
 def test_soliton_rejects_a_dt_beyond_t_end_before_writing(tmp_path):
     text = "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\nt_end = 0.0005\ndt = 0.001\n"
-    with pytest.raises(ValueError, match="'dt' for soliton must not exceed 't_end'"):
+    message = r"run\.cfg: soliton's traveling check: dt must not exceed t_end = 0.0005; got 0.001"
+    with pytest.raises(ValueError, match=message):
         _run(tmp_path, "soliton", text)
     assert not (tmp_path / "out").exists()
 

@@ -75,15 +75,29 @@ def test_soliton_that_does_not_converge_exits_nonzero_after_writing(tmp_path):
     assert f"iterations: {rows}" in lines and rows >= 2
 
 
+def _readme_example(name):
+    """The text of README's example config `name`."""
+    pattern = rf"Example \(`{re.escape(name)}`\):\n\n```ini\n(.*?)```"
+    (text,) = re.findall(pattern, README.read_text(), re.S)
+    return text
+
+
 def test_readme_scatter_example_prints_its_phase_bound(tmp_path, capsys):
-    (text,) = re.findall(r"Example \(`sc\.cfg`\):\n\n```ini\n(.*?)```", README.read_text(), re.S)
-    out = _run(tmp_path, "scatter", text)
+    out = _run(tmp_path, "scatter", _readme_example("sc.cfg"))
     printed = capsys.readouterr().out.splitlines()
     (line,) = [line for line in printed if line.startswith("input phase_bound = ")]
     assert line in (out / "summary.txt").read_text().splitlines()
     # Amplitude 1e-3 at p = 7 turns no sample by more than 2^-53.
     (theta,) = ast.literal_eval(line.split(" = ")[1])
     assert 0 < theta <= np.finfo(float).eps / 2
+
+
+def test_readme_soliton_example_converges_to_its_traveling_wave(tmp_path):
+    out = _run(tmp_path, "soliton", _readme_example("sol.cfg"))
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "converged: True" in lines
+    (line,) = [line for line in lines if line.startswith("traveling-wave mismatch at t=1.0: ")]
+    assert float(line.split(": ")[1]) < 1e-5
 
 
 def test_small_dispersion_evolve_conserves_the_energy(tmp_path):

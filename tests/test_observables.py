@@ -18,7 +18,7 @@ from fnls.observables import (
     spacetime_norm,
 )
 from fnls.profiles import ProfileSpec, gaussian
-from fnls.spectral import resolvable_scales
+from fnls.spectral import lebesgue_norm, resolvable_scales
 
 from references import littlewood_paley_project
 
@@ -47,6 +47,12 @@ def test_a_finite_mass_near_the_largest_double_reads_finite():
     with np.errstate(over="ignore"):  # only its potential energy overflows
         _, diagnostics = field_diagnostics(u.grid, zero.astype(complex), zero, 1, 3, u)
     assert diagnostics["mass"] == mass(u)
+
+
+def test_the_l2_norm_near_the_largest_double_takes_the_mass_integral():
+    # Both are `Grid.integral` of |u|^2, which stays finite here.
+    u = ProfileSpec(amplitude=1e154).realize(Grid(1, 4096, 64.0))
+    assert lebesgue_norm(u, 2) ** 2 == mass(u)
 
 
 def test_energy_matches_direct_spectral_sum():
