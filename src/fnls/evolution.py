@@ -20,10 +20,10 @@ copy's diagnostics with omega (so its energy is the conserved one) before
 inverting it in place. The run's last snapshot drops every propagator and
 inverts the held spectrum itself to the field it yields. A run takes equal
 steps (`step_plan`), so each propagator, `symbols.linear_flow` of omega, is
-built once per run, and between snapshots the working set is the spectrum,
-omega, one propagator per distinct linear fraction and one block
-(`grid.BLOCK` samples) of the rotation's temporaries; a snapshot adds a real
-|u|^2 array, and a copy of the spectrum unless it is the last.
+built once per run, and between snapshots a rotating run's working set is
+the spectrum, omega, one propagator per distinct linear fraction and one
+block (`grid.BLOCK` samples) of the rotation's temporaries; a snapshot adds a
+real |u|^2 array, and a copy of the spectrum unless it is the last.
 
 A run whose rotations cannot change the field skips them. All the rotations
 of a run together turn a sample by at most Theta = |mu| (sum_i |b_i|)
@@ -32,8 +32,10 @@ linear flows act, A = ||w||_1 / n (`free_amplitude`) is one: every sample
 is at most the mean of the |w_k|, which a linear flow keeps. If Theta <=
 2^-53 (`ROUNDOFF`), dropping the rotations moves the field by at most
 Theta of its L^2 norm, up to terms of order Theta^2, so `snapshots` decides
-this once per run, from this one bound of the input, and then runs each
-stage as its linear flow alone, with no FFT pair. Small scattering data, a
+this once per run, from this one bound of the input. Linear flows compose,
+so such a run jumps from snapshot to snapshot: one multiply by exp(i n h
+omega) per interval of n steps, with one propagator for the stride, one for
+a ragged last interval at most, and no stage's. Small scattering data, a
 zero field and t_end = 0 take this path; a run that rotates keeps every
 operation, bit for bit.
 """
@@ -249,9 +251,10 @@ def snapshots(u0, cfg):
     end time, a snapshot that trips the mass-drift or non-finite guard raises,
     and a model whose dimension is not the grid's or a plan that `step_plan`
     refuses raises ValueError before the first row. A run whose `phase_bound`
-    at A = `free_amplitude`(F[u0]) is at most `ROUNDOFF` skips every stage's
-    FFT pair and rotation; that one bound, summed a block at a time, is the
-    whole decision.
+    at A = `free_amplitude`(F[u0]), summed a block at a time, is at most
+    `ROUNDOFF` builds no stage: one multiply by `linear_flow`(omega, n h)
+    advances each interval of n steps between snapshots. Both kinds of run
+    share one loop over the intervals, with its rows and guards.
     """
     params = cfg.params
     grid = u0.grid
@@ -276,33 +279,40 @@ def snapshots(u0, cfg):
     yield 0.0, u0, first
 
     mass0 = first["mass"]
-    linear_only = phase_bound(free_amplitude(w), params, cfg.t_end, cfg.scheme) <= ROUNDOFF
-    flows = {a: linear_flow(omega, a * h) for a in set(linear)}
-    plan = [(flows[a], b * h) for a, b in zip(linear, nonlinear)]
-    close = flows[linear[-1]]
+    if phase_bound(free_amplitude(w), params, cfg.t_end, cfg.scheme) <= ROUNDOFF:
+        flows = {}  # n -> the free flow over n steps: linear flows compose
 
-    for step in range(steps):
-        t = (step + 1) * h
-        for flow, size in plan:
-            w *= flow
-            if linear_only:
-                continue
-            np.fft.ifftn(w, out=w)
-            peak = _rotate(w, size, params.mu, params.p)
-            np.fft.fftn(w, out=w)
-            if not np.isfinite(peak):
-                raise NonFiniteFieldError(f"nonfinite field at t = {t:.6g}")
-        w *= close
+        def advance(w, start, end):
+            n = end - start
+            if n not in flows:
+                flows[n] = linear_flow(omega, n * h)
+            w *= flows[n]
+    else:
+        flows = {a: linear_flow(omega, a * h) for a in set(linear)}
 
-        if step == steps - 1:
+        def advance(w, start, end):
+            for step in range(start + 1, end + 1):
+                for a, b in zip(linear, nonlinear):
+                    w *= flows[a]
+                    np.fft.ifftn(w, out=w)
+                    peak = _rotate(w, b * h, params.mu, params.p)
+                    np.fft.fftn(w, out=w)
+                    if not np.isfinite(peak):
+                        raise NonFiniteFieldError(f"nonfinite field at t = {step * h:.6g}")
+                w *= flows[linear[-1]]
+
+    stride = int(min(cfg.snapshot_stride, steps or 1))
+    for start in range(0, steps, stride):
+        end = min(start + stride, steps)
+        advance(w, start, end)
+        t = end * h
+        if end == steps:
             # The run's last row inverts the held spectrum in place, with no
             # propagator left alive.
-            del flows, plan, close, flow
+            flows.clear()
             spectrum = w
-        elif (step + 1) % cfg.snapshot_stride == 0:
-            spectrum = w.copy()
         else:
-            continue
+            spectrum = w.copy()
         u, diagnostics = row(t, spectrum)
         drift = abs(diagnostics["mass"] - mass0) / max(mass0, 1e-300)
         if drift > cfg.mass_drift_guard:

@@ -54,7 +54,9 @@ def run_scattering_probe(
     save_dir. The report inputs record nu, the scheme, the step taken as dt,
     steps, tau as snapshot_spacing, the snapshot count and each amplitude's
     `evolution.phase_bound`: a run whose bound is at most `evolution.ROUNDOFF`
-    (2^-53) skips its rotations.
+    (2^-53) skips its rotations and jumps from snapshot to snapshot, one
+    multiply by the linear flow over tau per snapshot, 40 a run, whatever its
+    step count.
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)

@@ -214,10 +214,26 @@ class ComplexField:
     __rmul__ = __mul__
 
 
+def raise_power(a, e):
+    """In place: a <- a^e for a real array a, by products when e is 2, 3 or 4.
+
+    np.power(a, 3.0) takes over three times as long as a * a * a; at e = 2
+    np.square(a) is np.power(a, 2.0) bit for bit. Any other e but 1 takes
+    np.power.
+    """
+    if e == 3:
+        a *= np.square(a)
+    elif e in (2, 4):
+        np.square(a, out=a)
+        if e == 4:
+            np.square(a, out=a)
+    elif e != 1:
+        np.power(a, e, out=a)
+    return a
+
+
 def abs_power(values, q):
-    """|values|^q as (re^2 + im^2)^(q/2): no sqrt, and no pow at q = 2."""
+    """|values|^q as (re^2 + im^2)^(q/2) by `raise_power`: no sqrt."""
     a = np.square(values.real)
     a += np.square(values.imag)
-    if q != 2:
-        np.power(a, q / 2, out=a)
-    return a
+    return raise_power(a, q / 2)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import is_admissible
-from .grid import ComplexField, abs_power
+from .grid import ComplexField, abs_power, raise_power
 from .spectral import BandMultiplier, fft, lebesgue_norm, plancherel, resolvable_scales
 from .symbols import (
     Bessel,
@@ -41,7 +41,7 @@ def field_diagnostics(grid, spectrum, dispersion, mu, p, u=None):
     a = abs_power(u.values, 2)
     m = grid.integral(a)
     linf = math.sqrt(float(np.max(a)))
-    np.power(a, (p + 1) / 2, out=a)  # |u|^(p+1), as abs_power takes it
+    raise_power(a, (p + 1) / 2)  # |u|^(p+1), as abs_power takes it
     potential = mu / (p + 1) * grid.integral(a)
     return u, {"mass": m, "energy": kinetic + potential, "linf": linf}
 
@@ -133,13 +133,17 @@ def scattering_defects(snapshots, params, s_c):
     unimodular and drops out, so only the relative phase exp(-i dt omega)
     is applied. Bessel(s_c)^2 and omega are evaluated once per call and the
     phase once per distinct dt; a snapshot costs two forward FFTs, of u and
-    of the nonlinearity.
+    of the nonlinearity, which is formed in the one buffer it is transformed
+    in. A pair's increments are formed in place in the earlier snapshot's
+    two spectra, which nothing reads after it, so between pairs the pass
+    holds only the later snapshot's.
     """
     mu, p = params.mu, params.p
     prev = phase_dt = None
     for t, u in snapshots:
         a = fft(u)
-        n = abs_power(u.values, p - 1) * u.values * (1j * mu)
+        n = abs_power(u.values, p - 1) * u.values
+        n *= 1j * mu
         np.fft.fftn(n, out=n)
         if prev is None:
             grid = u.grid
@@ -150,8 +154,14 @@ def scattering_defects(snapshots, params, s_c):
             dt = t - t0
             if dt != phase_dt:
                 phase_dt, phase = dt, linear_flow(omega, -dt)
-            direct = math.sqrt(plancherel(phase * a - a0, bessel2, grid))
-            duhamel = 0.5 * dt * math.sqrt(plancherel(n0 + phase * n, bessel2, grid))
+            # No later pair reads a0 or n0, so the increments are formed in
+            # them, and they are dropped before the next snapshot is made;
+            # a0 - phase a has the norm of phase a - a0, bit for bit.
+            a0 -= phase * a
+            n0 += phase * n
+            direct = math.sqrt(plancherel(a0, bessel2, grid))
+            duhamel = 0.5 * dt * math.sqrt(plancherel(n0, bessel2, grid))
+            del a0, n0
             yield t0, t, direct, duhamel
         prev = t, a, n
 

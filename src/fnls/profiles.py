@@ -36,14 +36,23 @@ class ProfileSpec:
         # A box ~1e154 widths across overflows the quotient to inf, and
         # exp(-inf) = 0 is the exact sample there. The mass is amplitude^2
         # times the bump's, which a finite amplitude can take past the
-        # largest double; in this order no finite mass overflows.
+        # largest double; in this order no finite mass overflows. By
+        # Cauchy-Schwarz every |u_hat_k|^2 is at most n mass / cell volume,
+        # so while that is finite so are the spectrum's squares and the
+        # energy's kinetic part.
         with np.errstate(over="ignore"):
             bump = np.exp(-r2 / (2 * self.width**2))
         bump_mass = grid.integral(np.square(bump))
         a = abs(self.amplitude)
-        if not a * (a * bump_mass) < math.inf:
+        mass = a * (a * bump_mass)
+        if not mass < math.inf:
             raise ValueError(
                 f"amplitude {self.amplitude!r} gives a field of infinite mass on this grid"
+            )
+        if not grid.total_points * (mass / grid.cell_volume) < math.inf:
+            raise ValueError(
+                f"amplitude {self.amplitude!r} gives a field whose spectrum squares past "
+                "the largest double on this grid: n mass / cell volume is not finite"
             )
         return ComplexField(grid, (self.amplitude * bump).astype(np.complex128))
 

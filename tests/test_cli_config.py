@@ -174,6 +174,11 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("evolve", "t_end = 1e300", ValueError, r"t_end = 1e\+300 .* more than MAX_STEPS"),
         ("evolve", "dt = 1e-300", ValueError, r"t_end = 0.1 in steps of at most dt = 1e-300"),
         ("evolve", "profile_amplitude = 1e200", ValueError, "amplitude 1e\\+200 gives a field"),
+        # A finite mass whose spectrum squares past the largest double.
+        (
+            "evolve", "profile_amplitude = 1e153", ValueError,
+            "amplitude 1e\\+153 gives a field whose spectrum squares",
+        ),
         # Soliton plans its traveling check before it solves the profile.
         (
             "soliton", "t_end = -1", ValueError,
@@ -203,7 +208,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
         "galilean-nu_list-1", "scatter-one-window", "scatter-late-first", "scatter-off-the-clock",
         "dispersive-t_grid-0", "dispersive-N_list-negative", "evolve-t_end-1e300",
-        "evolve-dt-1e-300", "evolve-amplitude-1e200", "soliton-t_end-negative",
+        "evolve-dt-1e-300", "evolve-amplitude-1e200", "evolve-amplitude-1e153",
+        "soliton-t_end-negative",
         "soliton-t_end-inf", "soliton-t_end-1e300", "soliton-dt-negative", "soliton-dt-inf",
     ],
 )

@@ -149,6 +149,20 @@ def test_small_dispersion_rate():
     assert rep.passed
 
 
+def test_small_dispersion_fails_a_slope_off_its_rate():
+    # At t_eval = 1e-300 every H^1 error is roundoff, so the fit's slope is
+    # ~0 against 2 sigma = 1.5; the size checks alone would pass it.
+    params = ModelParams(1, 0.75, 3, 1, 1.0)
+    rep = run_small_dispersion(
+        ProfileSpec(width=1.0), params, t_eval=1e-300, grid=Grid(1, 64, 20.0)
+    )
+    assert abs(rep.fits["error_slope"]) < 1e-6
+    assert rep.checks == {
+        "error_slope_matches": False, "linf_sizes_order_one": True, "hs_tracks_scaling": True
+    }
+    assert not rep.passed
+
+
 def test_galilean_requires_sigma_above_quarter_d():
     params = ModelParams(1, 0.2, 3, 1, 1.0)
     with pytest.raises(RegimeError):

@@ -37,7 +37,7 @@ from fnls.model import ModelParams
 from fnls.observables import energy, mass
 from fnls.profiles import gaussian
 from fnls.spectral import fft, lebesgue_norm
-from fnls.symbols import LinearPropagator, evaluate_symbol
+from fnls.symbols import LinearPropagator, evaluate_symbol, linear_flow
 
 from conftest import traced_peak
 from references import free_flow
@@ -277,7 +277,9 @@ def test_nonfinite_guard_trips_at_the_step_whose_rotation_overflows(ragged_block
     # = 2e308 is not, so that rotation turns the centre into NaN.
     grid = Grid(1, 4096, 64.0)
     params = ModelParams(1, 0.75, 3, 1, 0.0)
-    u0 = gaussian(grid, width=1.0, amplitude=1e154)
+    # Built from its samples: `ProfileSpec.realize` refuses an amplitude
+    # whose spectrum squares overflow, as this one's do.
+    u0 = ComplexField(grid, 1e154 * gaussian(grid, width=1.0).values)
     assert np.argmax(np.abs(u0.values)) >= RAGGED_BLOCK
     cfg = EvolveConfig(params, t_end=10.0, dt=2.0, snapshot_stride=10**9)
     assert _guard_message(lambda: evolve(u0, cfg)) == (
@@ -469,6 +471,74 @@ def test_linear_only_run_matches_the_unfused_loop_and_the_free_flow(case, scheme
     for t, got, want in zip(traj.times, traj.fields, fields):
         assert _rel(got.values, want.values) <= FIELD_TOL
         assert _rel(got.values, free_flow(u0, params, t).values) <= FIELD_TOL
+
+
+def _counting_flows(monkeypatch):
+    """(t of each `linear_flow` the run builds, ufunc calls on those propagators).
+
+    Each propagator is a view that logs every ufunc it takes part in, so
+    the second list counts the run's spectrum multiplies.
+    """
+    built, multiplies = [], []
+
+    class Flow(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            multiplies.append(ufunc.__name__)
+            inputs = [x.view(np.ndarray) if isinstance(x, Flow) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def counting_flow(omega, t):
+        built.append(t)
+        return linear_flow(omega, t).view(Flow)
+
+    monkeypatch.setattr(fnls.evolution, "linear_flow", counting_flow)
+    return built, multiplies
+
+
+# (stride, snapshot intervals, propagators) of LINEAR_ONLY_CASES' 1d-p7 run,
+# 41 equal steps: at stride 7 five intervals of 7 steps and a ragged one of
+# 6, at stride inf one interval of all 41.
+JUMPS = [(1, 41, 1), (7, 6, 2), (math.inf, 1, 1)]
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("stride, intervals, propagators", JUMPS, ids=["1", "7", "inf"])
+def test_a_linear_only_run_jumps_from_snapshot_to_snapshot(
+    monkeypatch, scheme, stride, intervals, propagators
+):
+    # Linear flows compose, so the run multiplies its spectrum once per
+    # snapshot interval, by the flow over the interval's n steps, and builds
+    # no stage propagator: one for the stride and one for a ragged last
+    # interval at most.
+    grid, params, dt, t_end, _, amplitude = LINEAR_ONLY_CASES["1d-p7"]
+    u0 = gaussian(grid, width=1.5, amplitude=amplitude, center=(0.3,))
+    h = t_end / 41
+    built, multiplies = _counting_flows(monkeypatch)
+    cfg = EvolveConfig(params, t_end=t_end, dt=dt, snapshot_stride=stride, scheme=scheme)
+    traj = evolve(u0, cfg)
+    steps = [min(stride, 41) * h, (41 % stride) * h][:propagators]
+    assert built == pytest.approx(steps, rel=1e-15)
+    assert multiplies == ["multiply"] * intervals
+    assert len(traj.times) == intervals + 1
+    for t, u in traj:
+        assert _rel(u.values, free_flow(u0, params, t).values) <= FIELD_TOL
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_a_rotating_run_takes_every_step_whatever_its_stride(scheme):
+    # A run that rotates steps the same way at any stride, so the snapshots
+    # two strides share are equal bit for bit.
+    grid, params, dt, t_end, _ = CASES["1d-p7-stride7-remainder"]
+    u0 = gaussian(grid, width=1.5, amplitude=1.0, center=(0.3,))
+    runs = {
+        stride: dict(evolve(u0, EvolveConfig(params, t_end, dt, stride, scheme=scheme)))
+        for stride in (1, 7, math.inf)
+    }
+    times = list(runs[1])
+    assert list(runs[7]) == times[::7] + times[-1:]
+    for stride in (7, math.inf):
+        for t, u in runs[stride].items():
+            assert np.array_equal(u.values, runs[1][t].values)
 
 
 def _scaled_to_bound(u0, params, t_end, scheme, theta):

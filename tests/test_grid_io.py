@@ -129,6 +129,17 @@ def test_profile_spec_rejects_an_amplitude_whose_mass_overflows(amplitude):
     assert np.isfinite(ProfileSpec(amplitude=1e150).realize(Grid(1, 64, 20.0)).values).all()
 
 
+def test_profile_spec_rejects_an_amplitude_whose_spectrum_squares_overflow():
+    # Its mass, ~1.8e308, is finite, but |u_hat|^2 at xi = 0 is not, and
+    # omega(0) inf made the energy NaN. n mass / cell volume, which bounds
+    # every |u_hat_k|^2, is the test.
+    grid = Grid(1, 4096, 64.0)
+    with pytest.raises(ValueError, match=r"^amplitude 1e\+154 gives a field whose spectrum"):
+        ProfileSpec(amplitude=1e154).realize(grid)
+    u = ProfileSpec(amplitude=1e151).realize(grid)
+    assert np.all(np.isfinite(np.abs(np.fft.fftn(u.values)) ** 2))
+
+
 def test_profile_spec_samples_a_box_far_wider_than_its_width_without_overflow():
     # |x|^2 / (2 width^2) overflows to inf off the centre; exp(-inf) = 0 is exact.
     u = ProfileSpec(width=1e-150).realize(Grid(1, 8, 1e10))
