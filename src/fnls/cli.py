@@ -173,7 +173,22 @@ def cmd_evolve(args):
     print(f"wrote {i + 1} snapshots to {args.out}")
 
 
+NORMS_HEADER = ["q", "r", "s", "sigma", "variant", "snapshots", "value"]
+
+
 def cmd_norms(args):
+    spec = SpacetimeNormSpec(
+        q=args.q, r=args.r, s=args.s, sigma=args.sigma, variant=args.variant
+    )
+    path = os.path.join(args.traj, "norms.csv")
+    new = not os.path.exists(path)
+    if not new:  # rows are appended only under the header they belong to
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if header != NORMS_HEADER:
+            raise ValueError(
+                f"{path}: header {','.join(header)!r} is not {','.join(NORMS_HEADER)!r}"
+            )
     with open(os.path.join(args.traj, "diagnostics.csv")) as fh:
         times = [float(row["time"]) for row in csv.DictReader(fh)]
     if not times:
@@ -187,19 +202,14 @@ def cmd_norms(args):
             d = u.grid.d
             yield t, u
 
-    spec = SpacetimeNormSpec(
-        q=args.q, r=args.r, s=args.s, sigma=args.sigma, variant=args.variant
-    )
     value = spacetime_norm(stream(), spec)
     print(f"spacetime norm (q={args.q:g}, r={args.r:g}, s={args.s:g}, "
           f"variant={args.variant}, d={d}): {value:.12g}")
-    path = os.path.join(args.traj, "norms.csv")
-    new = not os.path.exists(path)
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new:
-            writer.writerow(["q", "r", "s", "variant", "snapshots", "value"])
-        writer.writerow([args.q, args.r, args.s, args.variant, len(times), value])
+            writer.writerow(NORMS_HEADER)
+        writer.writerow([args.q, args.r, args.s, args.sigma, args.variant, len(times), value])
 
 
 def cmd_soliton(args):
@@ -226,7 +236,7 @@ def cmd_soliton(args):
     lines = [
         f"converged: {result.converged}",
         f"iterations: {len(result.residual_history)}",
-        f"final residual: {result.residual_history[-1]:.6e}",
+        f"final residual: {min(result.residual_history):.6e}",
         f"symbol min: {result.symbol_min:.6e}",
     ]
     if result.converged and "t_end" in cfg:

@@ -208,11 +208,11 @@ class EvolveConfig:
     scheme: str = "strang"
 
     def __post_init__(self):
-        # In the `not x > 0` form, so that NaN fails as well.
         check_step(self.dt, self.t_end)
         stride = self.snapshot_stride
         if not (stride >= 1 and (stride == math.inf or stride % 1 == 0)):
             raise ValueError("snapshot stride must be a whole number >= 1 or inf")
+        # In the `not x > 0` form, so that NaN fails as well.
         if not self.mass_drift_guard > 0:
             raise ValueError("mass_drift_guard must be positive")
         if self.scheme not in SCHEMES:
@@ -240,21 +240,12 @@ def snapshots(u0, cfg):
     """Yield (t, u, diagnostics) at t = 0, every stride steps and cfg.t_end.
 
     The run takes `step_plan`'s equal steps h, so cfg.dt (or `default_dt`) is
-    its longest step; step k ends at t = k h. A step runs the stages of
-    `SCHEMES[cfg.scheme]`: stage i multiplies the held spectrum by exp(i a_i h
-    omega) and rotates by b_i h in space between one FFT pair, and the step
-    ends with its closing flow exp(i a_s h omega), so between steps the held
-    spectrum is the solution's at t = k h. Each distinct fraction gets its
-    propagator once per run. A snapshot inverts a copy of the held spectrum;
-    the run's last one drops every propagator and yields the held spectrum
-    itself inverted. A stage whose rotation is not finite raises at its step's
-    end time, a snapshot that trips the mass-drift or non-finite guard raises,
-    and a model whose dimension is not the grid's or a plan that `step_plan`
-    refuses raises ValueError before the first row. A run whose `phase_bound`
-    at A = `free_amplitude`(F[u0]), summed a block at a time, is at most
-    `ROUNDOFF` builds no stage: one multiply by `linear_flow`(omega, n h)
-    advances each interval of n steps between snapshots. Both kinds of run
-    share one loop over the intervals, with its rows and guards.
+    its longest step; step k ends at t = k h. How a step is split, and when a
+    run skips its rotations and jumps from snapshot to snapshot, is the module
+    docstring's. A stage whose rotation is not finite raises at its step's end
+    time, a snapshot that trips the mass-drift or non-finite guard raises, and
+    a model whose dimension is not the grid's or a plan that `step_plan`
+    refuses raises ValueError before the first row.
     """
     params = cfg.params
     grid = u0.grid

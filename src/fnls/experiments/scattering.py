@@ -12,7 +12,7 @@ from ..grid import Grid
 from ..observables import scattering_defects
 from ..io import write_field
 from ..spectral import INHOMOGENEOUS, fft, sobolev_norm
-from .report import ExperimentReport
+from .report import ExperimentReport, sweep
 
 
 SNAPSHOTS = 40  # a run's snapshot spacing is t_end / SNAPSHOTS
@@ -37,30 +37,28 @@ def run_scattering_probe(
 ):
     """Evolve small data and report the defect decay across time windows.
 
-    The run snapshots every tau = t_end / `SNAPSHOTS` on one clock: it takes
-    `evolution.step_plan`(tau, min(dt, tau))'s "blanes_moan4" steps h = tau /
-    ceil(tau / dt), so dt (by default the scheme's, and checked against t_end
-    by `evolution.check_step`) is its longest step. There must be
+    amplitude_list is a sweep (`report.sweep`): positive, finite and
+    distinct amplitudes, run in increasing order. The run snapshots every tau
+    = t_end / `SNAPSHOTS` on one clock: it takes `evolution.step_plan`(tau,
+    min(dt, tau))'s "blanes_moan4" steps h = tau / ceil(tau / dt), so dt (by
+    default the scheme's, and checked against t_end by
+    `evolution.check_step`) is its longest step. There must be
     two windows or more, each (lo, hi) with 0 <= lo < hi <= t_end, ending at
     or before the next one starts, and with edges that are multiples of tau to
     1e-9 tau, or the probe raises ValueError before any run. A window sums the
     Duhamel increments k, from k tau to (k + 1) tau, with lo / tau <= k < hi /
     tau; the defect decays when each window's sum is below the one before.
     Each run streams: `evolution.snapshots` feeds one `scattering_defects`
-    pass, which gives the H^(s_c) increments of the interaction-picture field
-    under the run's dispersion nu^(2 sigma) |xi|^(2 sigma) directly (at the
-    noise floor for tiny amplitudes) and through the Duhamel integrand
-    (resolved at any amplitude); only the latest field is kept besides, for
-    save_dir. The report inputs record nu, the scheme, the step taken as dt,
-    steps, tau as snapshot_spacing, the snapshot count and each amplitude's
-    `evolution.phase_bound`: a run whose bound is at most `evolution.ROUNDOFF`
-    (2^-53) skips its rotations and jumps from snapshot to snapshot, one
-    multiply by the linear flow over tau per snapshot, 40 a run, whatever its
-    step count.
+    pass, and only the latest field is kept besides, for save_dir. The report
+    inputs record nu, the scheme, the step taken as dt, steps, tau as
+    snapshot_spacing, the snapshot count and each amplitude's
+    `evolution.phase_bound`, whose use the `fnls.evolution` module docstring
+    states.
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
     require_regime(CRITICAL_LWP, d, p, sigma, s_c, "scattering probe")
+    amplitude_list = sweep(amplitude_list, "amplitude_list", 1, "to probe")
     if len(windows) < 2:
         raise ValueError(f"windows needs at least two (lo, hi) pairs; got {len(windows)}")
     for lo, hi in windows:

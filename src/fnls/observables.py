@@ -54,11 +54,19 @@ def energy(u, sigma, mu, p):
 
 @dataclass(frozen=True)
 class SpacetimeNormSpec:
+    """The exponents of `spacetime_norm`: sigma in (0, 1] and a finite s, or ValueError."""
+
     q: float
     r: float
     s: float
     sigma: float
     variant: str = PLAIN
+
+    def __post_init__(self):
+        if not 0 < self.sigma <= 1:
+            raise ValueError(f"sigma must lie in (0, 1]; got {self.sigma:g}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite; got {self.s:g}")
 
     def validate(self, d):
         if not is_admissible(self.q, self.r, d):

@@ -113,7 +113,9 @@ def petviashvili_solve(cfg, seed):
 
     Row i of `residual_history` and `stabilization_history` holds the
     residual and M at iterate i; row 0 is the seed. At most max_iter
-    iterates are evaluated, and Q is the last one. The symbol is evaluated
+    iterates are evaluated, and Q is the first one whose residual is
+    min(residual_history): a converged solve's last, else its best, whose
+    spectrum the solve holds a copy of. The symbol is evaluated
     once per solve; the FFT count is 2 (iterates + 1), the seed's forward
     transform and Q's inverse one included.
     """
@@ -129,13 +131,15 @@ def petviashvili_solve(cfg, seed):
     slots = ANDERSON_DEPTH + 1
     x = fft(seed)
     # Rings of the last ANDERSON_DEPTH + 1 values of G(x) and f = G(x) - x,
-    # and no other full-size buffer: an iterate's N and F[N] are formed in
-    # its G slot, its linear term and residual in its f slot.
+    # and besides x and the best iterate's copy no other full-size buffer:
+    # an iterate's N and F[N] are formed in its G slot, its linear term and
+    # residual in its f slot.
     G = np.empty((slots,) + grid.shape, dtype=np.complex128)
     f_ring = np.empty_like(G)
     gram = np.zeros((slots, slots))
     held = []
     result = SolitonResult(seed, symbol_min=sym_min)
+    best, best_res = x.copy(), np.inf
     prev_res = np.inf
     stall = 0
     for k in range(cfg.max_iter):
@@ -154,6 +158,9 @@ def petviashvili_solve(cfg, seed):
         res = float(np.sqrt(_real_inner(f, f) / _real_inner(x, x)))
         result.residual_history.append(res)
         result.stabilization_history.append(M)
+        if res < best_res:
+            best_res = res
+            np.copyto(best, x)
         if res < cfg.tol:
             result.converged = True
             break
@@ -187,7 +194,7 @@ def petviashvili_solve(cfg, seed):
                 np.multiply(G[j], cj, out=tmp)
                 x += tmp
         held = (held + [s])[-ANDERSON_DEPTH:]
-    result.Q = ComplexField(grid, np.fft.ifftn(x, out=x))
+    result.Q = ComplexField(grid, np.fft.ifftn(best, out=best))
     return result
 
 

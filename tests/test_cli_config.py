@@ -170,6 +170,16 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ),
         ("dispersive", "t_grid = 0, 5, 10", ValueError, "t_grid entries must be positive"),
         ("dispersive", "N_list = 1, -4", ValueError, "N_list entries must be positive"),
+        # Each amplitude is a run of its own, under its own fit and check keys.
+        (
+            "scatter", "amplitude_list = 1e-3, 1e-3", ValueError,
+            "amplitude_list entries must differ; got 0.001 twice",
+        ),
+        ("scatter", "amplitude_list = 0", ValueError, "amplitude_list entries must be positive"),
+        (
+            "scatter", "amplitude_list = -1e-3", ValueError,
+            "amplitude_list entries must be positive and finite; got -0.001",
+        ),
         # Runs of ~1e301 and 1e299 steps, and a field whose mass is inf.
         ("evolve", "t_end = 1e300", ValueError, r"t_end = 1e\+300 .* more than MAX_STEPS"),
         ("evolve", "dt = 1e-300", ValueError, r"t_end = 0.1 in steps of at most dt = 1e-300"),
@@ -207,7 +217,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         "evolve-width-0", "evolve-width-1e300", "evolve-amplitude-inf", "evolve-L-1e-300",
         "dispersive-N_list-1", "dispersive-t_grid-2", "small-dispersion-nu_list-2",
         "galilean-nu_list-1", "scatter-one-window", "scatter-late-first", "scatter-off-the-clock",
-        "dispersive-t_grid-0", "dispersive-N_list-negative", "evolve-t_end-1e300",
+        "dispersive-t_grid-0", "dispersive-N_list-negative", "scatter-amplitude-repeated",
+        "scatter-amplitude-0", "scatter-amplitude-negative", "evolve-t_end-1e300",
         "evolve-dt-1e-300", "evolve-amplitude-1e200", "evolve-amplitude-1e153",
         "soliton-t_end-negative",
         "soliton-t_end-inf", "soliton-t_end-1e300", "soliton-dt-negative", "soliton-dt-inf",

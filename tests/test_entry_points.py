@@ -6,6 +6,7 @@ outputs under `tmp_path`, and reads back the files the subcommand wrote.
 
 import ast
 import csv
+import importlib
 import math
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fnls
 from fnls.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -98,6 +100,57 @@ def test_readme_soliton_example_converges_to_its_traveling_wave(tmp_path):
     assert "converged: True" in lines
     (line,) = [line for line in lines if line.startswith("traveling-wave mismatch at t=1.0: ")]
     assert float(line.split(": ")[1]) < 1e-5
+
+
+def _readme_code_spans():
+    return re.findall(r"`([^`]*)`", README.read_text())
+
+
+def test_readme_names_every_public_name():
+    words = {word for span in _readme_code_spans() for word in re.findall(r"\w+", span)}
+    assert sorted(set(fnls.__all__) - words) == []
+
+
+def _resolve(dotted):
+    """The object a dotted fnls name denotes: its longest importable module, then attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[i:]:
+            obj = getattr(obj, part)
+        return obj
+
+
+def test_readme_dotted_names_resolve():
+    cited = set(re.findall(r"(?<![\w.])fnls(?:\.\w+)+", README.read_text()))
+    assert len(cited) >= 10
+    for dotted in sorted(cited):
+        assert _resolve(dotted) is not None, dotted
+
+
+def test_readme_names_every_file_a_subcommand_writes(tmp_path):
+    run = _run(tmp_path, "evolve", "sigma = 0.75\np = 3\nn = 64\nL = 20\nt_end = 0.02\n", "run")
+    assert main(["norms", "--traj", str(run), "--q", "6", "--r", "6", "--sigma", "0.75"]) == 0
+    _run(tmp_path, "soliton", "sigma = 0.75\np = 3\nmu = -1\nn = 64\nL = 20\n", "sol")
+    cfg = tmp_path / "sc.cfg"
+    cfg.write_text(
+        "sigma = 0.75\np = 7\nn = 64\nL = 20\nt_end = 0.4\nwindows = 0.1:0.2, 0.2:0.4\n"
+    )
+    main(["scatter", "--config", str(cfg), "--out", str(tmp_path / "sc")])  # any verdict
+    written = {
+        re.sub(r"\d{5}", "#####", path.name)
+        for out in (run, tmp_path / "sol", tmp_path / "sc")
+        for path in out.iterdir()
+    }
+    assert written == {
+        "diagnostics.csv", "snap_#####.fnls", "norms.csv", "Q.fnls", "residuals.csv",
+        "report.csv", "summary.txt",
+    }
+    spans = set(_readme_code_spans())
+    assert sorted(written - spans) == []
 
 
 def test_small_dispersion_evolve_conserves_the_energy(tmp_path):

@@ -552,6 +552,7 @@ def test_cli_evolve_norms_round_trip(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["snapshots"] == str(len(snaps))
+    assert rows[0]["sigma"] == "0.75"
 
 
 def test_cli_evolve_ends_at_t_end_to_one_rounding(tmp_path):
@@ -664,6 +665,41 @@ def test_cli_norms_holds_at_most_two_snapshots(tmp_path, monkeypatch):
         assert main(argv + ["--variant", variant]) == 0
     assert len(alive) == 2 * len(_masses(run_dir)) == 12
     assert most <= 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, match",
+    [
+        ("--sigma", "5", "sigma must lie in"),
+        ("--sigma", "-1", "sigma must lie in"),
+        ("--sigma", "0", "sigma must lie in"),
+        ("--sigma", "nan", "sigma must lie in"),
+        ("--s", "nan", "s must be finite"),
+        ("--s", "inf", "s must be finite"),
+    ],
+)
+def test_cli_norms_rejects_a_sigma_or_s_before_reading_a_snapshot(
+    tmp_path, monkeypatch, flag, value, match
+):
+    code, run_dir = _evolve_run(tmp_path, "run")
+    assert code == 0
+    monkeypatch.setattr(cli, "read_field", lambda path: pytest.fail(f"read {path}"))
+    argv = ["norms", "--traj", str(run_dir), "--q", "6", "--r", "6", "--sigma", "0.75"]
+    with pytest.raises(ValueError, match=match):
+        main(argv + [flag, value])
+    assert not (run_dir / "norms.csv").exists()
+
+
+def test_cli_norms_appends_only_under_its_own_header(tmp_path):
+    code, run_dir = _evolve_run(tmp_path, "run")
+    assert code == 0
+    norms = run_dir / "norms.csv"
+    old = "q,r,s,variant,snapshots,value\n6.0,6.0,0.0,PLAIN,6,1.0\n"
+    norms.write_text(old)
+    argv = ["norms", "--traj", str(run_dir), "--q", "6", "--r", "6", "--sigma", "0.75"]
+    with pytest.raises(ValueError, match=re.escape(f"{norms}: header")):
+        main(argv)
+    assert norms.read_text() == old
 
 
 def test_cli_norms_rejects_a_run_with_no_snapshots(tmp_path):
