@@ -16,7 +16,7 @@ from .config import load_config
 from .evolution import EvolveConfig, snapshots, step_plan
 from .exponents import classify_regime
 from .grid import Grid
-from .io import read_field, write_field
+from .io import read_field, read_header, write_field
 from .model import ModelParams
 from .observables import PLAIN, SpacetimeNormSpec, spacetime_norm
 from .profiles import ProfileSpec
@@ -193,16 +193,11 @@ def cmd_norms(args):
         times = [float(row["time"]) for row in csv.DictReader(fh)]
     if not times:
         raise ValueError(f"{args.traj}: diagnostics.csv lists no snapshots")
-    d = None
-
-    def stream():
-        nonlocal d
-        for i, t in enumerate(times):
-            u = read_field(os.path.join(args.traj, f"snap_{i:05d}.fnls"))
-            d = u.grid.d
-            yield t, u
-
-    value = spacetime_norm(stream(), spec)
+    paths = [os.path.join(args.traj, f"snap_{i:05d}.fnls") for i in range(len(times))]
+    with open(paths[0], "rb") as fh:  # (q, r) is checked before any samples are read
+        d = read_header(fh, paths[0]).d
+    spec.validate(d)
+    value = spacetime_norm(((t, read_field(path)) for t, path in zip(times, paths)), spec)
     print(f"spacetime norm (q={args.q:g}, r={args.r:g}, s={args.s:g}, "
           f"variant={args.variant}, d={d}): {value:.12g}")
     with open(path, "a", newline="") as fh:
@@ -223,8 +218,8 @@ def cmd_soliton(args):
             step_plan(t_end, dt)
         except ValueError as err:
             raise ValueError(f"{args.config}: soliton's traveling check: {err}") from None
-    os.makedirs(args.out, exist_ok=True)
     result = petviashvili_solve(scfg, seed)
+    os.makedirs(args.out, exist_ok=True)  # a failed solve leaves no --out
     write_field(os.path.join(args.out, "Q.fnls"), result.Q)
     with open(os.path.join(args.out, "residuals.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

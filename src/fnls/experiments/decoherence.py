@@ -13,8 +13,9 @@ from ..evolution import check_step, final_state, nonlinear_phase
 from ..exponents import ILLPOSED_RANGE, require_regime, smallest_integer_above
 from ..grid import Grid
 from ..io import write_field
-from ..observables import lp_band_energy_fraction
-from ..spectral import INHOMOGENEOUS, lebesgue_norm, round_velocity, sobolev_norm
+from ..spectral import (
+    INHOMOGENEOUS, fft, lebesgue_norm, round_velocity, sobolev_norm, tail_fraction,
+)
 from .galilean import build_tilde
 from .report import ExperimentReport, sweep
 
@@ -98,7 +99,12 @@ def run_decoherence(
 
     # Every nu's boost is checked before the first run, so none leaves fields behind.
     expo = (1.0 / s) * (d * (1 - alpha) / 2 + 2 * alpha * sigma / (p - 1))
-    boosts = [nu**expo * epsilon ** (1.0 / s) for nu in nu_list]
+    try:
+        boosts = [nu**expo * epsilon ** (1.0 / s) for nu in nu_list]
+    except OverflowError:
+        boosts = [np.inf]
+    if not all(np.isfinite(boosts)):
+        raise ValueError("derived |v| is not a finite number; adjust epsilon/alpha")
     if min(boosts) < 1:
         raise ValueError(f"derived |v| = {min(boosts):.3g} < 1; adjust epsilon/alpha")
 
@@ -138,9 +144,7 @@ def run_decoherence(
         correction = (
             abs(np.log(nu)) * (lam / nu) ** (-k) * vmag ** (-s - k)
         )
-        alias = lp_band_energy_fraction(
-            fields[("a", t_dec)], 0.9 * grid_x.k_nyquist
-        )
+        alias = tail_fraction(fft(fields[("a", t_dec)]), grid_x.k_abs >= 0.9 * grid_x.k_nyquist)
 
         row = {
             "nu": nu,

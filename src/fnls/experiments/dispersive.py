@@ -64,10 +64,12 @@ def run_dispersive_decay(
 ):
     """Measure the time-decay slope and the across-N prefactor scaling.
 
-    N_list (two or more) and t_grid (three or more) are `sweep`s, run in
-    increasing order, and grid, when given, must be d-dimensional: otherwise
-    the runner raises ValueError before its first run.
+    sigma must lie in (0, 1], N_list (two or more) and t_grid (three or more)
+    are `sweep`s, run in increasing order, and grid, when given, must be
+    d-dimensional: otherwise the runner raises ValueError before its first run.
     """
+    if not 0 < sigma <= 1:
+        raise ValueError(f"sigma must lie in (0, 1]; got {sigma!r}")
     N_list = sweep(N_list, "N_list", 2, "for the prefactor")
     t_grid = sweep(t_grid, "t_grid", 3, "for the decay fit")
     if grid is None:

@@ -1,6 +1,7 @@
 """Small-data scattering probe via the Cauchy defect of the interaction picture."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ def run_scattering_probe(
     """Evolve small data and report the defect decay across time windows.
 
     amplitude_list is a sweep (`report.sweep`): positive, finite and
-    distinct amplitudes, run in increasing order. The run snapshots every tau
+    distinct amplitude factors, run in increasing order. The run snapshots every tau
     = t_end / `SNAPSHOTS` on one clock: it takes `evolution.step_plan`(tau,
     min(dt, tau))'s "blanes_moan4" steps h = tau / ceil(tau / dt), so dt (by
     default the scheme's, and checked against t_end by
@@ -53,7 +54,7 @@ def run_scattering_probe(
     inputs record nu, the scheme, the step taken as dt, steps, tau as
     snapshot_spacing, the snapshot count and each amplitude's
     `evolution.phase_bound`, whose use the `fnls.evolution` module docstring
-    states.
+    states. Each datum is `ProfileSpec`'s, and all are checked before the first run.
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
@@ -109,8 +110,10 @@ def run_scattering_probe(
         },
     )
 
-    for amp in amplitude_list:
-        u0 = amp * profile.realize(grid)
+    data = [  # realized, and so checked by ProfileSpec, before the first run
+        replace(profile, amplitude=a * profile.amplitude).realize(grid) for a in amplitude_list
+    ]
+    for amp, u0 in zip(amplitude_list, data):
         hc0 = sobolev_norm(u0, s_c, INHOMOGENEOUS)
         report.inputs["phase_bound"].append(
             phase_bound(free_amplitude(fft(u0)), params, t_end, scheme)

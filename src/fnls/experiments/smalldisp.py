@@ -29,16 +29,21 @@ def run_small_dispersion(
     ||f(nu .)||_{Hdot^s} = nu^(s - d/2) ||f||_{Hdot^s}.
     nu_list (three or more) is a `sweep` in (0, 1], run largest first,
     t_eval must be positive and finite, and dt, by default the scheme's, must
-    pass `evolution.check_step` against it.
+    pass `evolution.check_step` against it. hs_track must be finite and the
+    datum nonzero on the grid.
     """
     nu_list = sweep(nu_list, "nu_list", 3, "for the error fit", upper=1)[::-1]
     check_step(dt, t_eval, horizon="t_eval")
     if t_eval == 0:  # the error fit takes the log of an error that is 0 at t = 0
         raise ValueError("t_eval must be positive; got 0")
+    if not np.isfinite(hs_track):
+        raise ValueError(f"hs_track must be finite; got {hs_track!r}")
     if grid is None:
         grid = Grid(params.d, 512, 16 * np.pi)
     phi0 = profile.realize(grid)
     phi0_linf = lebesgue_norm(phi0, np.inf)
+    if phi0_linf == 0:  # the L^inf ratios divide by it
+        raise ValueError(f"profile_amplitude {profile.amplitude!r} gives a zero datum on the grid")
 
     report = ExperimentReport(
         "small_dispersion",

@@ -30,10 +30,12 @@ def mode_indices(n):
 
 
 def axis_vector(v, d, name="velocity"):
-    """v as a float array of d per-axis components; ValueError otherwise."""
+    """v as a float array of d finite per-axis components; ValueError otherwise."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (d,):
         raise ValueError(f"{name} must have {d} components")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite; got {v.tolist()}")
     return v
 
 

@@ -37,21 +37,26 @@ def _unpack(fh, fmt, path):
     return struct.unpack(fmt, raw)
 
 
+def read_header(fh, path):
+    """The Grid of the FNLS1 file open as fh, read up to its samples; ValueError if none."""
+    if fh.read(4) != MAGIC:
+        raise ValueError(f"{path}: not an FNLS1 file")
+    version, d = _unpack(fh, "<II", path)
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported FNLS version {version}")
+    if d not in (1, 2, 3):  # before sizing the axis records by d
+        raise ValueError(f"{path}: dimension {d} is not 1, 2 or 3")
+    axes = _unpack(fh, "<" + "Qd" * d, path)
+    try:
+        return Grid(d, axes[0::2], axes[1::2])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def read_field(path):
     """Read an FNLS1 file back into a ComplexField; ValueError if it is not one."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not an FNLS1 file")
-        version, d = _unpack(fh, "<II", path)
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported FNLS version {version}")
-        if d not in (1, 2, 3):  # before sizing the axis records by d
-            raise ValueError(f"{path}: dimension {d} is not 1, 2 or 3")
-        axes = _unpack(fh, "<" + "Qd" * d, path)
-        try:
-            grid = Grid(d, axes[0::2], axes[1::2])
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+        grid = read_header(fh, path)
         values = np.fromfile(fh, dtype="<c16", count=grid.total_points)
         trailing = fh.read(1)
     if values.size != grid.total_points:

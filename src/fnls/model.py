@@ -1,5 +1,6 @@
 """Equation coefficients."""
 
+import math
 from dataclasses import dataclass
 
 from .symbols import FractionalLaplacian, evaluate_symbol
@@ -24,8 +25,8 @@ class ModelParams:
             raise ValueError("d must be 1, 2 or 3")
         if not 0 < self.sigma <= 1:
             raise ValueError("sigma must lie in (0, 1]")
-        if not self.p > 1:
-            raise ValueError("p must exceed 1")
+        if not 1 < self.p < math.inf:
+            raise ValueError(f"p must exceed 1 and be finite; got {self.p!r}")
         if self.mu not in (1, -1):
             raise ValueError("mu must be +1 or -1")
         if not 0 <= self.nu <= 1:

@@ -174,16 +174,6 @@ def scattering_defects(snapshots, params, s_c):
         prev = t, a, n
 
 
-def lp_band_energy_fraction(u, k_threshold):
-    """Fraction of spectral energy at |xi| >= k_threshold (aliasing monitor)."""
-    e = abs_power(fft(u), 2)
-    total = float(np.sum(e))
-    if total == 0:
-        return 0.0
-    high = float(np.sum(e[u.grid.k_abs >= k_threshold]))
-    return high / total
-
-
 __all__ = [
     "mass",
     "energy",
@@ -191,7 +181,6 @@ __all__ = [
     "SpacetimeNormSpec",
     "spacetime_norm",
     "scattering_defects",
-    "lp_band_energy_fraction",
     "PLAIN",
     "TILDE",
 ]

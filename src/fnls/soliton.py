@@ -38,8 +38,8 @@ class SolitonConfig:
             raise ValueError("soliton profiles need the focusing sign mu = -1")
         if self.params.nu != 1:
             raise ValueError("soliton profiles need full dispersion nu = 1")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite; got {self.omega!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0:

@@ -61,6 +61,13 @@ def plancherel(spectrum, weight2, grid):
     return float(np.sum(a) / grid.total_points * grid.cell_volume)
 
 
+def tail_fraction(spectrum, outside):
+    """Share of sum |s_k|^2 on the modes where outside is True; 0 for a zero spectrum."""
+    e = abs_power(spectrum, 2)
+    total = float(np.sum(e))
+    return float(np.sum(e[outside])) / total if total else 0.0
+
+
 def _axis_box(support):
     """FFT-order slices of an axis that hold the modes |m| <= K.
 
@@ -183,14 +190,14 @@ def rescale(u, beta, n_target):
     # The modes both axes resolve, m in (-min(ns, nt)/2, min(ns, nt)/2].
     common = [mode_indices(min(ns, nt)) for ns, nt in zip(grid.n, target.n)]
     src = fft(u) / grid.total_points
-    kept = src[np.ix_(*[m % ns for m, ns in zip(common, grid.n)])]
-    total = np.sum(abs_power(src, 2))
-    if total > 0:
-        discarded = 1.0 - np.sum(abs_power(kept, 2)) / total
-        if discarded > RESCALE_ALIAS_TOL:
-            raise RescaleAliasingError(
-                f"rescale aliasing: {discarded:.3e} of spectral energy beyond target Nyquist"
-            )
+    box = np.ix_(*[m % ns for m, ns in zip(common, grid.n)])
+    outside = np.ones(grid.shape, dtype=bool)
+    outside[box] = False
+    discarded = tail_fraction(src, outside)
+    if discarded > RESCALE_ALIAS_TOL:
+        raise RescaleAliasingError(
+            f"rescale aliasing: {discarded:.3e} of spectral energy beyond target Nyquist"
+        )
     dst = np.zeros(target.shape, dtype=np.complex128)
-    dst[np.ix_(*[m % nt for m, nt in zip(common, target.n)])] = kept
+    dst[np.ix_(*[m % nt for m, nt in zip(common, target.n)])] = src[box]
     return field_from_spectrum(target, dst * target.total_points)

@@ -10,7 +10,7 @@ import fnls.cli as cli
 import fnls.experiments as exp
 from fnls.cli import CONFIG_KEYS, KEY_TYPES, _load_config, main
 from fnls.config import load_config
-from fnls.errors import RegimeError, WrapAroundError
+from fnls.errors import RegimeError, SingularSymbolError, WrapAroundError
 from fnls.evolution import EvolveConfig
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
@@ -105,11 +105,15 @@ BASE = {
 }
 
 
-def _base_with(command, line):
-    """(key, config text): BASE[command] with line in place of its key's own line."""
+def _with(text, line):
+    """(key, config text): text with line in place of its key's own line."""
     key = line.split(" = ")[0]
-    base = [row for row in BASE[command].splitlines() if not row.startswith(key + " ")]
-    return key, "\n".join(base + [line]) + "\n"
+    rows = [row for row in text.splitlines() if not row.startswith(key + " ")]
+    return key, "\n".join(rows + [line]) + "\n"
+
+
+def _base_with(command, line):
+    return _with(BASE[command], line)
 
 
 # Casting would turn these into n = 64, stride 2, k = 2, mu = -1,
@@ -210,6 +214,37 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
             "soliton", "t_end = 1\ndt = inf", ValueError,
             r"run\.cfg: .*dt must be positive and finite; got inf",
         ),
+        # Inputs that crashed mid-run, past the checks that came before.
+        ("dispersive", "sigma = -1", ValueError, r"sigma must lie in \(0, 1\]; got -1"),
+        ("dispersive", "sigma = 1e300", ValueError, r"sigma must lie in \(0, 1\]; got 1e\+300"),
+        ("dispersive", "sigma = 0", ValueError, r"sigma must lie in \(0, 1\]; got 0"),
+        (
+            "small-dispersion", "profile_amplitude = 0", ValueError,
+            "profile_amplitude 0.0 gives a zero datum on the grid",
+        ),
+        ("small-dispersion", "hs_track = inf", ValueError, "hs_track must be finite; got inf"),
+        ("small-dispersion", "hs_track = -inf", ValueError, "hs_track must be finite; got -inf"),
+        (
+            "decohere", "alpha = 1e300", ValueError,
+            r"derived \|v\| is not a finite number; adjust epsilon/alpha",
+        ),
+        (
+            "decohere", "epsilon = 1e-300", ValueError,
+            r"derived \|v\| is not a finite number; adjust epsilon/alpha",
+        ),
+        ("evolve", "p = inf", ValueError, "p must exceed 1 and be finite; got inf"),
+        ("small-dispersion", "p = inf", ValueError, "p must exceed 1 and be finite; got inf"),
+        ("galilean", "p = inf", ValueError, "p must exceed 1 and be finite; got inf"),
+        ("scatter", "p = inf", ValueError, "p must exceed 1 and be finite; got inf"),
+        ("soliton", "omega = inf", ValueError, "omega must be positive and finite; got inf"),
+        ("soliton", "v = inf", ValueError, r"velocity must be finite; got \[inf\]"),
+        ("galilean", "v = inf", ValueError, r"velocity must be finite; got \[inf\]"),
+        ("galilean", "v = -inf", ValueError, r"velocity must be finite; got \[-inf\]"),
+        # Each probe datum is ProfileSpec's, whose mass bound applies.
+        (
+            "scatter", "amplitude_list = 1e300", ValueError,
+            r"amplitude 1e\+300 gives a field of infinite mass",
+        ),
     ],
     ids=[
         "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "scatter-t_end-10",
@@ -222,6 +257,12 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         "evolve-dt-1e-300", "evolve-amplitude-1e200", "evolve-amplitude-1e153",
         "soliton-t_end-negative",
         "soliton-t_end-inf", "soliton-t_end-1e300", "soliton-dt-negative", "soliton-dt-inf",
+        "dispersive-sigma-negative", "dispersive-sigma-1e300", "dispersive-sigma-0",
+        "small-dispersion-amplitude-0", "small-dispersion-hs_track-inf",
+        "small-dispersion-hs_track-negative-inf", "decohere-alpha-1e300",
+        "decohere-epsilon-1e-300", "evolve-p-inf", "small-dispersion-p-inf", "galilean-p-inf",
+        "scatter-p-inf", "soliton-omega-inf", "soliton-v-inf", "galilean-v-inf",
+        "galilean-v-negative-inf", "scatter-amplitude-1e300",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
@@ -346,6 +387,39 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
             "galilean", "sigma = 0.75\np = 3\nt_eval = 0\n", ValueError,
             "t_eval must be positive; got 0",
         ),
+        # Inputs that crashed mid-run, past the checks that came before.
+        ("dispersive", "sigma = -1\n", ValueError, r"sigma must lie in \(0, 1\]; got -1"),
+        ("dispersive", "sigma = 1e300\n", ValueError, r"sigma must lie in \(0, 1\]"),
+        ("dispersive", "sigma = 0\n", ValueError, r"sigma must lie in \(0, 1\]; got 0"),
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\nprofile_amplitude = 0\n", ValueError,
+            "profile_amplitude 0.0 gives a zero datum",
+        ),
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\nhs_track = inf\n", ValueError,
+            "hs_track must be finite; got inf",
+        ),
+        (
+            "small-dispersion", "sigma = 0.75\np = 3\nhs_track = -inf\n", ValueError,
+            "hs_track must be finite; got -inf",
+        ),
+        (
+            "decohere", "sigma = 0.75\np = 3\nalpha = 1e300\n", ValueError,
+            r"derived \|v\| is not a finite number",
+        ),
+        (
+            "decohere", "sigma = 0.75\np = 3\nepsilon = 1e-300\n", ValueError,
+            r"derived \|v\| is not a finite number",
+        ),
+        ("small-dispersion", "sigma = 0.75\np = inf\n", ValueError, "p must exceed 1 and be"),
+        ("galilean", "sigma = 0.75\np = inf\n", ValueError, "p must exceed 1 and be finite"),
+        ("scatter", "sigma = 0.75\np = inf\n", ValueError, "p must exceed 1 and be finite"),
+        ("galilean", "sigma = 0.75\np = 3\nv = inf\n", ValueError, "velocity must be finite"),
+        ("galilean", "sigma = 0.75\np = 3\nv = -inf\n", ValueError, "velocity must be finite"),
+        (
+            "scatter", "sigma = 0.75\np = 7\namplitude_list = 1e300\n", ValueError,
+            r"amplitude 1e\+300 gives a field of infinite mass",
+        ),
     ],
     ids=[
         "dispersive", "small-dispersion", "galilean", "decohere", "scatter", "scatter-windows",
@@ -357,7 +431,12 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         "galilean-dt_x-5", "galilean-dt_x-inf", "galilean-dt_y-5", "decohere-dt_y-100",
         "decohere-dt_y-negative", "small-dispersion-t_eval-negative",
         "small-dispersion-t_eval-inf", "small-dispersion-t_eval-0", "galilean-t_eval-negative",
-        "galilean-t_eval-inf", "galilean-t_eval-0",
+        "galilean-t_eval-inf", "galilean-t_eval-0", "dispersive-sigma-negative",
+        "dispersive-sigma-1e300", "dispersive-sigma-0", "small-dispersion-amplitude-0",
+        "small-dispersion-hs_track-inf", "small-dispersion-hs_track-negative-inf",
+        "decohere-alpha-1e300", "decohere-epsilon-1e-300", "small-dispersion-p-inf",
+        "galilean-p-inf", "scatter-p-inf", "galilean-v-inf", "galilean-v-negative-inf",
+        "scatter-amplitude-1e300",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
@@ -368,6 +447,83 @@ def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--save-fields"]
     with pytest.raises(error, match=match):
         main(argv)
+    assert not (tmp_path / "out").exists()
+
+
+# Tiny configs that run to exit 0, and the files each subcommand always writes.
+SMALL_RUNS = {
+    "evolve": BASE["evolve"],
+    "soliton": BASE["soliton"] + "t_end = 0.05\n",
+    "dispersive": "sigma = 0.75\nn = 1024\nN_list = 1, 4\nt_grid = 5, 10, 20\n",
+    "small-dispersion": (
+        "sigma = 0.75\np = 3\nn = 64\nL = 20\nnu_list = 0.5, 0.4, 0.3\nt_eval = 0.1\n"
+    ),
+    "galilean": (
+        "sigma = 0.75\np = 3\nnu_list = 0.5, 0.4, 0.3\nt_eval = 0.05\nn_x = 256\nL_x = 40\n"
+        "n_y = 64\nv = 4\n"
+    ),
+    "decohere": (
+        "sigma = 0.75\np = 3\nnu_list = 0.1, 0.09\nn_y = 64\nL_y = 20\nt_scan_max = 10\n"
+        "max_n_x = 1024\n"
+    ),
+    "scatter": "sigma = 0.75\np = 7\nn = 256\nL = 40\nt_end = 1\nwindows = 0.2:0.5, 0.5:1\n",
+}
+WRITES = {
+    "evolve": {"diagnostics.csv", "snap_00000.fnls"},
+    "soliton": {"Q.fnls", "residuals.csv", "summary.txt"},
+    **dict.fromkeys(cli.EXPERIMENTS, {"report.csv", "summary.txt"}),
+}
+
+
+def _infinite_configs(command):
+    """SMALL_RUNS[command] with each key that parses inf set to inf, then to -inf."""
+    required, optional = CONFIG_KEYS[command]
+    for key in required + optional:
+        try:
+            KEY_TYPES[key]("inf")
+        except ValueError:  # an integer, boolean or window key
+            continue
+        for value in ("inf", "-inf"):
+            yield _with(SMALL_RUNS[command], f"{key} = {value}")[1]
+
+
+# Every float and float-list key at +-inf either runs to exit 0 with the
+# subcommand's files, or is rejected before --out exists.
+@pytest.mark.parametrize(
+    "command, flags",
+    [pytest.param(command, [], id=command) for command in sorted(CONFIG_KEYS)]
+    + [
+        pytest.param(command, ["--save-fields"], id=f"{command}-save-fields")
+        for command in sorted(cli.EXPERIMENTS)
+    ],
+)
+def test_every_float_key_at_infinity_runs_or_is_rejected_before_out(tmp_path, command, flags):
+    cfg = tmp_path / "run.cfg"
+    broken = []
+    for i, text in enumerate([SMALL_RUNS[command], *_infinite_configs(command)]):
+        cfg.write_text(text)
+        out = tmp_path / f"out{i}"
+        try:
+            code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+        except (ValueError, RegimeError) as err:
+            if i == 0 or out.exists():
+                broken.append(f"{text.splitlines()[-1]}: {err!r}")
+            continue
+        except Exception as err:
+            broken.append(f"{text.splitlines()[-1]}: {err!r}")
+            continue
+        if code != 0 or not WRITES[command] <= {path.name for path in out.iterdir()}:
+            broken.append(f"{text.splitlines()[-1]}: exit {code}")
+    assert broken == []
+
+
+def test_soliton_leaves_no_out_behind_when_its_solve_fails(tmp_path, monkeypatch):
+    def fail(*args):
+        raise SingularSymbolError("symbol is not finite on the lattice")
+
+    monkeypatch.setattr(cli, "petviashvili_solve", fail)
+    with pytest.raises(SingularSymbolError):
+        _run(tmp_path, "soliton", BASE["soliton"])
     assert not (tmp_path / "out").exists()
 
 

@@ -676,9 +676,10 @@ def test_cli_norms_holds_at_most_two_snapshots(tmp_path, monkeypatch):
         ("--sigma", "nan", "sigma must lie in"),
         ("--s", "nan", "s must be finite"),
         ("--s", "inf", "s must be finite"),
+        ("--q", "5", re.escape("(q, r) = (5.0, 6.0) not admissible for d = 1")),
     ],
 )
-def test_cli_norms_rejects_a_sigma_or_s_before_reading_a_snapshot(
+def test_cli_norms_rejects_its_exponents_before_reading_a_snapshot(
     tmp_path, monkeypatch, flag, value, match
 ):
     code, run_dir = _evolve_run(tmp_path, "run")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fnls.grid import ComplexField, Grid, mode_indices
+from fnls.grid import ComplexField, Grid, axis_vector, mode_indices
 from fnls.io import read_field, write_field
 from fnls.profiles import ProfileSpec, gaussian
 
@@ -307,3 +307,9 @@ def test_read_field_returns_a_field_or_raises_value_error(fuzz_path, data):
     except ValueError:
         return
     assert fuzz_path.stat().st_size == 12 + 16 * field.grid.d + 16 * field.grid.total_points
+
+
+@pytest.mark.parametrize("v", [[np.inf], [-np.inf], [np.nan], [1.0, np.inf]])
+def test_axis_vector_rejects_a_non_finite_component(v):
+    with pytest.raises(ValueError, match=r"shift must be finite; got \["):
+        axis_vector(v, len(v), "shift")

@@ -12,7 +12,6 @@ from fnls.observables import (
     SpacetimeNormSpec,
     energy,
     field_diagnostics,
-    lp_band_energy_fraction,
     mass,
     scattering_defects,
     spacetime_norm,
@@ -149,13 +148,3 @@ def test_scattering_defect_forms_agree_at_moderate_amplitude():
     total_direct = sum(direct for _, _, direct, _ in rows)
     total_duhamel = sum(duhamel for _, _, _, duhamel in rows)
     assert total_duhamel == pytest.approx(total_direct, rel=0.05)
-
-
-def test_high_frequency_energy_fraction_is_monotone():
-    u = gaussian(GRID, amplitude=0.5, width=0.7)
-    f0 = lp_band_energy_fraction(u, 0.0)
-    f1 = lp_band_energy_fraction(u, 2.0)
-    f2 = lp_band_energy_fraction(u, 8.0)
-    assert f0 == pytest.approx(1.0)
-    assert f0 >= f1 >= f2 >= 0.0
-    assert f2 < 1e-10

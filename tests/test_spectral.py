@@ -22,6 +22,7 @@ from fnls.spectral import (
     round_velocity,
     sobolev_norm,
     spatial_shift,
+    tail_fraction,
 )
 from fnls.symbols import FractionalLaplacian, LpCutoff, evaluate_symbol
 from references import physical_sobolev_norm, spectral_l2_norm
@@ -280,3 +281,13 @@ def test_rescale_preserves_smooth_profiles():
     v = rescale(u, nu, 256)
     x_new = v.grid.x[0]
     assert np.max(np.abs(v.values - np.exp(-((nu * x_new) ** 2)))) < 1e-10
+
+
+def test_tail_fraction_is_monotone_in_its_cutoff():
+    grid = Grid(1, 256, 16 * np.pi)
+    uh = fft(gaussian(grid, amplitude=0.5, width=0.7))
+    f0, f1, f2 = (tail_fraction(uh, grid.k_abs >= k) for k in (0.0, 2.0, 8.0))
+    assert f0 == pytest.approx(1.0)
+    assert f0 >= f1 >= f2 >= 0.0
+    assert f2 < 1e-10
+    assert tail_fraction(np.zeros(grid.shape, dtype=np.complex128), grid.k_abs >= 0) == 0.0
