@@ -219,15 +219,6 @@ def cmd_soliton(args):
         except ValueError as err:
             raise ValueError(f"{args.config}: soliton's traveling check: {err}") from None
     result = petviashvili_solve(scfg, seed)
-    os.makedirs(args.out, exist_ok=True)  # a failed solve leaves no --out
-    write_field(os.path.join(args.out, "Q.fnls"), result.Q)
-    with open(os.path.join(args.out, "residuals.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual", "M_n"])
-        for i, (r, m) in enumerate(
-            zip(result.residual_history, result.stabilization_history)
-        ):
-            writer.writerow([i, r, m])
     lines = [
         f"converged: {result.converged}",
         f"iterations: {len(result.residual_history)}",
@@ -237,33 +228,42 @@ def cmd_soliton(args):
     if result.converged and "t_end" in cfg:
         mismatch = traveling_wave_check(result, scfg, t_end, dt)
         lines.append(f"traveling-wave mismatch at t={t_end}: {mismatch:.6e}")
+    os.makedirs(args.out, exist_ok=True)  # a failed solve or check leaves no --out
+    write_field(os.path.join(args.out, "Q.fnls"), result.Q)
+    with open(os.path.join(args.out, "residuals.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "residual", "M_n"])
+        for i, (r, m) in enumerate(
+            zip(result.residual_history, result.stabilization_history)
+        ):
+            writer.writerow([i, r, m])
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0 if result.converged else 1
 
 
-# Each experiment subcommand's runner, called with (cfg, save_dir).
+# Each experiment subcommand's runner, called with the config.
 EXPERIMENTS = {
-    "dispersive": lambda cfg, save_dir: exp.run_dispersive_decay(
-        grid=_grid_from(cfg), save_dir=save_dir, **_pick(cfg, "d sigma n N_list t_grid")
+    "dispersive": lambda cfg: exp.run_dispersive_decay(
+        grid=_grid_from(cfg), **_pick(cfg, "d sigma n N_list t_grid")
     ),
-    "small-dispersion": lambda cfg, save_dir: exp.run_small_dispersion(
-        _profile_from(cfg), _params_from(cfg), grid=_grid_from(cfg), save_dir=save_dir,
+    "small-dispersion": lambda cfg: exp.run_small_dispersion(
+        _profile_from(cfg), _params_from(cfg), grid=_grid_from(cfg),
         **_pick(cfg, "nu_list t_eval k dt hs_track"),
     ),
-    "galilean": lambda cfg, save_dir: exp.run_galilean_error(
-        _profile_from(cfg), _params_from(cfg), save_dir=save_dir,
+    "galilean": lambda cfg: exp.run_galilean_error(
+        _profile_from(cfg), _params_from(cfg),
         **_pick(cfg, "nu_list v k t_eval n_x L_x n_y dt_x dt_y"),
     ),
-    "decohere": lambda cfg, save_dir: exp.run_decoherence(
-        _profile_from(cfg), _params_from(cfg), save_dir=save_dir, **_pick(
+    "decohere": lambda cfg: exp.run_decoherence(
+        _profile_from(cfg), _params_from(cfg), **_pick(
             cfg, "nu_list a a_prime alpha s epsilon k t_scan_max n_y L_y dt_y max_n_x "
             "true_evolution"
         ),
     ),
-    "scatter": lambda cfg, save_dir: exp.run_scattering_probe(
-        _profile_from(cfg), _params_from(cfg), grid=_grid_from(cfg), save_dir=save_dir,
+    "scatter": lambda cfg: exp.run_scattering_probe(
+        _profile_from(cfg), _params_from(cfg), grid=_grid_from(cfg),
         **_pick(cfg, "amplitude_list t_end dt windows"),
     ),
 }
@@ -271,11 +271,11 @@ EXPERIMENTS = {
 
 def cmd_experiment(args):
     cfg = _load_config(args.config, args.command)
-    # Fields are written during the run; the first write makes --out, so a
-    # config the runner rejects leaves none.
-    save_dir = args.out if args.save_fields else None
-    report = EXPERIMENTS[args.command](cfg, save_dir)
+    report = EXPERIMENTS[args.command](cfg)  # the whole run, before --out is made
     report.write(args.out)
+    if args.save_fields:
+        for name, field in report.fields.items():
+            write_field(os.path.join(args.out, name), field)
     print("\n".join(report.summary_lines()))
     return 0 if report.passed else 1
 

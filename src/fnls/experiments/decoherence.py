@@ -12,7 +12,6 @@ import numpy as np
 from ..evolution import check_step, final_state, nonlinear_phase
 from ..exponents import ILLPOSED_RANGE, require_regime, smallest_integer_above
 from ..grid import Grid
-from ..io import write_field
 from ..spectral import (
     INHOMOGENEOUS, fft, lebesgue_norm, round_velocity, sobolev_norm, tail_fraction,
 )
@@ -40,7 +39,7 @@ def decoherence_time(profile_field, a, a_prime, mu, p, t_scan):
 def run_decoherence(
     profile, params, nu_list=(0.1, 0.09, 0.08), a=1.0, a_prime=0.9, alpha=1.2, s=-0.1,
     epsilon=5.0, k=None, t_scan_max=60.0, n_y=512, L_y=16 * np.pi, dt_y=None,
-    max_n_x=2**15, true_evolution=False, save_dir=None,
+    max_n_x=2**15, true_evolution=False,
 ):
     """Sweep nu; report sizes, distances and the inflation ratio per nu.
 
@@ -49,7 +48,9 @@ def run_decoherence(
     epsilon and t_scan_max must be positive and finite. k must be an integer
     above d/2 (by default the smallest), as the correction term
     |log nu| (lambda/nu)^(-k) |v|^(-s-k) asks. dt_y, by default the scheme's,
-    must not exceed the decoherence time T.
+    must not exceed the decoherence time T. report.fields holds each nu's
+    u_tilde of data a w at 0 and t_dec as "decohere_a_t0_nu<nu>.fnls" and
+    "decohere_a_tdec_nu<nu>.fnls".
     """
     if not (0.5 <= a_prime <= 1 and 0.5 <= a <= 1):
         raise ValueError("a, a' must lie in [1/2, 1]")
@@ -97,7 +98,7 @@ def run_decoherence(
         },
     )
 
-    # Every nu's boost is checked before the first run, so none leaves fields behind.
+    # Every nu's boost is checked before the first run, so no run is wasted.
     expo = (1.0 / s) * (d * (1 - alpha) / 2 + 2 * alpha * sigma / (p - 1))
     try:
         boosts = [nu**expo * epsilon ** (1.0 / s) for nu in nu_list]
@@ -129,9 +130,8 @@ def run_decoherence(
             fields[(label, 0.0)] = build_tilde(phi0, 0.0, nu, lam, v, sigma, p, n_x)
             fields[(label, t_dec)] = build_tilde(phi_T, t_dec, nu, lam, v, sigma, p, n_x)
 
-        if save_dir is not None:
-            write_field(f"{save_dir}/decohere_a_t0_nu{nu:g}.fnls", fields[("a", 0.0)])
-            write_field(f"{save_dir}/decohere_a_tdec_nu{nu:g}.fnls", fields[("a", t_dec)])
+        report.fields[f"decohere_a_t0_nu{nu:g}.fnls"] = fields[("a", 0.0)]
+        report.fields[f"decohere_a_tdec_nu{nu:g}.fnls"] = fields[("a", t_dec)]
         size_a = sobolev_norm(fields[("a", 0.0)], s, INHOMOGENEOUS)
         size_ap = sobolev_norm(fields[("a_prime", 0.0)], s, INHOMOGENEOUS)
         dist0 = sobolev_norm(

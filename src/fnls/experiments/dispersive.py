@@ -18,7 +18,6 @@ from ..errors import WrapAroundError
 from ..grid import Grid
 from ..spectral import fft, field_from_spectrum, lebesgue_norm
 from ..symbols import FractionalLaplacian, evaluate_symbol, linear_flow
-from ..io import write_field
 from .report import ExperimentReport, loglog_fit, sweep
 
 # The Gaussian ring has negligible spectral mass beyond this multiple of N;
@@ -60,13 +59,14 @@ def default_grid(d, sigma, N_list, t_max, n=2**14):
 
 def run_dispersive_decay(
     d, sigma, N_list=(1.0, 4.0), t_grid=tuple(np.linspace(5, 40, 15).tolist()),
-    grid=None, n=2**14, save_dir=None,
+    grid=None, n=2**14,
 ):
     """Measure the time-decay slope and the across-N prefactor scaling.
 
     sigma must lie in (0, 1], N_list (two or more) and t_grid (three or more)
     are `sweep`s, run in increasing order, and grid, when given, must be
     d-dimensional: otherwise the runner raises ValueError before its first run.
+    report.fields holds each bump's flow at each t as "dispersive_N<N>_t<t>.fnls".
     """
     if not 0 < sigma <= 1:
         raise ValueError(f"sigma must lie in (0, 1]; got {sigma!r}")
@@ -99,8 +99,7 @@ def run_dispersive_decay(
             linf = lebesgue_norm(ut, np.inf)
             sup_norms.append(linf)
             report.add_row(N=N, t=t, linf=linf)
-            if save_dir is not None:
-                write_field(f"{save_dir}/dispersive_N{N:g}_t{t:g}.fnls", ut)
+            report.fields[f"dispersive_N{N:g}_t{t:g}.fnls"] = ut
         slope, intercept, resid = loglog_fit(t_grid, sup_norms)
         report.fits[f"time_slope_N{N}"] = slope
         report.fits[f"log_prefactor_N{N}"] = intercept

@@ -16,7 +16,6 @@ from ..spectral import (
     round_velocity,
     sobolev_norm,
 )
-from ..io import write_field
 from .report import ExperimentReport, loglog_fit, sweep
 
 
@@ -43,7 +42,6 @@ def run_galilean_error(
     n_y=512,
     dt_x=None,
     dt_y=None,
-    save_dir=None,
 ):
     """Sweep nu; report ||exp(i v.x)(u - u_tilde)||_{H^k} and its decay fit.
 
@@ -51,7 +49,8 @@ def run_galilean_error(
     t_eval: the builder `run_decoherence` shares. nu_list (two or more) is
     a `sweep` in (0, 1], run largest first, t_eval must be positive and
     finite, and dt_x and dt_y, by default the scheme's, must pass
-    `evolution.check_step` against it.
+    `evolution.check_step` against it. report.fields holds each nu's u and
+    u_tilde at t_eval as "galilean_u_nu<nu>.fnls" and "galilean_utilde_nu<nu>.fnls".
     """
     d, sigma = params.d, params.sigma
     # The error's decay exponent must be positive. sigma > d/4 is none of the
@@ -98,9 +97,8 @@ def run_galilean_error(
         u0 = build_tilde(phi0, 0.0, nu, 1.0, v, sigma, params.p, grid_x.n)
         u_t = final_state(u0, full, t_eval, dt_x)
 
-        if save_dir is not None:
-            write_field(f"{save_dir}/galilean_u_nu{nu:g}.fnls", u_t)
-            write_field(f"{save_dir}/galilean_utilde_nu{nu:g}.fnls", u_tilde)
+        report.fields[f"galilean_u_nu{nu:g}.fnls"] = u_t
+        report.fields[f"galilean_utilde_nu{nu:g}.fnls"] = u_tilde
         recentered = modulate(u_t - u_tilde, -v)
         report.add_row(
             nu=nu,

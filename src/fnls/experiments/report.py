@@ -51,6 +51,7 @@ class ExperimentReport:
     series: list = field(default_factory=list)  # list of row dicts
     fits: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)  # name -> bool
+    fields: dict = field(default_factory=dict)  # FNLS1 file name -> ComplexField
 
     @property
     def passed(self):

@@ -11,7 +11,6 @@ from ..evolution import (
 from ..exponents import CRITICAL_LWP, critical_exponents, require_regime
 from ..grid import Grid
 from ..observables import scattering_defects
-from ..io import write_field
 from ..spectral import INHOMOGENEOUS, fft, sobolev_norm
 from .report import ExperimentReport, sweep
 
@@ -19,11 +18,11 @@ from .report import ExperimentReport, sweep
 SNAPSHOTS = 40  # a run's snapshot spacing is t_end / SNAPSHOTS
 
 
-def _fields(stream, last):
-    """(t, u) of each (t, u, diagnostics) of stream; last[0] holds the latest u."""
+def _fields(stream, fields, name):
+    """(t, u) of each (t, u, diagnostics) of stream; fields[name] is then the last u."""
     for t, u, _ in stream:
-        last[:] = [u]
         yield t, u
+    fields[name] = u
 
 
 def run_scattering_probe(
@@ -34,32 +33,34 @@ def run_scattering_probe(
     grid=None,
     dt=None,
     windows=((5.0, 10.0), (10.0, 20.0)),
-    save_dir=None,
 ):
     """Evolve small data and report the defect decay across time windows.
 
     amplitude_list is a sweep (`report.sweep`): positive, finite and
-    distinct amplitude factors, run in increasing order. The run snapshots every tau
-    = t_end / `SNAPSHOTS` on one clock: it takes `evolution.step_plan`(tau,
-    min(dt, tau))'s "blanes_moan4" steps h = tau / ceil(tau / dt), so dt (by
-    default the scheme's, and checked against t_end by
-    `evolution.check_step`) is its longest step. There must be
-    two windows or more, each (lo, hi) with 0 <= lo < hi <= t_end, ending at
-    or before the next one starts, and with edges that are multiples of tau to
-    1e-9 tau, or the probe raises ValueError before any run. A window sums the
-    Duhamel increments k, from k tau to (k + 1) tau, with lo / tau <= k < hi /
-    tau; the defect decays when each window's sum is below the one before.
-    Each run streams: `evolution.snapshots` feeds one `scattering_defects`
-    pass, and only the latest field is kept besides, for save_dir. The report
-    inputs record nu, the scheme, the step taken as dt, steps, tau as
+    distinct amplitude factors, run in increasing order. The run snapshots
+    every tau = t_end / `SNAPSHOTS` on one clock: it takes
+    `evolution.step_plan`(tau, min(dt, tau))'s "blanes_moan4" steps h = tau /
+    ceil(tau / dt), so dt (by default the scheme's, and checked with t_end by
+    `evolution.check_step` before the windows) is its longest step. There
+    must be two windows or more, each (lo, hi) with 0 <= lo < hi <= t_end,
+    ending at or before the next one starts, and with edges that are
+    multiples of tau to 1e-9 tau, or the probe raises ValueError before any
+    run. A window sums the Duhamel increments k, from k tau to (k + 1) tau,
+    with lo / tau <= k < hi / tau; the defect decays when each window's sum
+    is below the one before. Each run streams: `evolution.snapshots` feeds
+    one `scattering_defects` pass, and only the latest field is kept besides:
+    the final one is report.fields["scatter_final_amp<amp>.fnls"]. The
+    report inputs record nu, the scheme, the step taken as dt, steps, tau as
     snapshot_spacing, the snapshot count and each amplitude's
     `evolution.phase_bound`, whose use the `fnls.evolution` module docstring
-    states. Each datum is `ProfileSpec`'s, and all are checked before the first run.
+    states. Each datum is `ProfileSpec`'s, and all are checked before the
+    first run.
     """
     d, sigma, p = params.d, params.sigma, params.p
     s_c, _ = critical_exponents(d, p, sigma)
     require_regime(CRITICAL_LWP, d, p, sigma, s_c, "scattering probe")
     amplitude_list = sweep(amplitude_list, "amplitude_list", 1, "to probe")
+    check_step(dt, t_end)
     if len(windows) < 2:
         raise ValueError(f"windows needs at least two (lo, hi) pairs; got {len(windows)}")
     for lo, hi in windows:
@@ -83,7 +84,6 @@ def run_scattering_probe(
     scheme = "blanes_moan4"
     if dt is None:
         dt = default_dt(grid, params, t_end, scheme)
-    check_step(dt, t_end)
     stride, h = step_plan(tau, min(dt, tau))  # tau / h steps of h
     cfg = EvolveConfig(params, t_end, h, stride, scheme=scheme)
 
@@ -118,16 +118,13 @@ def run_scattering_probe(
         report.inputs["phase_bound"].append(
             phase_bound(free_amplitude(fft(u0)), params, t_end, scheme)
         )
-        last = [None]  # the latest field
         increments = []  # the Duhamel increment k, from k tau to (k + 1) tau
-        stream = _fields(snapshots(u0, cfg), last)
+        stream = _fields(snapshots(u0, cfg), report.fields, f"scatter_final_amp{amp:g}.fnls")
         for t_lo, t_hi, direct, duhamel in scattering_defects(stream, params, s_c):
             report.add_row(
                 amplitude=amp, t_lo=t_lo, t_hi=t_hi, defect_direct=direct, defect_duhamel=duhamel
             )
             increments.append(duhamel)
-        if save_dir is not None:
-            write_field(f"{save_dir}/scatter_final_amp{amp:g}.fnls", last[0])
         report.fits[f"initial_hsc_amp{amp:g}"] = hc0
         sums = [math.fsum(increments[round(lo / tau):round(hi / tau)]) for lo, hi in windows]
         for (lo, hi), total in zip(windows, sums):

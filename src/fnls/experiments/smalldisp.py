@@ -6,7 +6,6 @@ import numpy as np
 
 from ..evolution import check_step, final_state, nonlinear_phase
 from ..grid import Grid
-from ..io import write_field
 from ..spectral import HOMOGENEOUS, INHOMOGENEOUS, lebesgue_norm, sobolev_norm
 from .report import ExperimentReport, loglog_fit, sweep
 
@@ -20,7 +19,6 @@ def run_small_dispersion(
     grid=None,
     dt=None,
     hs_track=0.5,
-    save_dir=None,
 ):
     """H^k error vs nu, checked against its rate nu^(2 sigma), plus profile-size tracking checks.
 
@@ -30,7 +28,8 @@ def run_small_dispersion(
     nu_list (three or more) is a `sweep` in (0, 1], run largest first,
     t_eval must be positive and finite, and dt, by default the scheme's, must
     pass `evolution.check_step` against it. hs_track must be finite and the
-    datum nonzero on the grid.
+    datum nonzero on the grid. report.fields holds each nu's field at t_eval
+    as "smalldisp_nu<nu>.fnls".
     """
     nu_list = sweep(nu_list, "nu_list", 3, "for the error fit", upper=1)[::-1]
     check_step(dt, t_eval, horizon="t_eval")
@@ -66,8 +65,7 @@ def run_small_dispersion(
     phi_ode = nonlinear_phase(phi0, t_eval, params.mu, params.p)
     for nu in nu_list:
         phi_nu = final_state(phi0, dataclasses.replace(params, nu=nu), t_eval, dt)
-        if save_dir is not None:
-            write_field(f"{save_dir}/smalldisp_nu{nu:g}.fnls", phi_nu)
+        report.fields[f"smalldisp_nu{nu:g}.fnls"] = phi_nu
         err = sobolev_norm(phi_nu - phi_ode, k, INHOMOGENEOUS)
         linf = lebesgue_norm(phi_nu, np.inf)
         hs = sobolev_norm(phi_nu, hs_track, HOMOGENEOUS)

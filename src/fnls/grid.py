@@ -30,12 +30,15 @@ def mode_indices(n):
 
 
 def axis_vector(v, d, name="velocity"):
-    """v as a float array of d finite per-axis components; ValueError otherwise."""
+    """v as a float array of d finite components with a finite sum of squares; else ValueError."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (d,):
         raise ValueError(f"{name} must have {d} components")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite; got {v.tolist()}")
+    # Python floats overflow to inf without a warning.
+    if not math.isfinite(sum(x * x for x in v.tolist())):
+        raise ValueError(f"{name} is too large: its squared length overflows; got {v.tolist()}")
     return v
 
 

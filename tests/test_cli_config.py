@@ -10,7 +10,7 @@ import fnls.cli as cli
 import fnls.experiments as exp
 from fnls.cli import CONFIG_KEYS, KEY_TYPES, _load_config, main
 from fnls.config import load_config
-from fnls.errors import RegimeError, SingularSymbolError, WrapAroundError
+from fnls.errors import MassDriftError, RegimeError, SingularSymbolError, WrapAroundError
 from fnls.evolution import EvolveConfig
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
@@ -146,8 +146,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         _run(tmp_path, command, text)
 
 
-# Each is rejected by the library, after the config parses; without
-# --save-fields the run writes nothing before its report.
+# Each is rejected by the library, after the config parses; every run
+# computes all it writes before --out is made.
 @pytest.mark.parametrize(
     "command, line, error, match",
     [
@@ -240,11 +240,17 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         ("soliton", "v = inf", ValueError, r"velocity must be finite; got \[inf\]"),
         ("galilean", "v = inf", ValueError, r"velocity must be finite; got \[inf\]"),
         ("galilean", "v = -inf", ValueError, r"velocity must be finite; got \[-inf\]"),
+        # |v|^2 overflows though v is finite.
+        ("soliton", "v = 1e300", ValueError, r"velocity is too large: its squared length"),
+        ("galilean", "v = 1e300", ValueError, r"velocity is too large: its squared length"),
         # Each probe datum is ProfileSpec's, whose mass bound applies.
         (
             "scatter", "amplitude_list = 1e300", ValueError,
             r"amplitude 1e\+300 gives a field of infinite mass",
         ),
+        # The probe checks t_end before the windows that it bounds.
+        ("scatter", "t_end = -1", ValueError, "t_end must be finite and >= 0; got -1"),
+        ("scatter", "t_end = -inf", ValueError, "t_end must be finite and >= 0; got -inf"),
     ],
     ids=[
         "evolve-stride-0", "evolve-dt-above-t_end", "scatter-p-3", "scatter-t_end-10",
@@ -262,7 +268,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, command, line):
         "small-dispersion-hs_track-negative-inf", "decohere-alpha-1e300",
         "decohere-epsilon-1e-300", "evolve-p-inf", "small-dispersion-p-inf", "galilean-p-inf",
         "scatter-p-inf", "soliton-omega-inf", "soliton-v-inf", "galilean-v-inf",
-        "galilean-v-negative-inf", "scatter-amplitude-1e300",
+        "galilean-v-negative-inf", "soliton-v-1e300", "galilean-v-1e300",
+        "scatter-amplitude-1e300", "scatter-t_end-negative", "scatter-t_end-negative-inf",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, match):
@@ -271,8 +278,8 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
     assert not (tmp_path / "out").exists()
 
 
-# With --save-fields the runners write fields as they go; --out is made at
-# the first write, so a config the runner rejects before then leaves none.
+# With --save-fields the fields are written after the run, with its report,
+# so a config the runner rejects leaves no --out.
 @pytest.mark.parametrize(
     "command, text, error, match",
     [
@@ -416,6 +423,7 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         ("scatter", "sigma = 0.75\np = inf\n", ValueError, "p must exceed 1 and be finite"),
         ("galilean", "sigma = 0.75\np = 3\nv = inf\n", ValueError, "velocity must be finite"),
         ("galilean", "sigma = 0.75\np = 3\nv = -inf\n", ValueError, "velocity must be finite"),
+        ("galilean", "sigma = 0.75\np = 3\nv = 1e300\n", ValueError, "velocity is too large"),
         (
             "scatter", "sigma = 0.75\np = 7\namplitude_list = 1e300\n", ValueError,
             r"amplitude 1e\+300 gives a field of infinite mass",
@@ -436,7 +444,7 @@ def test_a_rejected_config_leaves_no_out_behind(tmp_path, command, line, error, 
         "small-dispersion-hs_track-inf", "small-dispersion-hs_track-negative-inf",
         "decohere-alpha-1e300", "decohere-epsilon-1e-300", "small-dispersion-p-inf",
         "galilean-p-inf", "scatter-p-inf", "galilean-v-inf", "galilean-v-negative-inf",
-        "scatter-amplitude-1e300",
+        "galilean-v-1e300", "scatter-amplitude-1e300",
     ],
 )
 def test_a_rejected_config_leaves_no_out_behind_with_save_fields(
@@ -524,6 +532,41 @@ def test_soliton_leaves_no_out_behind_when_its_solve_fails(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "petviashvili_solve", fail)
     with pytest.raises(SingularSymbolError):
         _run(tmp_path, "soliton", BASE["soliton"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_soliton_leaves_no_out_behind_when_its_traveling_check_fails(tmp_path, monkeypatch):
+    def fail(*args):
+        raise MassDriftError("relative mass drift exceeded the guard")
+
+    monkeypatch.setattr(cli, "traveling_wave_check", fail)
+    with pytest.raises(MassDriftError):
+        _run(tmp_path, "soliton", SMALL_RUNS["soliton"])
+    assert not (tmp_path / "out").exists()
+
+
+# A run that raises after its first nu's fields are computed leaves no --out:
+# the fields are written only once the whole run has returned.
+@pytest.mark.parametrize(
+    "command, runner",
+    [("small-dispersion", exp.smalldisp), ("galilean", exp.galilean), ("decohere", exp.decoherence)],
+    ids=["small-dispersion", "galilean", "decohere"],
+)
+def test_a_run_that_raises_midway_leaves_no_out_behind(tmp_path, monkeypatch, command, runner):
+    final_state, calls = runner.final_state, []
+
+    def third_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MassDriftError("relative mass drift exceeded the guard")
+        return final_state(*args)
+
+    monkeypatch.setattr(runner, "final_state", third_call_fails)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUNS[command])
+    with pytest.raises(MassDriftError):
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--save-fields"])
+    assert len(calls) == 3
     assert not (tmp_path / "out").exists()
 
 
@@ -749,7 +792,7 @@ def test_every_config_key_reaches_its_consumer(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("command", sorted(cli.EXPERIMENTS))
 def test_every_runner_keyword_is_a_config_key(command):
     required, optional = CONFIG_KEYS[command]
-    reached = set(required + optional) | {"profile", "params", "grid", "save_dir"}
+    reached = set(required + optional) | {"profile", "params", "grid"}
     assert set(inspect.signature(CONSUMERS[command]).parameters) - reached == set()
 
 

@@ -120,15 +120,12 @@ def test_wraparound_guard():
         check_horizon(g, 0.75, [4.0], t_max=100.0)
 
 
-def test_dispersive_runner_fits_decay(tmp_path):
-    rep = run_dispersive_decay(
-        d=1, sigma=0.75, N_list=[1.0, 4.0], t_grid=np.linspace(5, 40, 8),
-        save_dir=tmp_path,
-    )
+def test_dispersive_runner_fits_decay():
+    rep = run_dispersive_decay(d=1, sigma=0.75, N_list=[1.0, 4.0], t_grid=np.linspace(5, 40, 8))
     assert -0.6 < rep.fits["time_slope_N1.0"] < -0.4
     assert rep.checks["prefactor_scaling"]
-    snap = read_field(tmp_path / "dispersive_N1_t5.fnls")
-    assert snap.grid.n == (2**14,)
+    assert len(rep.fields) == 2 * 8
+    assert rep.fields["dispersive_N1_t5.fnls"].grid.n == (2**14,)
 
 
 def test_dispersive_runner_rejects_a_grid_of_another_dimension():
@@ -219,16 +216,15 @@ def test_decoherence_rejects_sigma_one_half():
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
-def test_decoherence_rejects_a_nonnegative_s_through_the_regime_gate(tmp_path, s):
-    # The ill-posed window is s_c < s < 0; s >= 0 fails the gate before any output.
+def test_decoherence_rejects_a_nonnegative_s_through_the_regime_gate(s):
+    # The ill-posed window is s_c < s < 0; s >= 0 fails the gate before any run.
     params = ModelParams(1, 0.75, 3, 1, 1.0)
     match = (
         rf"decoherence requires ILLPOSED_RANGE, got \w+ "
         rf"\(d = 1, p = 3, sigma = 0.75, s = {s}, s_c = -0.25\)"
     )
     with pytest.raises(RegimeError, match=match):
-        run_decoherence(ProfileSpec(width=1.0), params, s=s, save_dir=str(tmp_path / "out"))
-    assert not (tmp_path / "out").exists()
+        run_decoherence(ProfileSpec(width=1.0), params, s=s)
 
 
 def test_decoherence_true_evolution_keeps_the_distance_inflated():
@@ -350,26 +346,26 @@ SCATTER_GRID = Grid(1, 512, 16 * np.pi)
 SCATTER_PARAMS = ModelParams(1, 0.75, 7, 1, 1.0)
 
 
-def test_scattering_probe_small_data_takes_the_free_flow(tmp_path):
+def test_scattering_probe_small_data_takes_the_free_flow():
     # At amplitude 1e-3 and p = 7 the run's rotations are below roundoff, so
     # its final field is the linear flow's; at 0.3 they are not.
     profile = ProfileSpec(width=1.0, center=(0.3,))
     t_end = 2.5
     rep = run_scattering_probe(
         profile, SCATTER_PARAMS, amplitude_list=[1e-3, 0.3], t_end=t_end, grid=SCATTER_GRID,
-        windows=((0.5, 1.0), (1.0, 2.5)), save_dir=str(tmp_path),
+        windows=((0.5, 1.0), (1.0, 2.5)),
     )
     small, large = rep.inputs["phase_bound"]
     assert small <= ROUNDOFF < large
     for amp in (1e-3, 0.3):
         u0 = amp * profile.realize(SCATTER_GRID)
-        final = read_field(tmp_path / f"scatter_final_amp{amp:g}.fnls")
+        final = rep.fields[f"scatter_final_amp{amp:g}.fnls"]
         want = free_flow(u0, SCATTER_PARAMS, t_end).values
         error = np.max(np.abs(final.values - want)) / np.max(np.abs(want))
         assert error <= 1e-12 if amp == 1e-3 else error > 1e-6
 
 
-def test_scattering_probe_equals_the_trajectory_pass(tmp_path):
+def test_scattering_probe_equals_the_trajectory_pass():
     # The probe streams its run through one defect pass; collecting the run
     # first and passing over the Trajectory gives the same rows, window sums
     # and final field, bit for bit.
@@ -377,7 +373,7 @@ def test_scattering_probe_equals_the_trajectory_pass(tmp_path):
     t_end, windows = 2.5, ((0.5, 1.0), (1.0, 2.5))
     rep = run_scattering_probe(
         profile, SCATTER_PARAMS, amplitude_list=[1e-3, 0.3], t_end=t_end, grid=SCATTER_GRID,
-        windows=windows, save_dir=str(tmp_path),
+        windows=windows,
     )
     dt, spacing = rep.inputs["dt"], rep.inputs["snapshot_spacing"]
     cfg = EvolveConfig(
@@ -398,7 +394,7 @@ def test_scattering_probe_equals_the_trajectory_pass(tmp_path):
             inside = [r["defect_duhamel"] for r in rows if lo <= 0.5 * (r["t_lo"] + r["t_hi"]) < hi]
             assert len(inside) == round((hi - lo) / spacing)
             assert rep.fits[f"defect[{lo:g},{hi:g}]_amp{amp:g}"] == math.fsum(inside)
-        final = read_field(tmp_path / f"scatter_final_amp{amp:g}.fnls")
+        final = rep.fields[f"scatter_final_amp{amp:g}.fnls"]
         assert np.array_equal(final.values, traj.final.values)
 
 
@@ -759,7 +755,7 @@ def test_cli_save_fields_writes_fnls1_files_that_read_back(tmp_path, command):
 )
 def test_cli_save_fields_checks_every_nu_before_the_first_run(tmp_path, command, match):
     # The sweep's second nu is out of range: it must raise before the first
-    # nu's fields are written, so no --out is left behind.
+    # nu's run, and so before --out is made.
     text = re.sub(r"nu_list = [^\n]*", "nu_list = 0.1, 1.5", SAVED_FIELDS[command][0])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

@@ -79,3 +79,37 @@ def test_unreached_names_sees_a_helper_that_only_a_re_export_names():
     package = ["class Kept:\n    pass\ndef used():\n    pass\ndef helper():\n    used()\n"]
     users = package + ["from .m import Kept, helper\n__all__ = ['helper']\nx = m.Kept\n"]
     assert unreached_names(package, users) == ["helper"]
+
+
+def imported_modules(source, package):
+    """Absolute names of the modules, and of the names in them, that source imports.
+
+    package is the importing module's package, as a list of name parts.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_modules_resolves_relative_and_absolute_imports():
+    source = "import fnls.io\nfrom ..io import write_field\nfrom .. import io\nfrom .report import x"
+    assert imported_modules(source, ["fnls", "experiments"]) == {
+        "fnls.io", "fnls.io.write_field", "fnls", "fnls.experiments.report",
+        "fnls.experiments.report.x",
+    }
+
+
+# The runners compute; only fnls.cli writes their fields, once a run has returned.
+@pytest.mark.parametrize(
+    "path", sorted((PACKAGE / "experiments").glob("*.py")), ids=lambda path: path.name
+)
+def test_no_experiment_module_imports_io(path):
+    package = ["fnls", *path.relative_to(PACKAGE).parent.parts]
+    assert "fnls.io" not in imported_modules(path.read_text(), package)
