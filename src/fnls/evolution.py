@@ -17,13 +17,13 @@ rotation in space, and back. A step ends with its closing flow, so between
 steps the held spectrum is the solution's at the step's end. A snapshot
 before the last copies it, and `observables.field_diagnostics` takes the
 copy's diagnostics with omega (so its energy is the conserved one) before
-inverting it in place. The run's last snapshot drops every propagator and
-inverts the held spectrum itself to the field it yields. A run takes equal
-steps (`step_plan`), so each propagator, `symbols.linear_flow` of omega, is
-built once per run, and between snapshots a rotating run's working set is
-the spectrum, omega, one propagator per distinct linear fraction and one
-block (`grid.BLOCK` samples) of the rotation's temporaries; a snapshot adds a
-real |u|^2 array, and a copy of the spectrum unless it is the last.
+inverting it in place, and carries the held spectrum itself. The run's last
+snapshot drops every propagator and inverts the held spectrum in place. A run
+takes equal steps (`step_plan`), so each propagator, `symbols.linear_flow` of
+omega, is built once per run, and between snapshots a rotating run's working
+set is the spectrum, omega, one propagator per distinct linear fraction and
+one block (`grid.BLOCK` samples) of the rotation's temporaries; a snapshot
+adds a real |u|^2 array, and a copy of the spectrum unless it is the last.
 
 A run whose rotations cannot change the field skips them. All the rotations
 of a run together turn a sample by at most Theta = |mu| (sum_i |b_i|)
@@ -237,7 +237,12 @@ class Trajectory:
 
 
 def snapshots(u0, cfg):
-    """Yield (t, u, diagnostics) at t = 0, every stride steps and cfg.t_end.
+    """Yield (t, u, diagnostics): the rows of `spectral_snapshots` without their spectrum."""
+    return ((t, u, diagnostics) for t, u, diagnostics, _ in spectral_snapshots(u0, cfg))
+
+
+def spectral_snapshots(u0, cfg):
+    """Yield (t, u, diagnostics, spectrum) at t = 0, every stride steps and cfg.t_end.
 
     The run takes `step_plan`'s equal steps h, so cfg.dt (or `default_dt`) is
     its longest step; step k ends at t = k h. How a step is split, and when a
@@ -246,6 +251,10 @@ def snapshots(u0, cfg):
     time, a snapshot that trips the mass-drift or non-finite guard raises, and
     a model whose dimension is not the grid's or a plan that `step_plan`
     refuses raises ValueError before the first row.
+
+    spectrum, a read-only view of the held spectrum that the row's field was
+    inverted from (fft(u) to roundoff; fft(u0) at t = 0), is valid until the
+    next row is asked for; the last row of a run that steps carries None.
     """
     params = cfg.params
     grid = u0.grid
@@ -266,8 +275,10 @@ def snapshots(u0, cfg):
 
     # The held state: the spectrum of the solution at the last step's end.
     w = fft(u0)
+    held = w.view()
+    held.flags.writeable = False
     _, first = row(0.0, w, u0)
-    yield 0.0, u0, first
+    yield 0.0, u0, first, held
 
     mass0 = first["mass"]
     if phase_bound(free_amplitude(w), params, cfg.t_end, cfg.scheme) <= ROUNDOFF:
@@ -301,7 +312,7 @@ def snapshots(u0, cfg):
             # The run's last row inverts the held spectrum in place, with no
             # propagator left alive.
             flows.clear()
-            spectrum = w
+            spectrum, held = w, None
         else:
             spectrum = w.copy()
         u, diagnostics = row(t, spectrum)
@@ -310,7 +321,7 @@ def snapshots(u0, cfg):
             raise MassDriftError(
                 f"mass drift guard tripped: relative drift {drift:.3e} at t = {t:.6g}"
             )
-        yield t, u, diagnostics
+        yield t, u, diagnostics, held
 
 
 def evolve(u0, cfg):

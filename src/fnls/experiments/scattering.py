@@ -6,23 +6,28 @@ from dataclasses import replace
 import numpy as np
 
 from ..evolution import (
-    EvolveConfig, check_step, default_dt, free_amplitude, phase_bound, snapshots, step_plan,
+    EvolveConfig, check_step, default_dt, free_amplitude, phase_bound, spectral_snapshots,
+    step_plan,
 )
 from ..exponents import CRITICAL_LWP, critical_exponents, require_regime
 from ..grid import Grid
 from ..observables import scattering_defects
-from ..spectral import INHOMOGENEOUS, fft, sobolev_norm
+from ..spectral import INHOMOGENEOUS, sobolev_norm
 from .report import ExperimentReport, sweep
 
 
 SNAPSHOTS = 40  # a run's snapshot spacing is t_end / SNAPSHOTS
 
 
-def _fields(stream, fields, name):
-    """(t, u) of each (t, u, diagnostics) of stream; fields[name] is then the last u."""
-    for t, u, _ in stream:
-        yield t, u
-    fields[name] = u
+def _stream(u0, cfg, report, name):
+    """(t, u, spectrum) rows of the run; the first spectrum, fft(u0), gives its
+    `phase_bound` in report.inputs, and report.fields[name] is the last u."""
+    for t, u, _, spectrum in spectral_snapshots(u0, cfg):
+        if t == 0:
+            theta = phase_bound(free_amplitude(spectrum), cfg.params, cfg.t_end, cfg.scheme)
+            report.inputs["phase_bound"].append(theta)
+        yield t, u, spectrum
+    report.fields[name] = u
 
 
 def run_scattering_probe(
@@ -47,13 +52,14 @@ def run_scattering_probe(
     multiples of tau to 1e-9 tau, or the probe raises ValueError before any
     run. A window sums the Duhamel increments k, from k tau to (k + 1) tau,
     with lo / tau <= k < hi / tau; the defect decays when each window's sum
-    is below the one before. Each run streams: `evolution.snapshots` feeds
-    one `scattering_defects` pass, and only the latest field is kept besides:
-    the final one is report.fields["scatter_final_amp<amp>.fnls"]. The
-    report inputs record nu, the scheme, the step taken as dt, steps, tau as
-    snapshot_spacing, the snapshot count and each amplitude's
-    `evolution.phase_bound`, whose use the `fnls.evolution` module docstring
-    states. Each datum is `ProfileSpec`'s, and all are checked before the
+    is below the one before. Each run streams: `evolution.spectral_snapshots`
+    feeds its rows, held spectra included, to one `scattering_defects` pass,
+    and only the latest field is kept besides: the final one is
+    report.fields["scatter_final_amp<amp>.fnls"]. The report inputs record
+    nu, the scheme, the step taken as dt, steps, tau as snapshot_spacing, the
+    snapshot count and each amplitude's `evolution.phase_bound`, whose use
+    the `fnls.evolution` module docstring states, taken from the run's first
+    spectrum. Each datum is `ProfileSpec`'s, and all are checked before the
     first run.
     """
     d, sigma, p = params.d, params.sigma, params.p
@@ -115,11 +121,8 @@ def run_scattering_probe(
     ]
     for amp, u0 in zip(amplitude_list, data):
         hc0 = sobolev_norm(u0, s_c, INHOMOGENEOUS)
-        report.inputs["phase_bound"].append(
-            phase_bound(free_amplitude(fft(u0)), params, t_end, scheme)
-        )
         increments = []  # the Duhamel increment k, from k tau to (k + 1) tau
-        stream = _fields(snapshots(u0, cfg), report.fields, f"scatter_final_amp{amp:g}.fnls")
+        stream = _stream(u0, cfg, report, f"scatter_final_amp{amp:g}.fnls")
         for t_lo, t_hi, direct, duhamel in scattering_defects(stream, params, s_c):
             report.add_row(
                 amplitude=amp, t_lo=t_lo, t_hi=t_hi, defect_direct=direct, defect_duhamel=duhamel

@@ -114,16 +114,16 @@ class Grid:
     def shape(self):
         return self.n
 
-    @property
+    @cached_property
     def total_points(self):
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @property
     def dx(self):
         """Per-axis grid spacing."""
         return tuple(Lj / nj for Lj, nj in zip(self.L, self.n))
 
-    @property
+    @cached_property
     def cell_volume(self):
         return math.prod(self.dx)
 

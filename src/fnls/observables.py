@@ -129,7 +129,10 @@ def _spacetime_bands(grid, spec):
 
 
 def scattering_defects(snapshots, params, s_c):
-    """Yield (t_lo, t_hi, direct, duhamel) per pair of consecutive (t, field) snapshots.
+    """Yield (t_lo, t_hi, direct, duhamel) per pair of consecutive snapshots.
+
+    A snapshot is (t, field) or (t, field, spectrum), its spectrum or None
+    as `evolution.spectral_snapshots` carries it.
 
     Both measure the H^(s_c) Cauchy increment of the interaction-picture
     field w(t) = exp(-i t omega) u(t), omega = params.dispersion(grid):
@@ -140,16 +143,18 @@ def scattering_defects(snapshots, params, s_c):
     by Plancherel. The common factor exp(-i t_lo omega) of a pair is
     unimodular and drops out, so only the relative phase exp(-i dt omega)
     is applied. Bessel(s_c)^2 and omega are evaluated once per call and the
-    phase once per distinct dt; a snapshot costs two forward FFTs, of u and
-    of the nonlinearity, which is formed in the one buffer it is transformed
-    in. A pair's increments are formed in place in the earlier snapshot's
-    two spectra, which nothing reads after it, so between pairs the pass
-    holds only the later snapshot's.
+    phase once per distinct dt; a snapshot costs a copy of its spectrum, or
+    fft(u) without one, and a forward FFT of the nonlinearity, which is
+    formed in the one buffer it is transformed in. A pair's increments are
+    formed in place in the earlier snapshot's two spectra (so a carried
+    spectrum is copied), which nothing reads after it, so between pairs the
+    pass holds only the later snapshot's.
     """
     mu, p = params.mu, params.p
     prev = phase_dt = None
-    for t, u in snapshots:
-        a = fft(u)
+    for t, u, *carried in snapshots:
+        spectrum = carried[0] if carried else None
+        a = fft(u) if spectrum is None else spectrum.copy()
         n = abs_power(u.values, p - 1) * u.values
         n *= 1j * mu
         np.fft.fftn(n, out=n)

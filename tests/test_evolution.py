@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fnls.errors import NonFiniteFieldError
-from fnls.evolution import MAX_STEPS, EvolveConfig, default_dt, evolve, snapshots, step_plan
+from fnls.evolution import (
+    MAX_STEPS, EvolveConfig, default_dt, evolve, snapshots, spectral_snapshots, step_plan,
+)
 from fnls.grid import ComplexField, Grid
 from fnls.model import ModelParams
 from fnls.profiles import gaussian
@@ -197,6 +199,30 @@ def test_snapshots_plans_its_run_before_its_first_row():
     rows = snapshots(gaussian(GRID), EvolveConfig(PARAMS, t_end=1e300))
     with pytest.raises(ValueError, match="more than MAX_STEPS"):
         next(rows)
+
+
+# Amplitude 0.5 rotates (Theta = 0.025); 1e-9 gives Theta = 1e-19 at p = 3
+# and t_end 0.1, so that run jumps. 10 Strang steps at stride 3: rows at
+# steps 0, 3, 6, 9 and 10.
+@pytest.mark.parametrize("amplitude", [0.5, 1e-9])
+def test_a_row_carries_a_read_only_view_of_its_spectrum_and_the_last_none(amplitude):
+    u0 = gaussian(GRID, amplitude=amplitude)
+    cfg = EvolveConfig(PARAMS, t_end=0.1, dt=0.01, snapshot_stride=3)
+    rows = []
+    for t, u, _, spectrum in spectral_snapshots(u0, cfg):
+        if spectrum is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum[0] = 0
+            spectrum = spectrum.copy()
+        rows.append((t, u, spectrum))
+    assert [t for t, _, _ in rows] == pytest.approx([0, 0.03, 0.06, 0.09, 0.1], rel=1e-15)
+    assert rows[-1][2] is None
+    assert np.array_equal(rows[0][2], np.fft.fftn(u0.values))
+    for _, u, spectrum in rows[1:-1]:
+        want = np.fft.fftn(u.values)
+        assert np.max(np.abs(spectrum - want)) <= 1e-13 * np.max(np.abs(want))
+    # Writing was refused, so the run went on from the spectrum it held.
+    assert np.array_equal(rows[-1][1].values, evolve(u0, cfg).final.values)
 
 
 def test_a_model_of_another_dimension_than_its_grid_raises():

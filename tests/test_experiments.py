@@ -14,7 +14,10 @@ import fnls.cli as cli
 from fnls.cli import CONFIG_KEYS, main
 from fnls.config import load_config
 from fnls.errors import MassDriftError, RegimeError, WrapAroundError
-from fnls.evolution import ROUNDOFF, EvolveConfig, default_dt, evolve, snapshots
+from fnls.evolution import (
+    ROUNDOFF, EvolveConfig, default_dt, evolve, free_amplitude, phase_bound, snapshots,
+    spectral_snapshots,
+)
 from fnls.experiments import (
     run_decoherence,
     run_dispersive_decay,
@@ -31,7 +34,7 @@ from fnls.io import read_field
 from fnls.model import ModelParams
 from fnls.observables import scattering_defects
 from fnls.profiles import ProfileSpec
-from fnls.spectral import lebesgue_norm
+from fnls.spectral import INHOMOGENEOUS, lebesgue_norm, sobolev_norm
 
 from conftest import traced_peak
 from references import free_flow, rk4_reference
@@ -366,9 +369,11 @@ def test_scattering_probe_small_data_takes_the_free_flow():
 
 
 def test_scattering_probe_equals_the_trajectory_pass():
-    # The probe streams its run through one defect pass; collecting the run
-    # first and passing over the Trajectory gives the same rows, window sums
-    # and final field, bit for bit.
+    # The probe streams its run, held spectra included, through one defect
+    # pass; collecting the run first and passing over the Trajectory's (t,
+    # u) pairs gives the same times, Duhamel increments, window sums, phase
+    # bound and final field, bit for bit, and the same direct defects to
+    # within 16 eps of the datum's H^(s_c) norm (see the test below).
     profile = ProfileSpec(width=1.0, center=(0.3,))
     t_end, windows = 2.5, ((0.5, 1.0), (1.0, 2.5))
     rep = run_scattering_probe(
@@ -387,7 +392,14 @@ def test_scattering_probe_equals_the_trajectory_pass():
             dict(amplitude=amp, t_lo=lo, t_hi=hi, defect_direct=direct, defect_duhamel=duhamel)
             for lo, hi, direct, duhamel in scattering_defects(traj, SCATTER_PARAMS, rep.inputs["s_c"])
         ]
-        assert [row for row in rep.series if row["amplitude"] == amp] == rows
+        probed = [row for row in rep.series if row["amplitude"] == amp]
+        scale = 16 * np.finfo(float).eps * rep.fits[f"initial_hsc_amp{amp:g}"]
+        for got, want in zip(probed, rows, strict=True):
+            assert abs(got.pop("defect_direct") - want.pop("defect_direct")) <= scale
+            assert got == want
+        assert rep.inputs["phase_bound"][[1e-3, 0.3].index(amp)] == phase_bound(
+            free_amplitude(np.fft.fftn(traj.fields[0].values)), SCATTER_PARAMS, t_end, "blanes_moan4"
+        )
         # No increment straddles a window edge, so binning by midpoint
         # picks the increments the probe sums.
         for lo, hi in windows:
@@ -398,12 +410,64 @@ def test_scattering_probe_equals_the_trajectory_pass():
         assert np.array_equal(final.values, traj.final.values)
 
 
+# A carried spectrum and fft(u) differ by the roundoff of the row's inverse
+# transform, which the direct defect, a difference of two spectra near the
+# noise floor, shows: measured at most 9.9e-19 on a scale of 1.1e-18 at
+# amplitude 1e-3, against a bound of 4.9e-18, and 1.9e-17 on a scale of
+# 1.3e-5 at 0.3, against 1.5e-15. The Duhamel increments never read the
+# spectrum, so they agree bit for bit.
+@pytest.mark.parametrize("amp", [1e-3, 0.3])
+def test_the_held_spectrum_pass_matches_the_retransforming_pass(amp):
+    u0 = amp * ProfileSpec(width=1.0, center=(0.3,)).realize(SCATTER_GRID)
+    cfg = EvolveConfig(SCATTER_PARAMS, 2.5, 2.5 / 80, 2, scheme="blanes_moan4")
+    s_c, _ = critical_exponents(1, 7, 0.75)
+    pairs = []
+
+    def held():
+        for t, u, _, spectrum in spectral_snapshots(u0, cfg):
+            pairs.append((t, u))
+            yield t, u, spectrum
+
+    fast = list(scattering_defects(held(), SCATTER_PARAMS, s_c))
+    slow = list(scattering_defects(pairs, SCATTER_PARAMS, s_c))
+    assert len(fast) == len(slow) == 40
+    scale = 16 * np.finfo(float).eps * sobolev_norm(u0, s_c, INHOMOGENEOUS)
+    for (lo, hi, direct, duhamel), (lo1, hi1, direct1, duhamel1) in zip(fast, slow):
+        assert (lo, hi, duhamel) == (lo1, hi1, duhamel1)
+        assert abs(direct - direct1) <= scale
+
+
+# What the probe transforms, counted at numpy's fftn and ifftn. SCATTER_GRID
+# at t_end 2.5 takes 80 blanes_moan4 steps, 2 per snapshot, for 41 snapshots.
+# Each run makes one forward FFT for the datum's H^(s_c) norm, one for the
+# held spectrum at t = 0, an inverse for each of the 40 later rows, a forward
+# FFT of the nonlinearity for each of the 41 rows and one of the last row's
+# field, which is the only row without a carried spectrum: 84. A rotating run
+# adds 6 FFT pairs a step, 960; a linear-only run jumps with none.
+@pytest.mark.parametrize("amp, ffts", [(1e-3, 84), (0.3, 84 + 80 * 6 * 2)])
+def test_the_probe_transforms_each_field_once(monkeypatch, amp, ffts):
+    calls = []
+    for name in ("fftn", "ifftn"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, transform=transform, **k: calls.append(1) or transform(*a, **k)
+        )
+    rep = run_scattering_probe(
+        ProfileSpec(width=1.0, center=(0.3,)), SCATTER_PARAMS, amplitude_list=[amp], t_end=2.5,
+        grid=SCATTER_GRID, windows=((0.5, 1.0), (1.0, 2.5)),
+    )
+    assert rep.inputs["steps"] == 80
+    assert (rep.inputs["phase_bound"][0] <= ROUNDOFF) == (amp == 1e-3)
+    assert len(calls) == ffts
+
+
 def test_scattering_probe_traced_peak_does_not_grow_with_its_snapshot_count():
-    # The probe's stream, `snapshots` into one `scattering_defects` pass, at
-    # 80 steps on 2^16 points, a field being 1 MiB, at strides 8 and 1: 11
-    # and 81 snapshots. Collecting the run first held each snapshot; the
-    # stream holds a fixed set of fields, and the 70 more rows take a few
-    # KiB. The grid's wavenumber caches count as input.
+    # The probe's stream, `spectral_snapshots` rows with their held spectra
+    # into one `scattering_defects` pass, at 80 steps on 2^16 points, a
+    # field being 1 MiB, at strides 8 and 1: 11 and 81 snapshots. Collecting
+    # the run first held each snapshot; the stream holds a fixed set of
+    # fields, and the 70 more rows take a few KiB. The grid's wavenumber
+    # caches count as input.
     grid = Grid(1, 2**16, 128 * np.pi)
     grid.x, grid.k_abs
     u0 = 1e-3 * ProfileSpec(width=1.0).realize(grid)
@@ -411,7 +475,7 @@ def test_scattering_probe_traced_peak_does_not_grow_with_its_snapshot_count():
     peaks = {}
     for stride, snapshots_taken in ((8, 11), (1, 81)):
         cfg = EvolveConfig(SCATTER_PARAMS, 1.0, 1 / 80, stride, scheme="blanes_moan4")
-        stream = ((t, u) for t, u, _ in snapshots(u0, cfg))
+        stream = ((t, u, spectrum) for t, u, _, spectrum in spectral_snapshots(u0, cfg))
         peaks[stride], rows = traced_peak(
             lambda: list(scattering_defects(stream, SCATTER_PARAMS, s_c))
         )
